@@ -6,8 +6,9 @@ eliminate-eq, expand-counting, eval, equiv.  Reports are JSON on stdout
 from a positional argument, ``--file PATH``, or stdin via ``-``.
 
 Exit codes: decide returns 0/1/2 for sat/unsat/inconclusive and 3 on
-errors; usage errors exit 64; exceeded enumeration budgets exit 65 with
-the offending bound printed.
+errors, internal failures included (their traceback goes to stderr);
+usage errors exit 64; exceeded enumeration budgets exit 65 with the
+offending bound printed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import analysis, decide, generators, search, translate
 from . import syntax as S
@@ -299,6 +301,10 @@ def run(argv) -> int:
         return EX_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_ERROR
+    except Exception:
+        # an internal failure must never read as a verdict
+        traceback.print_exc()
         return EX_ERROR
 
 

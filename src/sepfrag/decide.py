@@ -393,7 +393,6 @@ def krom_sat(c: PropCnf) -> SatVerdict:
 class DecideConfig:
     max_model_size: int = 5
     backend: str = "auto"  # auto | dpll | horn | krom
-    prefer_propositional: bool = True
     try_translation_bound: bool = True
     clause_budget: int = S.DEFAULT_CLAUSE_BUDGET
 
@@ -525,7 +524,7 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     cfg = cfg or DecideConfig()
     expanded = expand_counting(f).formula
     sf = S.to_standard_form(expanded)
-    if not sf.universal_vars and cfg.prefer_propositional:
+    if not sf.universal_vars:
         ground = skolemize_existential(sf.to_formula())
         return _existential_path(f, ground, cfg)
 

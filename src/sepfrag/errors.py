@@ -30,12 +30,6 @@ class NotASentence(SepfragError):
     pass
 
 
-class HasFunctionSymbols(SepfragError):
-    # Reserved: terms are variables or constants only, so this cannot be
-    # raised for formulas built through this package's constructors.
-    pass
-
-
 class NotNNF(SepfragError):
     pass
 
@@ -72,10 +66,6 @@ class SelectionBudgetExceeded(BudgetExceeded):
 
 
 class CapExceeded(BudgetExceeded):
-    pass
-
-
-class BoundOverflow(SepfragError):
     pass
 
 

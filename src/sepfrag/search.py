@@ -4,10 +4,10 @@ Structures over a finite signature and universe {e1..em} are identified
 with bit codes: one bit per ground atom, ordered predicate-major.  The
 evaluator computes a formula's truth over 2^20 structures at a time as a
 packed uint64 vector, which makes the brute-force oracles cheap enough to
-back every other module's tests.  Quantifiers are evaluated with dynamic
-scope reduction (a quantified conjunction/disjunction is split into
-independent parts before enumerating assignments), which changes cost,
-never truth values.
+back every other module's tests.  The evaluator enumerates each
+quantifier block as written; `scope_minimized` rewrites a sentence once,
+before evaluation, so that its blocks are as narrow as possible, which
+changes cost, never truth values.
 """
 
 from __future__ import annotations
@@ -126,17 +126,10 @@ class GroundSpace:
         cache[bit] = vec
         return vec
 
-    def eval_chunk(
-        self,
-        f: S.Formula,
-        cmap: dict[str, int],
-        chunk: int,
-        fixed: Optional[dict[int, bool]] = None,
-    ) -> np.ndarray:
+    def eval_chunk(self, f: S.Formula, cmap: dict[str, int], chunk: int) -> np.ndarray:
         """Truth of sentence f on every structure in the chunk, one bit
         per structure code."""
-        ev = _VecEval(self, cmap, chunk, fixed or {})
-        return ev.eval(f, {}) & self.valid_mask
+        return _VecEval(self, cmap, chunk).eval(f, {}) & self.valid_mask
 
     def first_true(self, vec: np.ndarray, chunk: int) -> Optional[int]:
         nz = np.nonzero(vec)[0]
@@ -149,14 +142,14 @@ class GroundSpace:
 
 
 class _VecEval:
-    def __init__(self, space: GroundSpace, cmap, chunk, fixed):
+    """Packed evaluation of one formula on one chunk.  Quantifier blocks
+    are enumerated as written; `scope_minimized` fixes how they nest."""
+
+    def __init__(self, space: GroundSpace, cmap, chunk):
         self.space = space
         self.cmap = cmap
         self.chunk = chunk
-        self.fixed = fixed
         self.cache: dict[int, np.ndarray] = {}
-        self._free: dict[int, frozenset] = {}
-        self._keep = []  # keeps nodes alive so id() keys stay valid
 
     def _true(self):
         return np.full(self.space.n_words, _ALL_ONES, dtype=np.uint64)
@@ -164,18 +157,16 @@ class _VecEval:
     def _false(self):
         return np.zeros(self.space.n_words, dtype=np.uint64)
 
-    def free(self, g: S.Formula) -> frozenset:
-        got = self._free.get(id(g))
-        if got is None:
-            got = S.free_vars(g)
-            self._free[id(g)] = got
-            self._keep.append(g)
-        return got
-
     def _resolve(self, t: S.Term, env) -> int:
         if isinstance(t, S.Var):
             return env[t.name]
         return self.cmap[t.name]
+
+    def _bindings(self, g, env):
+        for combo in itertools.product(range(self.space.size), repeat=len(g.vars)):
+            env2 = dict(env)
+            env2.update(zip(g.vars, combo))
+            yield env2
 
     def eval(self, g: S.Formula, env) -> np.ndarray:
         if isinstance(g, S.Top):
@@ -185,9 +176,6 @@ class _VecEval:
         if isinstance(g, S.Pred):
             combo = tuple(self._resolve(t, env) for t in g.args)
             bit = self.space.atom_index[(g.name, combo)]
-            on = self.fixed.get(bit)
-            if on is not None:
-                return self._true() if on else self._false()
             return self.space._atom_vec(bit, self.chunk, self.cache)
         if isinstance(g, S.Eq):
             same = self._resolve(g.left, env) == self._resolve(g.right, env)
@@ -202,10 +190,11 @@ class _VecEval:
             return ~self.eval(g.left, env) | self.eval(g.right, env)
         if isinstance(g, S.Iff):
             return ~(self.eval(g.left, env) ^ self.eval(g.right, env))
-        if isinstance(g, S.Forall):
-            return self._quant(True, list(g.vars), g.body, env)
-        if isinstance(g, S.Exists):
-            return self._quant(False, list(g.vars), g.body, env)
+        if isinstance(g, (S.Forall, S.Exists)):
+            universal = isinstance(g, S.Forall)
+            return self._combine(
+                universal, (self.eval(g.body, e) for e in self._bindings(g, env))
+            )
         if isinstance(g, S.CountingExists):
             return self._count(g, env)
         raise TypeError(f"not a formula: {g!r}")
@@ -223,69 +212,10 @@ class _VecEval:
             return self._true() if is_and else self._false()
         return acc
 
-    def _quant(self, universal: bool, varlist, body, env) -> np.ndarray:
-        rel = [v for v in varlist if v in self.free(body)]
-        if not rel:
-            return self.eval(body, env)
-        if isinstance(body, (S.And, S.Or)):
-            body_and = isinstance(body, S.And)
-            if universal == body_and:
-                # the quantifier distributes over the connective
-                return self._combine(
-                    body_and,
-                    (self._quant(universal, rel, p, env) for p in body.parts),
-                )
-            groups, free_parts = self._group(body.parts, rel)
-            if free_parts or len(groups) > 1:
-                pieces = []
-                for gvars, gparts in groups:
-                    sub = gparts[0] if len(gparts) == 1 else type(body)(tuple(gparts))
-                    pieces.append(self._quant(universal, sorted(gvars), sub, env))
-                for p in free_parts:
-                    pieces.append(self.eval(p, env))
-                return self._combine(body_and, pieces)
-        v = rel[0]
-        rest = rel[1:]
-        vecs = []
-        for e in range(self.space.size):
-            env2 = dict(env)
-            env2[v] = e
-            vecs.append(self._quant(universal, rest, body, env2))
-        return self._combine(universal, vecs)
-
-    def _group(self, parts, rel):
-        """Partition parts into components connected by shared quantified
-        variables; parts using none of them are returned separately."""
-        relset = set(rel)
-        groups: list[tuple[set, list]] = []
-        free_parts = []
-        for p in parts:
-            pv = self.free(p) & relset
-            if not pv:
-                free_parts.append(p)
-                continue
-            hit = [g for g in groups if g[0] & pv]
-            merged = (set(pv), [p])
-            for g in hit:
-                merged[0].update(g[0])
-                merged[1].extend(g[1])
-                groups.remove(g)
-            groups.append(merged)
-        # reorder each group's parts to their original order
-        order = {id(p): i for i, p in enumerate(parts)}
-        out = []
-        for gvars, gparts in groups:
-            gparts.sort(key=lambda p: order[id(p)])
-            out.append((gvars, gparts))
-        out.sort(key=lambda g: order[id(g[1][0])])
-        return out, free_parts
-
     def _count(self, g: S.CountingExists, env) -> np.ndarray:
         # at-least-n-of accumulator over all witness tuples
         levels = [self._true()] + [self._false() for _ in range(g.n)]
-        for combo in itertools.product(range(self.space.size), repeat=len(g.vars)):
-            env2 = dict(env)
-            env2.update(zip(g.vars, combo))
+        for env2 in self._bindings(g, env):
             v = self.eval(g.body, env2)
             for i in range(g.n, 0, -1):
                 np.bitwise_or(levels[i], levels[i - 1] & v, out=levels[i])
@@ -295,11 +225,15 @@ class _VecEval:
 # ---------------------------------------------------------------------------
 # scope minimization
 #
-# Reduces quantifier scopes before packed evaluation: blocks merge into
-# adjacent same-kind blocks, distribute over their own connective, and
-# split across independent parts of the dual connective.  This rewriting
-# only changes evaluation cost; its truth-preservation is cross-checked
-# against the reference evaluator in the test suite.
+# Fixes the whole evaluation schedule before packed evaluation, which
+# enumerates every quantifier block exactly as written.  Blocks merge
+# into adjacent same-kind blocks, distribute over their own connective,
+# and split across independent parts of the dual connective.  A block
+# whose dual-connective body stays connected peels its first variable
+# and minimizes the rest beneath it, so parts that share only that
+# variable still split once it is bound.  This rewriting only changes
+# evaluation cost; its truth-preservation is cross-checked against the
+# reference evaluator in the test suite.
 
 
 def scope_minimized(f: S.Formula) -> S.Formula:
@@ -313,48 +247,49 @@ def scope_minimized(f: S.Formula) -> S.Formula:
         return type(f)(tuple(scope_minimized(p) for p in f.parts))
     if isinstance(f, S.CountingExists):
         return S.CountingExists(f.n, f.vars, scope_minimized(f.body))
-    body = scope_minimized(f.body)
-    names = tuple(v for v in f.vars if v in S.free_vars(body))
+    return _block(type(f), f.vars, scope_minimized(f.body))
+
+
+def _block(quant, names, body: S.Formula) -> S.Formula:
+    """Minimized form of `quant names. body` for an already minimized body."""
+    free = S.free_vars(body)
+    names = tuple(v for v in names if v in free)
     if not names:
         return body
-    if type(body) is type(f) and not set(names) & set(body.vars):
-        return scope_minimized(type(f)(names + body.vars, body.body))
-    universal = isinstance(f, S.Forall)
-    if isinstance(body, (S.And, S.Or)):
-        body_and = isinstance(body, S.And)
-        if universal == body_and:
-            return type(body)(
-                tuple(scope_minimized(type(f)(names, p)) for p in body.parts)
-            )
-        groups: list[tuple[set, list]] = []
-        free_parts = []
-        nameset = set(names)
-        for p in body.parts:
-            pv = S.free_vars(p) & nameset
-            if not pv:
-                free_parts.append(p)
-                continue
-            hit = [g for g in groups if g[0] & pv]
-            merged = (set(pv), [p])
-            for g in hit:
-                merged[0].update(g[0])
-                merged[1].extend(g[1])
-                groups.remove(g)
-            groups.append(merged)
-        if free_parts or len(groups) > 1:
-            order = {id(p): i for i, p in enumerate(body.parts)}
-            pieces = []
-            for gvars, gparts in groups:
-                gparts.sort(key=lambda p: order[id(p)])
-                sub = gparts[0] if len(gparts) == 1 else type(body)(tuple(gparts))
-                pieces.append(
-                    scope_minimized(
-                        type(f)(tuple(v for v in names if v in gvars), sub)
-                    )
-                )
-            pieces.extend(free_parts)
-            return type(body)(tuple(pieces))
-    return type(f)(names, body)
+    if type(body) is quant and not set(names) & set(body.vars):
+        return _block(quant, names + body.vars, body.body)
+    if not isinstance(body, (S.And, S.Or)):
+        return quant(names, body)
+    conn = type(body)
+    if (quant is S.Forall) == (conn is S.And):
+        return conn(tuple(_block(quant, names, p) for p in body.parts))
+    groups: list[tuple[set, list]] = []
+    free_parts = []
+    nameset = set(names)
+    for p in body.parts:
+        pv = S.free_vars(p) & nameset
+        if not pv:
+            free_parts.append(p)
+            continue
+        hit = [g for g in groups if g[0] & pv]
+        merged = (set(pv), [p])
+        for g in hit:
+            merged[0].update(g[0])
+            merged[1].extend(g[1])
+            groups.remove(g)
+        groups.append(merged)
+    if free_parts or len(groups) > 1:
+        order = {id(p): i for i, p in enumerate(body.parts)}
+        pieces = []
+        for gvars, gparts in groups:
+            gparts.sort(key=lambda p: order[id(p)])
+            sub = gparts[0] if len(gparts) == 1 else conn(tuple(gparts))
+            pieces.append(_block(quant, tuple(v for v in names if v in gvars), sub))
+        pieces.extend(free_parts)
+        return conn(tuple(pieces))
+    if len(names) > 1:
+        return quant(names[:1], _block(quant, names[1:], body))
+    return quant(names, body)
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +305,17 @@ def enumerate_structures(sig: S.Signature, size: int) -> Iterator[Structure]:
             yield space.decode(cmap, code)
 
 
-def count_structures(sig: S.Signature, size: int) -> int:
-    return GroundSpace(sig, size).n_structures
-
-
-def find_model(
-    f: S.Formula,
-    sig: Optional[S.Signature] = None,
-    max_size: int = 4,
-    symmetry_reduction: bool = True,
-) -> Optional[Structure]:
+def find_model(f: S.Formula, max_size: int = 4) -> Optional[Structure]:
     """First structure (sizes 1..max_size, canonical enumeration order)
     satisfying the sentence, or None.  Constants are pinned to canonical
     universe prefixes, which is complete up to isomorphism."""
     if S.free_vars(f):
         raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
-    full_sig = S.infer_signature(f, sig)
+    sig = S.infer_signature(f)
     reduced = scope_minimized(f)
     for size in range(1, max_size + 1):
-        space = GroundSpace(full_sig, size)
-        for cmap in space.const_maps(canonical=symmetry_reduction):
+        space = GroundSpace(sig, size)
+        for cmap in space.const_maps(canonical=True):
             for chunk in range(space.n_chunks):
                 vec = space.eval_chunk(reduced, cmap, chunk)
                 code = space.first_true(vec, chunk)

@@ -173,6 +173,21 @@ def test_parse_error_exit_3(capsys):
     assert run(["check", "forall . P(c)"]) == 3
 
 
+def test_internal_failure_exits_3(capsys):
+    # 3000 nested negations exceed the recursion limit of the recursive
+    # parser; that is an error with a traceback, never a verdict
+    assert run(["check", "~" * 3000 + "P(a)"]) == 3
+    assert "Traceback" in capsys.readouterr().err
+
+
+def test_deep_satisfiable_input_never_exits_unsat(capsys):
+    # satisfiable; the recursive DPLL runs out of stack on it, which
+    # must exit 3 (error), not 1 (unsat)
+    f = " & ".join(f"(P(a{i}) | P(b{i}) | P(c{i}))" for i in range(400))
+    assert run(["decide", f]) in (0, 3)
+    capsys.readouterr()
+
+
 def test_stdin_formula(capsys, monkeypatch):
     import io
 

@@ -236,6 +236,28 @@ def test_scope_minimization_preserves_truth():
             assert (va & space.valid_mask == vb & space.valid_mask).all()
 
 
+def test_scope_minimization_peels_connected_blocks():
+    # a block whose dual-connective body stays connected peels its first
+    # variable; the rest of the block then splits beneath it
+    from sepfrag.search import scope_minimized
+
+    R, S_, Q, T = (P(n, "x", v) for n, v in (("R", "y"), ("S", "z"), ("Q", "y"), ("T", "y")))
+    f = S.Forall(("x", "y", "z"), S.Or((R, S_)))
+    assert scope_minimized(f) == S.Forall(
+        ("x",), S.Or((S.Forall(("y",), R), S.Forall(("z",), S_)))
+    )
+    g = S.Exists(("x", "y", "z"), S.And((R, S_)))
+    assert scope_minimized(g) == S.Exists(
+        ("x",), S.And((S.Exists(("y",), R), S.Exists(("z",), S_)))
+    )
+    # the inner block also distributes over its own connective
+    h = S.Forall(("x", "y"), S.Or((P("P", "x"), S.And((Q, T)))))
+    assert scope_minimized(h) == S.Forall(
+        ("x",),
+        S.Or((S.And((S.Forall(("y",), Q), S.Forall(("y",), T))), P("P", "x"))),
+    )
+
+
 def test_packed_engine_on_prefix_sentences():
     # exists*forall* prefixes with a joint matrix: the shape that needs
     # scope minimization to evaluate quickly must stay correct

@@ -2,13 +2,12 @@
 
 Universal-free sentences reduce to propositional logic: Skolemize,
 eliminate ground equations via a fresh congruence predicate, abstract
-atoms, and classify the CNF (Horn -> unit propagation, 2-CNF ->
-implication graph, otherwise DPLL).  Sentences with universals are
-searched up to the smallest applicable model-size bound.
+atoms, and decide the CNF with one CDCL solver.  Sentences with
+universals are searched up to the smallest applicable model-size bound.
 """
 
 from sepfrag import decide_sat, parse_formula, print_formula
-from sepfrag.decide import DecideConfig, ground_equality_elim, skolemize_existential
+from sepfrag.decide import ground_equality_elim, skolemize_existential
 from sepfrag.generators import expand_counting
 
 print("Skolemization replaces existentials with fresh constants:")
@@ -44,10 +43,3 @@ for k in (1, 2, 3):
     v = decide_sat(expanded)
     print(f"  at least {k} element(s): minimal witness has "
           f"{len(v.structure.universe)} element(s)")
-print()
-
-print("Backends can be forced; Horn inputs normally take the linear path:")
-h, _ = parse_formula("(~P(c) | Q(c)) & P(c)")
-for backend in ("auto", "dpll"):
-    v = decide_sat(h, DecideConfig(backend=backend))
-    print(f"  backend={backend:5s} used={v.details['backend']}, status={v.status}")

@@ -6,7 +6,7 @@ Modules:
     search      exhaustive enumeration, model search, equivalence oracle
     analysis    fragment membership, interaction degree, size bounds
     translate   equivalence-preserving translation to exists*forall* form
-    decide      satisfiability decision with propositional backends
+    decide      satisfiability decision: a CDCL solver and bounded model search
     generators  benchmark families and their canonical models
     cli         the `sepfrag` command-line tool
 """

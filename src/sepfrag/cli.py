@@ -89,7 +89,6 @@ def build_parser() -> _Parser:
     d = sub.add_parser("decide", help="decide satisfiability")
     _add_formula_args(d)
     d.add_argument("--max-size", type=int, default=5)
-    d.add_argument("--backend", choices=("auto", "dpll", "horn", "krom"), default="auto")
     d.add_argument("--emit-model", help="write a SAT witness as structure JSON")
 
     g = sub.add_parser("gen", help="benchmark generators")
@@ -168,7 +167,7 @@ def _cmd_to_bsr(args) -> int:
 
 def _cmd_decide(args) -> int:
     f = _read_formula(args)
-    cfg = decide.DecideConfig(max_model_size=args.max_size, backend=args.backend)
+    cfg = decide.DecideConfig(max_model_size=args.max_size)
     verdict = decide.decide_sat(f, cfg)
     data = {
         "status": verdict.status,

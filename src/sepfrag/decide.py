@@ -3,9 +3,9 @@
 Sentences without universal quantifiers go through the propositional
 route: Skolemize each existential variable to a fresh constant, eliminate
 ground equations via a fresh congruence predicate, abstract ground atoms
-to propositional variables, and hand the CNF to a classified backend
-(unit-propagation for Horn, implication-graph reachability for 2-CNF,
-DPLL otherwise).  Everything else is decided by bounded model search
+to propositional variables, and decide the CNF with one CDCL solver
+(`dpll_sat`), whose SAT assignment is re-checked against the sentence
+as a Herbrand model.  Everything else is decided by bounded model search
 against the best available small-model bound.
 """
 
@@ -211,14 +211,8 @@ def prop_cnf(tree: S.Formula, amap: AtomMap, clause_budget=S.DEFAULT_CLAUSE_BUDG
     return PropCnf(len(amap.atoms), tuple(clauses))
 
 
-def cnf_flags(c: PropCnf):
-    horn = all(sum(1 for l in cl if l > 0) <= 1 for cl in c.clauses)
-    krom = all(len(cl) <= 2 for cl in c.clauses)
-    return horn, krom
-
-
 # ---------------------------------------------------------------------------
-# propositional backends
+# the propositional solver
 
 
 @dataclass(frozen=True)
@@ -235,154 +229,130 @@ class SatVerdict:
 
 
 def dpll_sat(c: PropCnf) -> SatVerdict:
-    """Complete DPLL with unit propagation; branches on the lowest
-    unassigned index, true first."""
+    """Complete CDCL: two watched literals, first-UIP clause learning and
+    non-chronological backjumping, without restarts, activity or clause
+    deletion.  Each decision sets the lowest unassigned variable false, so
+    on a Horn set every true variable is forced at level 0 and nothing
+    conflicts above it; on a 2-CNF set every learnt clause has at most two
+    literals."""
+    n = c.num_vars
+    unsat = SatVerdict("unsat", details={"backend": "cdcl"})
+    # val and watches are indexed by literal: -v wraps to the back half
+    val = [0] * (2 * n + 1)  # 1 true, -1 false, 0 unassigned
+    watches: list[list] = [[] for _ in range(2 * n + 1)]
+    level = [0] * (n + 1)
+    reason: list = [None] * (n + 1)  # implying clause, implied literal first
+    trail: list[int] = []
+    starts: list[int] = []  # trail length at the start of each decision level
 
-    def propagate(assign, clauses):
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                unassigned = []
-                satisfied = False
-                for l in cl:
-                    v = assign.get(abs(l))
-                    if v is None:
-                        unassigned.append(l)
-                    elif (l > 0) == v:
-                        satisfied = True
-                        break
-                if satisfied:
+    def enqueue(lit, why):
+        val[lit], val[-lit] = 1, -1
+        level[abs(lit)] = len(starts)
+        reason[abs(lit)] = why
+        trail.append(lit)
+
+    # a tautology needs no special case: it can never become unit
+    for cl in c.clauses:
+        lits = list(dict.fromkeys(cl))  # the two watched literals must differ
+        if len(lits) > 1:
+            watches[lits[0]].append(lits)
+            watches[lits[1]].append(lits)
+        elif not lits or val[lits[0]] == -1:
+            return unsat
+        elif not val[lits[0]]:
+            enqueue(lits[0], None)
+
+    head = 0
+    nxt = 1  # no variable below nxt is unassigned
+    while True:
+        conflict = None
+        while head < len(trail) and conflict is None:
+            false_lit = -trail[head]
+            head += 1
+            ws = watches[false_lit]
+            watches[false_lit] = kept = []
+            for i, cl in enumerate(ws):
+                if cl[0] == false_lit:
+                    cl[0], cl[1] = cl[1], false_lit
+                first = cl[0]
+                if val[first] == 1:
+                    kept.append(cl)
                     continue
-                if not unassigned:
-                    return False
-                if len(unassigned) == 1:
-                    l = unassigned[0]
-                    assign[abs(l)] = l > 0
-                    changed = True
-        return True
+                for j in range(2, len(cl)):
+                    lit = cl[j]
+                    if val[lit] != -1:
+                        cl[1], cl[j] = lit, false_lit
+                        watches[lit].append(cl)
+                        break
+                else:
+                    kept.append(cl)
+                    if val[first] == -1:
+                        kept.extend(ws[i + 1 :])
+                        conflict = cl
+                        break
+                    enqueue(first, cl)
 
-    def solve(assign):
-        assign = dict(assign)
-        if not propagate(assign, c.clauses):
-            return None
-        for v in range(1, c.num_vars + 1):
-            if v not in assign:
-                for val in (True, False):
-                    got = solve({**assign, v: val})
-                    if got is not None:
-                        return got
-                return None
-        return assign
+        if conflict is None:
+            while nxt <= n and val[nxt]:
+                nxt += 1
+            if nxt > n:
+                assignment = {v: val[v] == 1 for v in range(1, n + 1)}
+                return SatVerdict("sat", assignment=assignment, details={"backend": "cdcl"})
+            starts.append(len(trail))
+            enqueue(-nxt, None)
+            continue
+        if not starts:
+            return unsat
 
-    got = solve({})
-    if got is None:
-        return SatVerdict("unsat", details={"backend": "dpll"})
-    return SatVerdict("sat", assignment=got, details={"backend": "dpll"})
+        # resolve back to the first unique implication point of this level
+        learnt = [0]
+        seen = set()
+        pending = 0
+        walk = reversed(trail)
+        cl = conflict
+        while True:
+            for lit in cl:
+                v = abs(lit)
+                if v not in seen and level[v]:
+                    seen.add(v)
+                    if level[v] == len(starts):
+                        pending += 1
+                    else:
+                        learnt.append(lit)
+            uip = next(lit for lit in walk if abs(lit) in seen)
+            pending -= 1
+            if not pending:
+                break
+            cl = reason[abs(uip)]
+        learnt[0] = -uip
+
+        # backjump to the second-highest level in the learnt clause
+        learnt[1:] = sorted(learnt[1:], key=lambda lit: -level[abs(lit)])
+        back = level[abs(learnt[1])] if len(learnt) > 1 else 0
+        if len(learnt) > 1:
+            watches[learnt[0]].append(learnt)
+            watches[learnt[1]].append(learnt)
+        cut = starts[back]
+        for lit in trail[cut:]:
+            val[lit] = val[-lit] = 0
+            nxt = min(nxt, abs(lit))
+        del trail[cut:], starts[back:]
+        head = len(trail)
+        enqueue(learnt[0], learnt)
 
 
 def horn_sat(c: PropCnf) -> SatVerdict:
-    """Least-model unit propagation; satisfiable iff no all-negative
-    clause has its body forced."""
-    horn, _ = cnf_flags(c)
-    if not horn:
+    """`dpll_sat` on a Horn set; any other input raises NotHorn."""
+    if any(sum(1 for l in cl if l > 0) > 1 for cl in c.clauses):
         raise NotHorn("a clause has more than one positive literal")
-    true: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for cl in c.clauses:
-            head = next((l for l in cl if l > 0), None)
-            body_forced = all((-l) in true for l in cl if l < 0)
-            if not body_forced:
-                continue
-            if head is None:
-                return SatVerdict("unsat", details={"backend": "horn"})
-            if head not in true:
-                true.add(head)
-                changed = True
-    assignment = {v: (v in true) for v in range(1, c.num_vars + 1)}
-    for cl in c.clauses:
-        if not any((l > 0) == assignment.get(abs(l), False) for l in cl):
-            return SatVerdict("unsat", details={"backend": "horn"})
-    return SatVerdict("sat", assignment=assignment, details={"backend": "horn"})
+    return dpll_sat(c)
 
 
 def krom_sat(c: PropCnf) -> SatVerdict:
-    """2-CNF via the implication graph: unsatisfiable iff a variable and
-    its negation share a strongly connected component."""
-    _, krom = cnf_flags(c)
-    if not krom:
+    """`dpll_sat` on a 2-CNF set; any other input raises NotKrom."""
+    if any(len(cl) > 2 for cl in c.clauses):
         raise NotKrom("a clause has more than two literals")
-    if any(len(cl) == 0 for cl in c.clauses):
-        return SatVerdict("unsat", details={"backend": "krom"})
-
-    def node(l):
-        # literal l in {-n..-1, 1..n} -> node id
-        return 2 * (abs(l) - 1) + (0 if l > 0 else 1)
-
-    n_nodes = 2 * c.num_vars
-    edges = [[] for _ in range(n_nodes)]
-    for cl in c.clauses:
-        a = cl[0]
-        b = cl[1] if len(cl) == 2 else cl[0]
-        edges[node(-a)].append(node(b))
-        edges[node(-b)].append(node(a))
-
-    # iterative Tarjan
-    comp = [-1] * n_nodes
-    low = [0] * n_nodes
-    num = [0] * n_nodes
-    visited = [False] * n_nodes
-    on_stack = [False] * n_nodes
-    stack: list[int] = []
-    counter = [0]
-    n_comps = [0]
-
-    for root in range(n_nodes):
-        if visited[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                visited[v] = True
-                num[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for j in range(i, len(edges[v])):
-                w = edges[v][j]
-                if not visited[w]:
-                    work.append((v, j + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if recurse:
-                continue
-            if low[v] == num[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps[0]
-                    if w == v:
-                        break
-                n_comps[0] += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    assignment = {}
-    for v in range(1, c.num_vars + 1):
-        pos, neg = comp[node(v)], comp[node(-v)]
-        if pos == neg:
-            return SatVerdict("unsat", details={"backend": "krom"})
-        # Tarjan numbers components in reverse topological order
-        assignment[v] = pos < neg
-    return SatVerdict("sat", assignment=assignment, details={"backend": "krom"})
+    return dpll_sat(c)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +362,6 @@ def krom_sat(c: PropCnf) -> SatVerdict:
 @dataclass
 class DecideConfig:
     max_model_size: int = 5
-    backend: str = "auto"  # auto | dpll | horn | krom
     try_translation_bound: bool = True
     clause_budget: int = S.DEFAULT_CLAUSE_BUDGET
 
@@ -452,22 +421,14 @@ def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig)
         g, eq_pred = _ground_equality_elim_info(ground)
     tree, amap = to_propositional(g)
     cnf = prop_cnf(tree, amap, cfg.clause_budget)
-    horn, krom = cnf_flags(cnf)
-    backend = cfg.backend
-    if backend == "auto":
-        backend = "horn" if horn else ("krom" if krom else "dpll")
-    verdict = {"horn": horn_sat, "krom": krom_sat, "dpll": dpll_sat}[backend](cnf)
-    details = dict(verdict.details)
-    details.update(
-        {
-            "path": "propositional",
-            "horn": horn,
-            "krom": krom,
-            "equality_eliminated": has_eq,
-            "variables": cnf.num_vars,
-            "clauses": len(cnf.clauses),
-        }
-    )
+    verdict = dpll_sat(cnf)
+    details = {
+        **verdict.details,
+        "path": "propositional",
+        "equality_eliminated": has_eq,
+        "variables": cnf.num_vars,
+        "clauses": len(cnf.clauses),
+    }
     if verdict.status == "unsat":
         return SatVerdict("unsat", details=details)
     witness = _herbrand_structure(g, verdict.assignment, amap, eq_pred)

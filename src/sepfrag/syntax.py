@@ -515,6 +515,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
 
+# Nesting of '~', '(' and quantifiers accepted by the parser: each level
+# costs up to seven Python frames, so deeper input is a ParseError, not
+# a RecursionError here or in the recursive tree walks downstream.
+MAX_NESTING = 100
+
 
 @dataclass
 class _Token:
@@ -545,6 +550,7 @@ class _Parser:
         self.pos = 0
         self.sig = sig_hint.copy() if sig_hint is not None else Signature()
         self.scopes: list[set[str]] = []
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -562,6 +568,14 @@ class _Parser:
 
     def error(self, expected: str):
         raise ParseError(self.peek().pos, expected)
+
+    def nested(self, t: _Token, parse):
+        if self.depth == MAX_NESTING:
+            raise ParseError(t.pos, f"at most {MAX_NESTING} nested '~', '(' and quantifiers")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def in_scope(self, name: str) -> bool:
         return any(name in s for s in self.scopes)
@@ -599,7 +613,7 @@ class _Parser:
             self.error("at least one bound variable")
         self.expect(".")
         self.scopes.append(set(names))
-        body = self.formula()
+        body = self.nested(t, self.formula)
         self.scopes.pop()
         if n is not None:
             return CountingExists(n, tuple(names), body)
@@ -639,10 +653,10 @@ class _Parser:
         t = self.peek()
         if t.text == "~":
             self.next()
-            return Not(self.neg())
+            return Not(self.nested(t, self.neg))
         if t.text == "(":
             self.next()
-            out = self.formula()
+            out = self.nested(t, self.formula)
             self.expect(")")
             return out
         if t.kind == "word" and t.text == "true":

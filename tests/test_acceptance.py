@@ -253,18 +253,18 @@ def test_criterion_08_equality_elimination():
 
 def test_criterion_09_propositional_backends():
     with _Timer(9, "backend agreement and truth-table cross-check", 120.0):
-        from test_decide import random_cnf, random_horn, random_krom, truth_table_sat
+        from test_decide import assert_against_truth_table, random_cnf, random_horn, random_krom
 
         rng = random.Random(606)
         for _ in range(200):
             c = random_cnf(rng)
-            assert (dpll_sat(c).status == "sat") == truth_table_sat(c)
+            assert_against_truth_table(c, dpll_sat(c))
         for _ in range(200):
             c = random_horn(rng)
-            assert horn_sat(c).status == dpll_sat(c).status
+            assert_against_truth_table(c, horn_sat(c))
         for _ in range(200):
             c = random_krom(rng)
-            assert krom_sat(c).status == dpll_sat(c).status
+            assert_against_truth_table(c, krom_sat(c))
 
 
 def test_criterion_10_decision_agreement():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sepfrag import cli
 from sepfrag.cli import run
 
 
@@ -165,7 +166,7 @@ def test_eliminate_eq_command(capsys):
 
 def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as e:
-        run(["decide", "--backend", "wat", "true"])
+        run(["decide", "--max-size", "wat", "true"])
     assert e.value.code == 64
 
 
@@ -173,18 +174,29 @@ def test_parse_error_exit_3(capsys):
     assert run(["check", "forall . P(c)"]) == 3
 
 
-def test_internal_failure_exits_3(capsys):
-    # 3000 nested negations exceed the recursion limit of the recursive
-    # parser; that is an error with a traceback, never a verdict
-    assert run(["check", "~" * 3000 + "P(a)"]) == 3
+def test_internal_failure_exits_3(capsys, monkeypatch):
+    # an internal failure is an error with a traceback, never a verdict
+    def crash(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", crash)
+    assert run(["check", "P(a)"]) == 3
     assert "Traceback" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ["~" * 3000 + "P(a)", "(" * 600 + "P(a)" + ")" * 600], ids=["negations", "parentheses"]
+)
+def test_deep_nesting_is_a_parse_error(capsys, text):
+    assert run(["check", text]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and "Traceback" not in err
+
+
 def test_deep_satisfiable_input_never_exits_unsat(capsys):
-    # satisfiable; the recursive DPLL runs out of stack on it, which
-    # must exit 3 (error), not 1 (unsat)
+    # satisfiable, and deep enough to exhaust the stack of a recursive solver
     f = " & ".join(f"(P(a{i}) | P(b{i}) | P(c{i}))" for i in range(400))
-    assert run(["decide", f]) in (0, 3)
+    assert run(["decide", f]) == 0
     capsys.readouterr()
 
 

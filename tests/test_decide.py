@@ -7,7 +7,6 @@ from sepfrag import syntax as S
 from sepfrag.decide import (
     DecideConfig,
     PropCnf,
-    cnf_flags,
     decide_sat,
     dpll_sat,
     ground_equality_elim,
@@ -116,8 +115,8 @@ def test_abstraction_preserves_horn_krom():
     f, _ = parse_formula("(~P(c) | Q(c)) & (~Q(c) | P(d))")
     tree, amap = to_propositional(f)
     cnf = prop_cnf(tree, amap)
-    horn, krom = cnf_flags(cnf)
-    assert horn and krom
+    assert all(sum(1 for l in cl if l > 0) <= 1 for cl in cnf.clauses)  # Horn
+    assert all(len(cl) <= 2 for cl in cnf.clauses)  # Krom
 
 
 def test_abstraction_round_trip_random():
@@ -134,7 +133,7 @@ def test_abstraction_round_trip_random():
         assert (v.status == "sat") == sat
 
 
-# --- backends ----------------------------------------------------------------
+# --- the SAT solver -----------------------------------------------------------
 
 def truth_table_sat(c: PropCnf):
     for bits in itertools.product([False, True], repeat=c.num_vars):
@@ -142,6 +141,14 @@ def truth_table_sat(c: PropCnf):
         if all(any((l > 0) == val[abs(l)] for l in cl) for cl in c.clauses):
             return True
     return False
+
+
+def assert_against_truth_table(c: PropCnf, v):
+    """The verdict agrees with the truth table, and a SAT assignment
+    satisfies every clause."""
+    assert (v.status == "sat") == truth_table_sat(c)
+    if v.status == "sat":
+        assert all(any((l > 0) == v.assignment[abs(l)] for l in cl) for cl in c.clauses)
 
 
 def random_cnf(rng, max_vars=12, max_clauses=16, width=3):
@@ -187,7 +194,7 @@ def test_dpll_vs_truth_table():
     rng = random.Random(11)
     for _ in range(200):
         c = random_cnf(rng)
-        assert (dpll_sat(c).status == "sat") == truth_table_sat(c)
+        assert_against_truth_table(c, dpll_sat(c))
 
 
 def test_horn_examples():
@@ -201,11 +208,11 @@ def test_horn_rejects_non_horn():
         horn_sat(PropCnf(2, ((1, 2),)))
 
 
-def test_horn_vs_dpll():
+def test_horn_vs_truth_table():
     rng = random.Random(13)
     for _ in range(200):
         c = random_horn(rng)
-        assert horn_sat(c).status == dpll_sat(c).status
+        assert_against_truth_table(c, horn_sat(c))
 
 
 def test_krom_examples():
@@ -218,16 +225,38 @@ def test_krom_rejects_wide_clause():
         krom_sat(PropCnf(3, ((1, 2, 3),)))
 
 
-def test_krom_vs_dpll():
+def test_krom_vs_truth_table():
     rng = random.Random(17)
     for _ in range(200):
         c = random_krom(rng)
-        v = krom_sat(c)
-        assert v.status == dpll_sat(c).status
-        if v.status == "sat":
-            assert all(
-                any((l > 0) == v.assignment[abs(l)] for l in cl) for cl in c.clauses
-            )
+        assert_against_truth_table(c, krom_sat(c))
+
+
+def pigeonhole(pigeons: int, holes: int) -> PropCnf:
+    def var(i, j):
+        return i * holes + j + 1
+
+    clauses = [tuple(var(i, j) for j in range(holes)) for i in range(pigeons)]
+    clauses += [
+        (-var(i, j), -var(k, j))
+        for j in range(holes)
+        for i in range(pigeons)
+        for k in range(i + 1, pigeons)
+    ]
+    return PropCnf(pigeons * holes, tuple(clauses))
+
+
+def test_pigeonhole_7_into_6_unsat():
+    assert dpll_sat(pigeonhole(7, 6)).status == "unsat"
+
+
+def test_krom_core_behind_free_pairs_unsat():
+    # an unsatisfiable core on the two highest variables, decided last;
+    # chronological backtracking would retry all 2^20 settings of the
+    # pairs before it, backjumping learns the core's unit at once
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(20)]
+    core = [(41, 42), (-41, 42), (41, -42), (-41, -42)]
+    assert krom_sat(PropCnf(42, tuple(pairs + core))).status == "unsat"
 
 
 # --- the pipeline --------------------------------------------------------------
@@ -293,18 +322,18 @@ def test_decide_inconclusive_reports_bound():
 
 
 def test_decide_krom_with_equality_routed_away():
-    # equality elimination breaks the Krom property, so such inputs must
-    # not reach the Krom backend
+    # equality elimination breaks the Krom property of this input
     f, _ = parse_formula("exists x y. (P(x) | P(y)) & x = y")
     v = decide_sat(f)
     assert v.status == "sat"
-    assert v.details["backend"] != "krom"
 
 
-def test_decide_backend_override():
-    f, _ = parse_formula("exists x. P(x) | ~P(x)")
-    v = decide_sat(f, DecideConfig(backend="dpll"))
-    assert v.details["backend"] == "dpll"
+def test_decide_wide_ground_input():
+    # 400 disjoint clauses over 1200 atoms: deep for a recursive solver
+    f, _ = parse_formula(" & ".join(f"(P(a{i}) | P(b{i}) | P(c{i}))" for i in range(400)))
+    v = decide_sat(f)
+    assert v.status == "sat" and v.details["backend"] == "cdcl"
+    assert evaluate(v.structure, {}, f)
 
 
 def test_decide_agreement_with_find_model():

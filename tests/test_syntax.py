@@ -65,6 +65,28 @@ def test_parse_errors_carry_position():
     assert e.value.position == 7
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("~" * 3000 + "P(a)", S.MAX_NESTING),
+        ("(" * 600 + "P(a)" + ")" * 600, S.MAX_NESTING),
+        ("forall x. " * 50 + "~" * 51 + "P(x)", len("forall x. ") * 50 + 50),
+    ],
+    ids=["negations", "parentheses", "quantifiers-and-negations"],
+)
+def test_parse_rejects_deep_nesting(text, position):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert e.value.position == position
+
+
+def test_parse_accepts_nesting_at_the_limit():
+    f, _ = parse_formula("~" * (S.MAX_NESTING - 1) + "(P(a))")
+    for _ in range(S.MAX_NESTING - 1):
+        f = f.sub
+    assert f == S.Pred("P", (S.Const("a"),))
+
+
 def test_parse_scope_resolution():
     # bound names are variables, everything else lowercase is a constant
     f, sig = parse_formula("exists x. R(x, c)")

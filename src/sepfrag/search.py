@@ -8,6 +8,15 @@ back every other module's tests.  The evaluator enumerates each
 quantifier block as written; `scope_minimized` rewrites a sentence once,
 before evaluation, so that its blocks are as narrow as possible, which
 changes cost, never truth values.
+
+`Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
+and quantifier loops fold, stopping at a dominating one; a bool becomes
+a vector only at the root.  A subformula whose free variables are a
+strict subset of those its parent varies is memoized under their
+values, so it is evaluated once per binding of its free variables, not
+once per binding of every enclosing quantifier.  Which subformulas
+qualify is computed once per formula and space; the memo holds at most
+`_MEMO_WORDS` words per chunk evaluation and, once full, is only read.
 """
 
 from __future__ import annotations
@@ -36,6 +45,12 @@ _WORD_PATTERNS = (
 )
 
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+# Memo budget of one chunk evaluation, in uint64 words (2 MB).  An entry
+# is also charged _ENTRY_WORDS for its key, dict slot and array header
+# (about 350 bytes under tracemalloc), which dominate one-word vectors.
+_MEMO_WORDS = 1 << 18
+_ENTRY_WORDS = 40
 
 
 def default_budget() -> int:
@@ -68,6 +83,7 @@ class GroundSpace:
             self.valid_mask = np.uint64((1 << (1 << self.chunk_bits)) - 1)
         else:
             self.valid_mask = _ALL_ONES
+        self._plans: dict[int, tuple[S.Formula, dict]] = {}
 
     @property
     def n_const_maps(self) -> int:
@@ -129,7 +145,19 @@ class GroundSpace:
     def eval_chunk(self, f: S.Formula, cmap: dict[str, int], chunk: int) -> np.ndarray:
         """Truth of sentence f on every structure in the chunk, one bit
         per structure code."""
-        return _VecEval(self, cmap, chunk).eval(f, {}) & self.valid_mask
+        out = _VecEval(self, cmap, chunk, self._plan(f)).eval(f, {})
+        if type(out) is bool:
+            return np.full(self.n_words, self.valid_mask if out else 0, dtype=np.uint64)
+        return out & self.valid_mask
+
+    def _plan(self, f: S.Formula) -> dict:
+        # one `_memo_plan(f)` per formula, reused across constant maps and
+        # chunks; keyed by id like the plan itself, and the entry holds f
+        # so that its id cannot be reused
+        entry = self._plans.get(id(f))
+        if entry is None:
+            entry = self._plans[id(f)] = (f, _memo_plan(f))
+        return entry[1]
 
     def first_true(self, vec: np.ndarray, chunk: int) -> Optional[int]:
         nz = np.nonzero(vec)[0]
@@ -142,20 +170,26 @@ class GroundSpace:
 
 
 class _VecEval:
-    """Packed evaluation of one formula on one chunk.  Quantifier blocks
-    are enumerated as written; `scope_minimized` fixes how they nest."""
+    """Packed evaluation of one formula on one chunk.
 
-    def __init__(self, space: GroundSpace, cmap, chunk):
+    A value is a bool where the predicate tables do not matter (folded
+    `Eq`, `Top`, `Bottom`) and a packed vector otherwise.  Subformulas in
+    `plan` (see `_memo_plan`) are memoized under the values of their free
+    variables; an entry is charged its vector's words plus `_ENTRY_WORDS`,
+    and once `_MEMO_WORDS` are charged the memo is only read.  Returned
+    vectors may be shared with the atom cache or the memo and are never
+    written to.  Quantifier blocks are enumerated as written;
+    `scope_minimized` fixes how they nest.
+    """
+
+    def __init__(self, space: GroundSpace, cmap, chunk, plan):
         self.space = space
         self.cmap = cmap
         self.chunk = chunk
+        self.plan = plan
         self.cache: dict[int, np.ndarray] = {}
-
-    def _true(self):
-        return np.full(self.space.n_words, _ALL_ONES, dtype=np.uint64)
-
-    def _false(self):
-        return np.zeros(self.space.n_words, dtype=np.uint64)
+        self.memo: dict = {}
+        self.room = _MEMO_WORDS
 
     def _resolve(self, t: S.Term, env) -> int:
         if isinstance(t, S.Var):
@@ -168,58 +202,152 @@ class _VecEval:
             env2.update(zip(g.vars, combo))
             yield env2
 
-    def eval(self, g: S.Formula, env) -> np.ndarray:
-        if isinstance(g, S.Top):
-            return self._true()
-        if isinstance(g, S.Bottom):
-            return self._false()
+    def eval(self, g: S.Formula, env):
+        marked = self.plan.get(id(g))
+        if marked is None:
+            return self._eval(g, env)
+        slot, names = marked
+        key = (slot, tuple([env[v] for v in names]))
+        out = self.memo.get(key)
+        if out is None:
+            out = self._eval(g, env)
+            cost = _ENTRY_WORDS if type(out) is bool else _ENTRY_WORDS + len(out)
+            if cost <= self.room:
+                self.room -= cost
+                self.memo[key] = out
+        return out
+
+    def _eval(self, g: S.Formula, env):
         if isinstance(g, S.Pred):
             combo = tuple(self._resolve(t, env) for t in g.args)
             bit = self.space.atom_index[(g.name, combo)]
             return self.space._atom_vec(bit, self.chunk, self.cache)
         if isinstance(g, S.Eq):
-            same = self._resolve(g.left, env) == self._resolve(g.right, env)
-            return self._true() if same else self._false()
+            return self._resolve(g.left, env) == self._resolve(g.right, env)
+        if isinstance(g, S.Top):
+            return True
+        if isinstance(g, S.Bottom):
+            return False
         if isinstance(g, S.Not):
-            return ~self.eval(g.sub, env)
+            return _not(self.eval(g.sub, env))
         if isinstance(g, S.And):
-            return self._combine(True, (self.eval(p, env) for p in g.parts))
+            return _combine(True, (self.eval(p, env) for p in g.parts))
         if isinstance(g, S.Or):
-            return self._combine(False, (self.eval(p, env) for p in g.parts))
+            return _combine(False, (self.eval(p, env) for p in g.parts))
         if isinstance(g, S.Implies):
-            return ~self.eval(g.left, env) | self.eval(g.right, env)
+            left = self.eval(g.left, env)
+            if left is False:
+                return True
+            return _or(_not(left), self.eval(g.right, env))
         if isinstance(g, S.Iff):
-            return ~(self.eval(g.left, env) ^ self.eval(g.right, env))
+            left = self.eval(g.left, env)
+            right = self.eval(g.right, env)
+            if type(left) is bool:
+                return right if left else _not(right)
+            if type(right) is bool:
+                return left if right else ~left
+            return ~(left ^ right)
         if isinstance(g, (S.Forall, S.Exists)):
             universal = isinstance(g, S.Forall)
-            return self._combine(
+            return _combine(
                 universal, (self.eval(g.body, e) for e in self._bindings(g, env))
             )
         if isinstance(g, S.CountingExists):
             return self._count(g, env)
         raise TypeError(f"not a formula: {g!r}")
 
-    def _combine(self, is_and, vecs) -> np.ndarray:
-        acc = None
-        for v in vecs:
-            if acc is None:
-                acc = v.copy()
-            elif is_and:
-                np.bitwise_and(acc, v, out=acc)
-            else:
-                np.bitwise_or(acc, v, out=acc)
-        if acc is None:
-            return self._true() if is_and else self._false()
-        return acc
-
-    def _count(self, g: S.CountingExists, env) -> np.ndarray:
-        # at-least-n-of accumulator over all witness tuples
-        levels = [self._true()] + [self._false() for _ in range(g.n)]
+    def _count(self, g: S.CountingExists, env):
+        # levels[i]: at least i witness tuples so far
+        levels = [True] + [False] * g.n
         for env2 in self._bindings(g, env):
             v = self.eval(g.body, env2)
+            if v is False:
+                continue
             for i in range(g.n, 0, -1):
-                np.bitwise_or(levels[i], levels[i - 1] & v, out=levels[i])
+                levels[i] = _or(levels[i], _and(levels[i - 1], v))
+            if levels[g.n] is True:
+                return True
         return levels[g.n]
+
+
+def _not(a):
+    return (not a) if type(a) is bool else ~a
+
+
+def _and(a, b):
+    if a is False or b is True:
+        return a
+    if a is True or b is False:
+        return b
+    return a & b
+
+
+def _or(a, b):
+    if a is True or b is False:
+        return a
+    if a is False or b is True:
+        return b
+    return a | b
+
+
+def _combine(is_and, values):
+    """Conjunction (disjunction) of values, stopping at the first
+    dominating bool; allocates only once two vectors meet."""
+    acc = is_and
+    owned = False
+    for v in values:
+        if type(v) is bool:
+            if v is not is_and:
+                return v
+        elif type(acc) is bool:
+            acc = v
+        elif owned:
+            (np.bitwise_and if is_and else np.bitwise_or)(acc, v, out=acc)
+        else:
+            acc = acc & v if is_and else acc | v
+            owned = True
+    return acc
+
+
+def _memo_plan(f: S.Formula) -> dict[int, tuple[int, tuple[str, ...]]]:
+    """Subformulas of f that `_VecEval` memoizes: id -> (slot, free
+    variables).
+
+    A subformula is marked when its free variables are a strict subset of
+    those its parent varies while evaluating it (the parent's free
+    variables, and for a quantifier its bound ones too): only then can it
+    be requested again under the same values.  Equal subformulas share a
+    slot.  Atoms stay out: `Pred` has the atom cache, and `Eq`, `Top` and
+    `Bottom` are bools.
+    """
+    plan: dict[int, tuple[int, tuple[str, ...]]] = {}
+    slots: dict[S.Formula, int] = {}
+
+    def walk(g) -> frozenset:
+        if isinstance(g, _ATOMS):
+            return S.free_vars(g)
+        if isinstance(g, S.Not):
+            kids = (g.sub,)
+        elif isinstance(g, (S.And, S.Or)):
+            kids = g.parts
+        elif isinstance(g, (S.Implies, S.Iff)):
+            kids = (g.left, g.right)
+        else:
+            kids = (g.body,)
+        bound = frozenset(g.vars) if isinstance(g, _QUANTIFIERS) else frozenset()
+        kid_vars = [walk(k) for k in kids]
+        varied = bound.union(*kid_vars)
+        for k, kv in zip(kids, kid_vars):
+            if kv < varied and not isinstance(k, _ATOMS):
+                plan[id(k)] = (slots.setdefault(k, len(slots)), tuple(sorted(kv)))
+        return varied - bound
+
+    walk(f)
+    return plan
+
+
+_ATOMS = (S.Top, S.Bottom, S.Pred, S.Eq)
+_QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +481,12 @@ def equivalent_upto(
     1..size over their joint signature.
 
     Free variables are handled by binding them to fresh constants, so the
-    check covers all assignments as well.  The first disagreement in
-    enumeration order is reported; exceeding the structure budget raises.
+    check covers all assignments as well.  Constant maps are enumerated
+    canonically (restricted growth), which is complete up to isomorphism;
+    the canonical map is the lex-least of its orbit, so the first
+    disagreement is the one a full enumeration would meet first.  It is
+    reported; exceeding the structure budget, counted over all constant
+    maps, raises.
     """
     if budget is None:
         budget = default_budget()
@@ -383,7 +515,7 @@ def equivalent_upto(
                 needed=spent,
                 limit=budget,
             )
-        for cmap in space.const_maps():
+        for cmap in space.const_maps(canonical=True):
             for chunk in range(space.n_chunks):
                 va = space.eval_chunk(fr, cmap, chunk)
                 vb = space.eval_chunk(gr, cmap, chunk)

@@ -515,9 +515,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
 
-# Nesting of '~', '(' and quantifiers accepted by the parser: each level
-# costs up to seven Python frames, so deeper input is a ParseError, not
-# a RecursionError here or in the recursive tree walks downstream.
+# Nesting accepted by the parser.  '~', '(', quantifiers and each arrow
+# of a '->' or '<->' chain (which nests the tree one level deeper) count
+# one level each; a level costs Python frames here or in the recursive
+# tree walks downstream, so deeper input is a ParseError, not a
+# RecursionError.
 MAX_NESTING = 100
 
 
@@ -569,10 +571,15 @@ class _Parser:
     def error(self, expected: str):
         raise ParseError(self.peek().pos, expected)
 
-    def nested(self, t: _Token, parse):
+    def deeper(self, t: _Token):
         if self.depth == MAX_NESTING:
-            raise ParseError(t.pos, f"at most {MAX_NESTING} nested '~', '(' and quantifiers")
+            raise ParseError(
+                t.pos, f"at most {MAX_NESTING} nested '~', '(', quantifiers and arrows"
+            )
         self.depth += 1
+
+    def nested(self, t: _Token, parse):
+        self.deeper(t)
         out = parse()
         self.depth -= 1
         return out
@@ -622,18 +629,25 @@ class _Parser:
         return Exists(tuple(names), body)
 
     def iff(self) -> Formula:
+        depth = self.depth
         out = self.imp()
         while self.peek().kind == "iff":
-            self.next()
+            self.deeper(self.next())
             out = Iff(out, self.imp())
+        self.depth = depth
         return out
 
     def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "imp":
-            self.next()
-            return Implies(left, self.imp())
-        return left
+        depth = self.depth
+        parts = [self.disj()]
+        while self.peek().kind == "imp":
+            self.deeper(self.next())
+            parts.append(self.disj())
+        self.depth = depth
+        out = parts.pop()
+        while parts:
+            out = Implies(parts.pop(), out)
+        return out
 
     def disj(self) -> Formula:
         parts = [self.conj()]

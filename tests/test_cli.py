@@ -4,6 +4,7 @@ import pytest
 
 from sepfrag import cli
 from sepfrag.cli import run
+from sepfrag.syntax import MAX_NESTING, parse_formula
 
 
 def run_capture(capsys, argv):
@@ -185,12 +186,27 @@ def test_internal_failure_exits_3(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text", ["~" * 3000 + "P(a)", "(" * 600 + "P(a)" + ")" * 600], ids=["negations", "parentheses"]
+    "text",
+    [
+        "~" * 3000 + "P(a)",
+        "(" * 600 + "P(a)" + ")" * 600,
+        " -> ".join(["P(a)"] * 3000),
+        " <-> ".join(["P(a)"] * 3000),
+    ],
+    ids=["negations", "parentheses", "implications", "equivalences"],
 )
 def test_deep_nesting_is_a_parse_error(capsys, text):
     assert run(["check", text]) == 3
     err = capsys.readouterr().err
     assert "parse error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("arrow", ["->", "<->"])
+def test_arrow_chain_at_the_limit_parses(capsys, arrow):
+    text = f" {arrow} ".join(f"P(a{i})" for i in range(MAX_NESTING + 1))
+    code, out = run_capture(capsys, ["expand-counting", text])
+    assert code == 0
+    assert parse_formula(json.loads(out)["formula"]) == parse_formula(text)
 
 
 def test_deep_satisfiable_input_never_exits_unsat(capsys):

@@ -9,7 +9,7 @@ from sepfrag.search import GroundSpace, enumerate_structures, find_model
 from sepfrag.semantics import Structure, evaluate, models, substructure
 from sepfrag.syntax import parse_formula
 
-from util import random_sentence
+from util import first_disagreement, random_atom, random_boolean, random_sentence, small_signature
 
 
 def P(name, *args):
@@ -189,6 +189,122 @@ def test_packed_engine_agrees_on_counting():
         for code in range(8):
             got = bool((int(vec[0]) >> code) & 1)
             assert got == evaluate(space.decode({}, code), {}, f)
+
+
+def _folding_corpus():
+    """Sentences with `true`, `false` and equations in every operand
+    position of every connective and under every quantifier kind, and
+    subformulas repeated under binders that they do not mention."""
+    x, y, c = S.Var("x"), S.Var("y"), S.Const("c")
+    operands = [S.Top(), S.Bottom(), S.Eq(x, y), S.Eq(x, c), P("P", "x"), P("Q", "y")]
+    bodies = []
+    for a in operands:
+        bodies.append(S.Not(a))
+        for b in operands:
+            bodies += [S.And((a, b)), S.Or((a, b)), S.Implies(a, b), S.Iff(a, b)]
+    prefixes = [
+        lambda b: S.Forall(("x",), S.Exists(("y",), b)),
+        lambda b: S.Exists(("x",), S.Forall(("y",), b)),
+        lambda b: S.CountingExists(2, ("x",), S.Forall(("y",), b)),
+        lambda b: S.Forall(("x",), S.CountingExists(2, ("y",), b)),
+        lambda b: S.CountingExists(3, ("x", "y"), b),
+    ]
+    out = [prefixes[i % len(prefixes)](b) for i, b in enumerate(bodies)]
+    texts = [
+        "forall x. exists y. (P(x) & (exists z. Q(z) & z = x))"
+        " | (Q(y) <-> (exists z. Q(z) & z = x))",
+        "exists x. P(x) & (forall y. Q(y) | y = c) & ~(forall y. Q(y) | y = c)",
+        "forall x y. exists>=2 z. P(z) | x = c",
+        "exists>=2 x. (exists>=2 y. Q(y) & ~(y = c)) & P(x)",
+        "forall x. exists y. (exists>=4 z. z = z) | (P(y) -> (forall z. true))",
+        "exists x. forall y. (x = y -> false) | (true <-> (exists z. z = c & P(x)))",
+    ]
+    return out + [parse_formula(t)[0] for t in texts]
+
+
+def test_packed_engine_folding_and_memo_agree_with_reference():
+    from sepfrag.search import scope_minimized
+
+    sig = S.Signature({"P": 1, "Q": 1}, {"c"})
+    for f in _folding_corpus():
+        for size in (1, 2, 3):
+            space = GroundSpace(sig, size)
+            for cmap in space.const_maps():
+                vecs = [space.eval_chunk(g, cmap, 0) for g in (f, scope_minimized(f))]
+                for code in range(1 << space.n_bits):
+                    want = evaluate(space.decode(cmap, code), {}, f)
+                    for vec in vecs:
+                        assert bool((int(vec[code >> 6]) >> (code & 63)) & 1) == want, f
+
+
+def test_memo_budget_leaves_vectors_unchanged(monkeypatch):
+    from sepfrag import search
+
+    folding_sig = S.Signature({"P": 1, "Q": 1}, {"c"})
+    corpus = [(f, folding_sig) for f in _folding_corpus()[-6:]]
+    rng = random.Random(71)
+    corpus += [random_sentence(rng, with_eq=True) for _ in range(40)]
+
+    def vectors(words):
+        monkeypatch.setattr(search, "_MEMO_WORDS", words)
+        out = []
+        for f, sig in corpus:
+            space = GroundSpace(sig, 3)
+            reduced = search.scope_minimized(f)
+            for cmap in space.const_maps():
+                out.append(space.eval_chunk(f, cmap, 0))
+                out.append(space.eval_chunk(reduced, cmap, 0))
+        return out
+
+    unlimited = vectors(1 << 40)
+    for words in (0, 3 * (search._ENTRY_WORDS + 1)):
+        limited = vectors(words)
+        assert all((a == b).all() for a, b in zip(unlimited, limited))
+    # the small budget does fill up: it holds three entries where the
+    # unlimited memo holds more
+    f = corpus[0][0]
+    space = GroundSpace(folding_sig, 3)
+    sizes = []
+    for words in (3 * (search._ENTRY_WORDS + 1), 1 << 40):
+        monkeypatch.setattr(search, "_MEMO_WORDS", words)
+        ev = search._VecEval(space, {}, 0, space._plan(f))
+        ev.eval(f, {})
+        sizes.append(len(ev.memo))
+    assert sizes[0] == 3 < sizes[1]
+
+
+def test_equivalent_upto_matches_full_enumeration():
+    # canonical constant maps give the verdict and the first
+    # counterexample that enumerating every constant map gives; pairs
+    # that already differ at size 1 (one constant map) are skipped
+    from sepfrag.search import equivalent_upto
+
+    rng = random.Random(107)
+    pairs = differ = 0
+    while pairs < 80:
+        sig = small_signature(rng, max_consts=3, max_bits=9)
+        sig.constants.update({"c", "c1"})
+        leaves = [random_atom(rng, sig, ["x", "y"], with_eq=True) for _ in range(3)]
+        quants = [rng.choice((S.Forall, S.Exists)) for _ in range(2)]
+        f, g = [
+            quants[0](("x",), quants[1](("y",), random_boolean(rng, leaves)))
+            for _ in range(2)
+        ]
+        if first_disagreement(f, g, 1) is not None:
+            continue
+        pairs += 1
+        size = rng.randint(2, 3)
+        got = equivalent_upto(f, g, size)
+        want = first_disagreement(f, g, size)
+        if want is None:
+            assert got.equal
+            continue
+        differ += 1
+        assert not got.equal
+        assert (got.counterexample.structure, got.counterexample.which) == want
+        m = want[0]
+        assert evaluate(m, {}, f) == (want[1] == "left") != evaluate(m, {}, g)
+    assert differ >= 20
 
 
 def test_models_helper():

@@ -71,8 +71,18 @@ def test_parse_errors_carry_position():
         ("~" * 3000 + "P(a)", S.MAX_NESTING),
         ("(" * 600 + "P(a)" + ")" * 600, S.MAX_NESTING),
         ("forall x. " * 50 + "~" * 51 + "P(x)", len("forall x. ") * 50 + 50),
+        (" -> ".join(["P(a)"] * 3000), len("P(a) -> ") * S.MAX_NESTING + len("P(a) ")),
+        (" <-> ".join(["P(a)"] * 3000), len("P(a) <-> ") * S.MAX_NESTING + len("P(a) ")),
+        ("(" * 60 + " -> ".join(["P(a)"] * 50), 60 + len("P(a) -> ") * 40 + len("P(a) ")),
     ],
-    ids=["negations", "parentheses", "quantifiers-and-negations"],
+    ids=[
+        "negations",
+        "parentheses",
+        "quantifiers-and-negations",
+        "implications",
+        "equivalences",
+        "parentheses-and-implications",
+    ],
 )
 def test_parse_rejects_deep_nesting(text, position):
     with pytest.raises(ParseError) as e:
@@ -85,6 +95,19 @@ def test_parse_accepts_nesting_at_the_limit():
     for _ in range(S.MAX_NESTING - 1):
         f = f.sub
     assert f == S.Pred("P", (S.Const("a"),))
+
+
+def test_parse_accepts_arrow_chains_at_the_limit():
+    f, _ = parse_formula(" -> ".join(f"P(a{i})" for i in range(S.MAX_NESTING + 1)))
+    for i in range(S.MAX_NESTING):
+        assert f.left == S.Pred("P", (S.Const(f"a{i}"),))
+        f = f.right
+    assert f == S.Pred("P", (S.Const(f"a{S.MAX_NESTING}"),))
+    g, _ = parse_formula(" <-> ".join(f"P(a{i})" for i in range(S.MAX_NESTING + 1)))
+    for i in range(S.MAX_NESTING, 0, -1):
+        assert g.right == S.Pred("P", (S.Const(f"a{i}"),))
+        g = g.left
+    assert g == S.Pred("P", (S.Const("a0"),))
 
 
 def test_parse_scope_resolution():

@@ -219,3 +219,24 @@ def _const_maps(sig, size):
     names = sorted(sig.constants)
     for combo in itertools.product(range(size), repeat=len(names)):
         yield dict(zip(names, combo))
+
+
+def first_disagreement(f, g, size):
+    """(structure, "left" or "right") of the first structure, universe
+    sizes 1..size and every constant map in lexicographic order, on which
+    sentences f and g differ, or None.  The reference for
+    `equivalent_upto`, which enumerates canonical constant maps only."""
+    from sepfrag.search import GroundSpace
+
+    sig = S.infer_signature(g, S.infer_signature(f))
+    for m in range(1, size + 1):
+        space = GroundSpace(sig, m)
+        for cmap in space.const_maps():
+            for chunk in range(space.n_chunks):
+                va = space.eval_chunk(f, cmap, chunk)
+                code = space.first_true(va ^ space.eval_chunk(g, cmap, chunk), chunk)
+                if code is not None:
+                    local = code - (chunk << space.chunk_bits)
+                    left = (int(va[local >> 6]) >> (local & 63)) & 1
+                    return space.decode(cmap, code), "left" if left else "right"
+    return None

@@ -112,13 +112,13 @@ class TetrationExpr:
         s = str(e)
         return f"({s})" if e.kind in kinds else s
 
-    def to_json(self, bit_cap: int = DEFAULT_EXACT_BITS):
-        exact = self.evaluate(bit_cap)
+    def to_json(self):
+        exact = self.evaluate()
         out = {"expr": str(self), "exact": None, "lower_bound": None}
         if exact is not None:
             out["exact"] = exact if exact.bit_length() <= 64 else str(exact)
         else:
-            lo = self.lower_bound(bit_cap)
+            lo = self.lower_bound()
             out["lower_bound"] = (
                 str(lo) if lo.bit_length() <= 200 else f">=2^{lo.bit_length() - 1}"
             )
@@ -334,11 +334,11 @@ class BoundReport:
     bsr_model_size: Optional[int]
     mfo_model_size: Optional[int]
 
-    def to_json(self, bit_cap: int = DEFAULT_EXACT_BITS):
+    def to_json(self):
         return {
-            "lemma12": self.translation_existentials.to_json(bit_cap),
-            "expr1": self.model_size.to_json(bit_cap),
-            "prop9": self.alternation_model_size.to_json(bit_cap),
+            "lemma12": self.translation_existentials.to_json(),
+            "expr1": self.model_size.to_json(),
+            "prop9": self.alternation_model_size.to_json(),
             "prop5": self.bsr_model_size,
             "prop6": self.mfo_model_size,
         }

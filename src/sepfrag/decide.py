@@ -156,10 +156,6 @@ class AtomMap:
     variable indices (0-based, first-occurrence order)."""
 
     atoms: tuple[S.Pred, ...]
-    index: dict
-
-    def variable(self, atom: S.Pred) -> int:
-        return self.index[S.atom_key(atom)]
 
 
 @dataclass(frozen=True)
@@ -196,11 +192,11 @@ def to_propositional(g: S.Formula):
         return h
 
     tree = walk(g)
-    return tree, AtomMap(tuple(atoms), index)
+    return tree, AtomMap(tuple(atoms))
 
 
-def prop_cnf(tree: S.Formula, amap: AtomMap, clause_budget=S.DEFAULT_CLAUSE_BUDGET) -> PropCnf:
-    matrix = S.cnf_matrix(S.to_nnf(tree), max_clauses=clause_budget)
+def prop_cnf(tree: S.Formula, amap: AtomMap) -> PropCnf:
+    matrix = S.cnf_matrix(S.to_nnf(tree))
     clauses = []
     for cl in matrix.clauses:
         lits = []
@@ -362,8 +358,6 @@ def krom_sat(c: PropCnf) -> SatVerdict:
 @dataclass
 class DecideConfig:
     max_model_size: int = 5
-    try_translation_bound: bool = True
-    clause_budget: int = S.DEFAULT_CLAUSE_BUDGET
 
 
 def _herbrand_structure(g: S.Formula, assignment, amap: AtomMap, eq_pred) -> Structure:
@@ -420,7 +414,7 @@ def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig)
     if has_eq:
         g, eq_pred = _ground_equality_elim_info(ground)
     tree, amap = to_propositional(g)
-    cnf = prop_cnf(tree, amap, cfg.clause_budget)
+    cnf = prop_cnf(tree, amap)
     verdict = dpll_sat(cnf)
     details = {
         **verdict.details,
@@ -437,41 +431,32 @@ def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig)
     return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)
 
 
-def _model_bound(sf: S.StandardForm, cfg: DecideConfig):
+def _model_bound(sf: S.StandardForm):
     """Smallest exactly-evaluated size bound available for the sentence;
     None when every applicable bound stays symbolic."""
-    candidates = []
-    details = {}
-    separated = analysis.is_sf(sf)
-    if separated:
-        rep = analysis.bounds(sf)
-        exact = rep.model_size.evaluate()
-        details["degree_bound"] = str(rep.model_size)
-        if exact is not None:
-            candidates.append(exact)
-        if rep.bsr_model_size is not None:
-            candidates.append(rep.bsr_model_size)
-        if rep.mfo_model_size is not None:
-            candidates.append(rep.mfo_model_size)
-        if cfg.try_translation_bound and not analysis.is_bsr(sf):
-            try:
-                bsr = translate.to_bsr(
-                    sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
-                    dnf_term_cap=512,
-                )
-                n_consts = len(S.constants_of(sf.matrix))
-                candidates.append(max(len(bsr.leading) + n_consts, 1))
-                details["translation_bound"] = candidates[-1]
-            except BudgetExceeded:
-                pass
-    elif analysis.is_mfo(sf):
-        preds = {a.name for a in S.atoms_iter(sf.matrix) if isinstance(a, S.Pred)}
-        candidates.append(2 ** len(preds))
-    bound = min(candidates) if candidates else None
-    symbolic = None
-    if separated and bound is None:
-        symbolic = analysis.bounds(sf).model_size
-    return bound, symbolic, details
+    if not analysis.is_sf(sf):
+        return None, None, {}
+    rep = analysis.bounds(sf)
+    details = {"degree_bound": str(rep.model_size)}
+    candidates = [
+        b
+        for b in (rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size)
+        if b is not None
+    ]
+    if not analysis.is_bsr(sf):
+        try:
+            bsr = translate.to_bsr(
+                sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
+                dnf_term_cap=512,
+            )
+            n_consts = len(S.constants_of(sf.matrix))
+            candidates.append(max(len(bsr.leading) + n_consts, 1))
+            details["translation_bound"] = candidates[-1]
+        except BudgetExceeded:
+            pass
+    if not candidates:
+        return None, rep.model_size, details
+    return min(candidates), None, details
 
 
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
@@ -489,7 +474,7 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
         ground = skolemize_existential(sf.to_formula())
         return _existential_path(f, ground, cfg)
 
-    bound, symbolic, details = _model_bound(sf, cfg)
+    bound, symbolic, details = _model_bound(sf)
     limit = cfg.max_model_size if bound is None else min(bound, cfg.max_model_size)
     details.update({"path": "model-search", "bound": bound, "search_limit": limit})
     witness = find_model(expanded, max_size=limit)

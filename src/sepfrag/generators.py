@@ -53,7 +53,7 @@ from .syntax import (
     disj,
 )
 
-DEFAULT_ELEMENT_CAP = 64
+ELEMENT_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +478,15 @@ def _admissible_strings(width: int) -> list[str]:
     return out
 
 
-def canonical_hierarchy_model(
-    p: HierarchyParams, element_cap: int = DEFAULT_ELEMENT_CAP
-) -> Structure:
+def canonical_hierarchy_model(p: HierarchyParams) -> Structure:
     """The intended model: level l >= 1 holds exactly the admissible bit
     strings over the previous level's chain."""
     top = p.torus_size().evaluate()
-    if top is None or top > element_cap:
+    if top is None or top > ELEMENT_CAP:
         raise CapExceeded(
             f"level {p.kappa} needs {top or 'astronomically many'} elements, "
-            f"cap is {element_cap}",
-            limit=element_cap,
+            f"cap is {ELEMENT_CAP}",
+            limit=ELEMENT_CAP,
         )
     K = p.kappa
     chains: list[list[str]] = [[f"c{k}" for k in range(1, p.mu + 1)]]
@@ -900,7 +898,6 @@ def canonical_domino_model(
     word,
     p: HierarchyParams,
     tl: Tiling,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> Structure:
     """Extend the canonical hierarchy model with the torus neighbor
     relations along the top-level chain, the given tiling, and the
@@ -910,7 +907,7 @@ def canonical_domino_model(
         raise SizeMismatch(f"tiling is {tl.t}x{tl.t}, torus needs {t_exact}")
     if not valid_tiling(system, word, tl):
         raise InvalidTiling("tiling violates the domino system or the word")
-    base = canonical_hierarchy_model(p, element_cap)
+    base = canonical_hierarchy_model(p)
     chain = hierarchy_level_sets(base, p.kappa)[p.kappa]
     r = len(chain)
     lvl_k = f"lvl{p.kappa}"

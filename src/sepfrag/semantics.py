@@ -36,11 +36,6 @@ class Structure:
                 if any(e not in elems for e in t):
                     raise SignatureMismatch(f"tuple outside universe in {p!r}")
 
-    def with_predicates(self, tables) -> "Structure":
-        preds = dict(self.predicates)
-        preds.update({p: frozenset(t) for p, t in tables.items()})
-        return Structure(self.universe, dict(self.constants), preds)
-
     def to_json(self) -> str:
         return json.dumps(
             {

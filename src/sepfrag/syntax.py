@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from .errors import (
     ArityMismatch,
@@ -187,10 +187,6 @@ def exists(names, body) -> Formula:
     return Exists(names, body) if names else body
 
 
-def implies(a, b) -> Formula:
-    return Implies(a, b)
-
-
 # ---------------------------------------------------------------------------
 # traversals
 
@@ -322,13 +318,6 @@ class Signature:
             raise ArityMismatch(name, arity, seen)
         self.predicates[name] = arity
 
-    def merge(self, other: "Signature") -> "Signature":
-        out = self.copy()
-        for name, arity in other.predicates.items():
-            out.declare(name, arity)
-        out.constants |= other.constants
-        return out
-
 
 def infer_signature(f: Formula, hint: Optional[Signature] = None) -> Signature:
     sig = hint.copy() if hint is not None else Signature()
@@ -356,9 +345,6 @@ class FreshNames:
         self.used = set(used)
         self._counters: dict[str, int] = {}
 
-    def reserve(self, name: str):
-        self.used.add(name)
-
     def fresh(self, base: str) -> str:
         if base not in self.used:
             self.used.add(base)
@@ -373,127 +359,110 @@ class FreshNames:
                 return cand
 
 
-def _rename(f: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variable occurrences; mapping values must be fresh."""
+def _fresh_on_demand(used) -> Callable[[str], str]:
+    """`FreshNames(used()).fresh`, with `used()` computed at the first call."""
+    names = None
 
-    def ren_term(t):
-        if isinstance(t, Var) and t.name in mapping:
-            return Var(mapping[t.name])
-        return t
+    def fresh(base: str) -> str:
+        nonlocal names
+        if names is None:
+            names = FreshNames(used())
+        return names.fresh(base)
 
-    if isinstance(f, (Top, Bottom)):
-        return f
-    if isinstance(f, Pred):
-        return Pred(f.name, tuple(ren_term(t) for t in f.args))
-    if isinstance(f, Eq):
-        return Eq(ren_term(f.left), ren_term(f.right))
-    if isinstance(f, Not):
-        return Not(_rename(f.sub, mapping))
-    if isinstance(f, (And, Or)):
-        return type(f)(tuple(_rename(p, mapping) for p in f.parts))
-    if isinstance(f, (Implies, Iff)):
-        return type(f)(_rename(f.left, mapping), _rename(f.right, mapping))
-    inner = {k: v for k, v in mapping.items() if k not in f.vars}
-    body = _rename(f.body, inner) if inner else f.body
-    if isinstance(f, CountingExists):
-        return CountingExists(f.n, f.vars, body)
-    return type(f)(f.vars, body)
+    return fresh
+
+
+def _rebind(f: Formula, env: dict[str, Term], name_binders, prune: bool) -> Formula:
+    """The one substitution walk: replace each free variable that `env`
+    maps, and name the variables of every quantifier on the way down.
+
+    `name_binders(vars, inner)` returns the names for a quantifier's
+    variables, given the binding `inner` that holds below it; a renamed
+    variable is bound to its new name in the body within the same pass.
+    With `prune`, a subtree is returned as it is once `env` is empty.
+    """
+
+    def term(t: Term, env) -> Term:
+        return env.get(t.name, t) if isinstance(t, Var) else t
+
+    def walk(g: Formula, env) -> Formula:
+        if prune and not env:
+            return g
+        if isinstance(g, Pred):
+            return Pred(g.name, tuple(term(t, env) for t in g.args)) if env else g
+        if isinstance(g, (And, Or)):
+            return type(g)(tuple(walk(p, env) for p in g.parts))
+        if isinstance(g, Not):
+            return Not(walk(g.sub, env))
+        if isinstance(g, Eq):
+            return Eq(term(g.left, env), term(g.right, env)) if env else g
+        if isinstance(g, (Top, Bottom)):
+            return g
+        if isinstance(g, (Implies, Iff)):
+            return type(g)(walk(g.left, env), walk(g.right, env))
+        inner = {k: t for k, t in env.items() if k not in g.vars} if env else {}
+        names = name_binders(g.vars, inner)
+        for v, nv in zip(g.vars, names):
+            if nv != v:
+                inner[v] = Var(nv)
+        body = walk(g.body, inner)
+        if isinstance(g, CountingExists):
+            return CountingExists(g.n, names, body)
+        return type(g)(names, body)
+
+    return walk(f, env)
 
 
 def rename_apart(f: Formula, reserved=()) -> Formula:
     """Make every binder bind a distinct name, disjoint from free names.
 
-    Free variables, constants, and the names in `reserved` are never
-    chosen as binder names.  Renaming is deterministic (left-to-right,
-    counter per base name).
+    One pass, left to right: the first binder of a name keeps it, and a
+    later one gets a fresh name (counter per base name) that is bound in
+    its body in the same pass.  Free variables, constants, and the names
+    in `reserved` are never chosen as binder names.
     """
-    fresh = FreshNames(set(reserved) | set(all_var_names(f)) | set(constants_of(f)))
-    taken = set(reserved) | set(free_vars(f)) | set(constants_of(f))
+    reserved = set(reserved)
+    consts = constants_of(f)
+    taken = reserved | free_vars(f) | consts
+    fresh = _fresh_on_demand(lambda: reserved | all_var_names(f) | consts)
 
-    def claim(name: str) -> str:
-        # first binder occurrence of a name keeps it; later ones rename
-        if name not in taken:
-            taken.add(name)
-            return name
-        return fresh.fresh(name)
+    def claim(names, inner):
+        out = []
+        for v in names:
+            if v in taken:
+                v = fresh(v)
+            else:
+                taken.add(v)
+            out.append(v)
+        return tuple(out)
 
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, Pred, Eq)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(walk(p) for p in g.parts))
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.left), walk(g.right))
-        mapping = {}
-        newvars = []
-        for v in g.vars:
-            nv = claim(v)
-            if nv != v:
-                mapping[v] = nv
-            newvars.append(nv)
-        body = _rename(g.body, mapping) if mapping else g.body
-        body = walk(body)
-        if isinstance(g, CountingExists):
-            return CountingExists(g.n, tuple(newvars), body)
-        return type(g)(tuple(newvars), body)
-
-    return walk(f)
+    return _rebind(f, {}, claim, prune=False)
 
 
 def substitute(f: Formula, binding: Mapping[str, Term]) -> Formula:
     """Replace free occurrences of variables; bound occurrences untouched.
 
-    Capture is avoided by renaming binders that would capture a
-    substituted variable.
+    One pass over the subtrees the binding reaches.  A binder is renamed
+    only when it would capture a substituted variable, and only then are
+    the names of `f` collected for a fresh one.
     """
-    binding = {k: v for k, v in binding.items()}
+    binding = dict(binding)
     if not binding:
         return f
-    intro = {t.name for t in binding.values() if isinstance(t, Var)}
-    fresh = FreshNames(
-        set(all_var_names(f)) | set(constants_of(f)) | set(binding) | intro
+    fresh = _fresh_on_demand(
+        lambda: all_var_names(f)
+        | constants_of(f)
+        | set(binding)
+        | {t.name for t in binding.values() if isinstance(t, Var)}
     )
 
-    def sub_term(t, bnd):
-        if isinstance(t, Var) and t.name in bnd:
-            return bnd[t.name]
-        return t
+    def avoid_capture(names, inner):
+        captured = {t.name for t in inner.values() if isinstance(t, Var)}
+        if captured.isdisjoint(names):
+            return names
+        return tuple(fresh(v) if v in captured else v for v in names)
 
-    def walk(g, bnd):
-        if not bnd:
-            return g
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, Pred):
-            return Pred(g.name, tuple(sub_term(t, bnd) for t in g.args))
-        if isinstance(g, Eq):
-            return Eq(sub_term(g.left, bnd), sub_term(g.right, bnd))
-        if isinstance(g, Not):
-            return Not(walk(g.sub, bnd))
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(walk(p, bnd) for p in g.parts))
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.left, bnd), walk(g.right, bnd))
-        inner = {k: v for k, v in bnd.items() if k not in g.vars}
-        inner_intro = {t.name for t in inner.values() if isinstance(t, Var)}
-        mapping = {}
-        newvars = []
-        for v in g.vars:
-            if v in inner_intro:
-                nv = fresh.fresh(v)
-                mapping[v] = nv
-                newvars.append(nv)
-            else:
-                newvars.append(v)
-        body = _rename(g.body, mapping) if mapping else g.body
-        body = walk(body, inner)
-        if isinstance(g, CountingExists):
-            return CountingExists(g.n, tuple(newvars), body)
-        return type(g)(tuple(newvars), body)
-
-    return walk(f, binding)
+    return _rebind(f, binding, avoid_capture, prune=True)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +678,7 @@ def parse_formula(text: str, sig_hint: Optional[Signature] = None):
     f = p.formula()
     if p.peek().kind != "eof":
         p.error("end of input")
-    f = rename_apart(f)
-    return f, infer_signature(f, p.sig)
+    return rename_apart(f), p.sig
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,7 @@ class SelectionInstance:
         return S.exists(self.ys, S.conj(conjs))
 
 
-def expand_selections(
-    inst: SelectionInstance, selection_cap: int = DEFAULT_SELECTION_CAP
-) -> S.Formula:
+def expand_selections(inst: SelectionInstance) -> S.Formula:
     """Expand the block: one conjunct per nonempty subset s of I, each a
     disjunction of the selected residues and one existential unit per
     selection function (deduplicated by restriction to s)."""
@@ -100,11 +98,11 @@ def expand_selections(
             count = 1
             for i in s:
                 count *= len(inst.k_sets[i])
-                if count > selection_cap:
+                if count > DEFAULT_SELECTION_CAP:
                     raise SelectionBudgetExceeded(
                         f"{count}+ selection functions for subset {s!r}, "
-                        f"cap is {selection_cap}",
-                        limit=selection_cap,
+                        f"cap is {DEFAULT_SELECTION_CAP}",
+                        limit=DEFAULT_SELECTION_CAP,
                     )
             parts = [inst.residue[i] for i in s]
             for choice in itertools.product(*(inst.k_sets[i] for i in s)):
@@ -278,16 +276,13 @@ def _push_universal(conjs, units: _Units, x_block):
     return out
 
 
-def push_quantifiers(
-    sf: S.StandardForm,
-    selection_cap: int = DEFAULT_SELECTION_CAP,
-    conjunct_cap: int = DEFAULT_CONJUNCT_CAP,
-    clause_budget: int = S.DEFAULT_CLAUSE_BUDGET,
-) -> S.Formula:
+def push_quantifiers(sf: S.StandardForm) -> S.Formula:
     """Move all quantifier blocks inward; in the result no universal
     quantifier lies inside an existential scope (beyond the leading
     block) and vice versa."""
-    conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
+    conjs, units, leading = _pushed(
+        sf, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP, S.DEFAULT_CLAUSE_BUDGET
+    )
     body = S.conj(
         [S.disj([units.by_key[k] for k in sorted(c)]) for c in conjs]
     )
@@ -307,16 +302,6 @@ class BsrStats:
     bound: analysis.TetrationExpr
     bound_exact: Optional[int]
     within_bound: Optional[bool]
-
-    def to_json(self):
-        return {
-            "leading_existentials": self.leading_existentials,
-            "universals": self.universal_count,
-            "dedup_count": self.dedup_count,
-            "strategy": self.strategy,
-            "lemma12_bound": self.bound.to_json(),
-            "within_bound": self.within_bound,
-        }
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ def test_decide_inconclusive_reports_bound():
         "forall x1. exists y1. forall x2. exists y2. "
         "(P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1)) & ~R(c, c)"
     )
-    cfg = DecideConfig(max_model_size=1, try_translation_bound=False)
+    cfg = DecideConfig(max_model_size=1)
     v = decide_sat(f, cfg)
     assert v.status in ("sat", "inconclusive")
 

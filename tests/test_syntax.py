@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,7 +10,8 @@ from sepfrag.errors import (
     ParseError,
     UnexpandedCounting,
 )
-from sepfrag.search import equivalent_upto
+from sepfrag.search import enumerate_structures, equivalent_upto
+from sepfrag.semantics import evaluate
 from sepfrag.syntax import (
     alpha_eq,
     canonical_key,
@@ -322,6 +324,72 @@ def test_substitute_capture_avoiding():
     # semantic check: result means "some second component differs-or-not from y"
     a_free = S.Exists(("w",), S.Pred("R", (S.Var("y"), S.Var("w"))))
     assert equivalent_upto(g, a_free, 2).equal
+
+
+QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
+
+
+def _binders(f):
+    return [v for g in S.subformulas(f) if isinstance(g, QUANTIFIERS) for v in g.vars]
+
+
+def test_substitute_agrees_with_shifted_assignment():
+    # the open body of a random quantifier, with x := y drawn mostly from
+    # the names its inner binders use, so that captures really happen
+    rng = random.Random(71)
+    captures = 0
+    for _ in range(100):
+        f, sig = random_sentence(rng, with_eq=True, max_quant_depth=3)
+        quants = [g for g in S.subformulas(f) if isinstance(g, QUANTIFIERS)]
+        if not quants:
+            continue
+        g = quants[0].body
+        inner = _binders(g)
+        # a binder below which a free variable of g occurs can capture it
+        traps = [
+            (v, h)
+            for h in S.subformulas(g)
+            if isinstance(h, QUANTIFIERS)
+            for v in sorted(S.free_vars(h) & S.free_vars(g))
+        ]
+        if traps and rng.random() < 0.8:
+            x, h = rng.choice(traps)
+            y = rng.choice(h.vars)
+        else:
+            x = rng.choice(sorted(S.free_vars(g)) + ["u"])
+            y = rng.choice(inner + ["u", x])
+        out = substitute(g, {x: S.Var(y)})
+        captures += _binders(out) != inner
+        names = sorted(S.free_vars(g) | {y})
+        for size in (1, 2):
+            for m in enumerate_structures(sig, size):
+                for elems in itertools.product(m.universe, repeat=len(names)):
+                    beta = dict(zip(names, elems))
+                    shifted = {**beta, x: beta[y]}
+                    assert evaluate(m, beta, out) == evaluate(m, shifted, g), (g, x, y)
+    assert captures >= 25
+
+
+def test_rename_apart_binds_each_name_once():
+    # conjunctions and nestings of open bodies reuse the binder names
+    # x, y, z, w and leave some of them free
+    rng = random.Random(73)
+    for _ in range(200):
+        parts = []
+        for _ in range(4):
+            f, _ = random_sentence(rng, with_eq=True, max_quant_depth=3)
+            quants = [g for g in S.subformulas(f) if isinstance(g, QUANTIFIERS)]
+            parts.append(rng.choice(quants).body if quants else f)
+        h = S.And(tuple(parts[:3]))
+        if rng.random() < 0.5:
+            h = S.Forall(("x",), S.Or((h, S.Exists(("x", "y"), parts[3]))))
+        reserved = set(rng.sample(["x", "y", "z", "c"], 2))
+        out = S.rename_apart(h, reserved=reserved)
+        names = _binders(out)
+        assert len(names) == len(set(names))
+        assert S.free_vars(out) == S.free_vars(h)
+        assert not set(names) & (S.free_vars(h) | S.constants_of(h) | reserved)
+        assert alpha_eq(out, h)
 
 
 # --- length ----------------------------------------------------------------

@@ -10,6 +10,7 @@ machine integers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,6 +155,22 @@ def twoup(k: int, m) -> TetrationExpr:
 # separatedness
 
 
+def _once_per_form(fn):
+    """Compute fn(sf) once per StandardForm.  The form is immutable, so
+    the value is kept on the form itself and lives exactly as long as it;
+    one decision asks the same form several times."""
+    slot = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(sf: S.StandardForm):
+        memo = sf.__dict__
+        if slot not in memo:
+            memo[slot] = fn(sf)
+        return memo[slot]
+
+    return cached
+
+
 def is_separated(xs, ys, f: S.Formula) -> bool:
     """True iff no atom of f contains variables from both sets."""
     xs, ys = frozenset(xs), frozenset(ys)
@@ -166,6 +183,7 @@ def is_separated(xs, ys, f: S.Formula) -> bool:
     return True
 
 
+@_once_per_form
 def is_sf(sf: S.StandardForm) -> bool:
     """Separated fragment: universal variables never share an atom with
     non-leading existential ones.  The leading block is exempt."""
@@ -363,6 +381,7 @@ def existential_literal_count(sf: S.StandardForm) -> int:
     return len(seen)
 
 
+@_once_per_form
 def bounds(sf: S.StandardForm) -> BoundReport:
     if not is_sf(sf):
         raise NotSF("bounds are defined for separated sentences")

@@ -40,14 +40,17 @@ from .errors import (
 
 # ---------------------------------------------------------------------------
 # terms and formulas
+#
+# Nodes are slotted: translations build trees by the hundred thousand, and
+# a node without an instance dict takes about a third less memory.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     name: str
 
@@ -55,7 +58,7 @@ class Const:
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pred:
     """Predicate application P(t1, ..., tn)."""
 
@@ -63,7 +66,7 @@ class Pred:
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq:
     """Equation s = t over the distinguished equality predicate."""
 
@@ -74,56 +77,56 @@ class Eq:
 Atom = Union[Pred, Eq]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bottom:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     parts: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     vars: tuple[str, ...]
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     vars: tuple[str, ...]
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountingExists:
     """Counting quantifier: at least `n` distinct witness tuples."""
 
@@ -693,100 +696,109 @@ _PREC_AND = 4
 _PREC_NEG = 5
 
 
-def _printable_binders(f: Formula, canonical: bool) -> dict[int, tuple[str, ...]]:
-    """Choose concrete binder names per quantifier node (keyed by id)."""
-    used = set(constants_of(f)) | set(free_vars(f)) | _KEYWORDS
-    choice: dict[int, tuple[str, ...]] = {}
-    counter = [0]
+def _names_in(f: Formula) -> set[str]:
+    """Constants and free variables of f, collected in one walk."""
+    out: set[str] = set()
+
+    def walk(g, bound):
+        t = type(g)
+        if t is Pred or t is Eq:
+            for a in g.args if t is Pred else (g.left, g.right):
+                if type(a) is Const or a.name not in bound:
+                    out.add(a.name)
+        elif t is Not:
+            walk(g.sub, bound)
+        elif t is And or t is Or:
+            for p in g.parts:
+                walk(p, bound)
+        elif t is Implies or t is Iff:
+            walk(g.left, bound)
+            walk(g.right, bound)
+        elif t is not Top and t is not Bottom:
+            walk(g.body, bound.union(g.vars))
+
+    walk(f, frozenset())
+    return out
+
+
+def _render(f: Formula, canonical: bool) -> str:
+    """The one printer.  Binder names are chosen while printing, in
+    pre-order, so every quantifier position gets its own names even when
+    one node object occurs at several positions.  A name never clashes
+    with a constant, a free variable, a keyword or an earlier binder:
+    `canonical` names binders v1, v2, ... by position; otherwise a binder
+    keeps its own name where that is a legal identifier not yet used."""
+    used = _names_in(f) | _KEYWORDS
+    counter = 0
 
     def pick(name: str) -> str:
+        nonlocal counter
         if not canonical:
             cand = name if _IDENT_RE.match(name) else name.replace("#", "")
             if _IDENT_RE.match(cand) and cand not in used:
                 used.add(cand)
                 return cand
         while True:
-            counter[0] += 1
-            cand = f"v{counter[0]}"
+            counter += 1
+            cand = f"v{counter}"
             if cand not in used:
                 used.add(cand)
                 return cand
 
-    def walk(g: Formula):
-        if isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, (Implies, Iff)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Forall, Exists, CountingExists)):
-            choice[id(g)] = tuple(pick(v) for v in g.vars)
-            walk(g.body)
+    def term(t: Term, env) -> str:
+        return env.get(t.name, t.name) if type(t) is Var else t.name
 
-    walk(f)
-    return choice
+    def go(g: Formula, prec: int, env: dict[str, str]) -> str:
+        t = type(g)
+        if t is Pred:
+            return f"{g.name}({', '.join([term(a, env) for a in g.args])})"
+        if t is Not:
+            return "~" + go(g.sub, _PREC_NEG, env)
+        if t is And:
+            s = " & ".join([go(p, _PREC_AND + 1, env) for p in g.parts])
+            return s if prec <= _PREC_AND else f"({s})"
+        if t is Or:
+            s = " | ".join([go(p, _PREC_OR + 1, env) for p in g.parts])
+            return s if prec <= _PREC_OR else f"({s})"
+        if t is Eq:
+            return f"{term(g.left, env)} = {term(g.right, env)}"
+        if t is Top:
+            return "true"
+        if t is Bottom:
+            return "false"
+        if t is Implies:
+            s = go(g.left, _PREC_IMP + 1, env) + " -> " + go(g.right, _PREC_IMP, env)
+            return s if prec <= _PREC_IMP else f"({s})"
+        if t is Iff:
+            s = go(g.left, _PREC_IFF, env) + " <-> " + go(g.right, _PREC_IFF + 1, env)
+            return s if prec <= _PREC_IFF else f"({s})"
+        # quantifiers bind weakest; they need parentheses inside any operator
+        chosen = [pick(v) for v in g.vars]
+        inner = dict(env)
+        inner.update(zip(g.vars, chosen))
+        if t is CountingExists:
+            head = f"exists>={g.n}"
+        elif t is Forall:
+            head = "forall"
+        else:
+            head = "exists"
+        s = f"{head} {' '.join(chosen)}. " + go(g.body, 0, inner)
+        return s if prec == 0 else f"({s})"
 
-
-def _print(f: Formula, prec: int, names: dict, env: dict[str, str]) -> str:
-    def term_str(t: Term) -> str:
-        return env.get(t.name, t.name) if isinstance(t, Var) else t.name
-
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Pred):
-        return f"{f.name}({', '.join(term_str(t) for t in f.args)})"
-    if isinstance(f, Eq):
-        return f"{term_str(f.left)} = {term_str(f.right)}"
-    if isinstance(f, Not):
-        return "~" + _print(f.sub, _PREC_NEG, names, env)
-    if isinstance(f, And):
-        s = " & ".join(_print(p, _PREC_AND + 1, names, env) for p in f.parts)
-        return s if prec <= _PREC_AND else f"({s})"
-    if isinstance(f, Or):
-        s = " | ".join(_print(p, _PREC_OR + 1, names, env) for p in f.parts)
-        return s if prec <= _PREC_OR else f"({s})"
-    if isinstance(f, Implies):
-        s = (
-            _print(f.left, _PREC_IMP + 1, names, env)
-            + " -> "
-            + _print(f.right, _PREC_IMP, names, env)
-        )
-        return s if prec <= _PREC_IMP else f"({s})"
-    if isinstance(f, Iff):
-        s = (
-            _print(f.left, _PREC_IFF, names, env)
-            + " <-> "
-            + _print(f.right, _PREC_IFF + 1, names, env)
-        )
-        return s if prec <= _PREC_IFF else f"({s})"
-    # quantifiers bind weakest; they need parentheses inside any operator
-    chosen = names[id(f)]
-    inner = dict(env)
-    inner.update(zip(f.vars, chosen))
-    if isinstance(f, CountingExists):
-        head = f"exists>={f.n}"
-    elif isinstance(f, Forall):
-        head = "forall"
-    else:
-        head = "exists"
-    s = f"{head} {' '.join(chosen)}. " + _print(f.body, 0, names, inner)
-    return s if prec == 0 else f"({s})"
+    return go(f, 0, {})
 
 
 def print_formula(f: Formula) -> str:
-    """Canonical concrete syntax; round-trips through parse_formula up to
+    """Concrete syntax that round-trips through parse_formula up to
     alpha-renaming.  Binder names are kept where legal and made fresh
-    otherwise."""
-    return _print(f, 0, _printable_binders(f, canonical=False), {})
+    otherwise, during the one printing walk shared with canonical_key."""
+    return _render(f, canonical=False)
 
 
 def canonical_key(f: Formula) -> str:
-    """Alpha-invariant string form: binders renamed positionally."""
-    return _print(f, 0, _printable_binders(f, canonical=True), {})
+    """Alpha-invariant string form: the printer of print_formula with
+    binders named v1, v2, ... by position while printing."""
+    return _render(f, canonical=True)
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:

@@ -16,7 +16,11 @@ working form is a conjunction of disjunctions of *units*: literals,
 closed universal subformulas over universal-side variables, and closed
 existential subformulas over existential-side variables.  Units are
 interned by their alpha-invariant printed form, which is what makes the
-idempotence-based deduplication effective.
+idempotence-based deduplication effective.  A block builds, prints and
+interns each of its units once: a selection body of an existential block,
+or the universal part of a conjunct, is interned the first time it
+appears in the block, and every repeat counts as a dedup hit.  A new unit
+takes its free variables from its interned parts.
 """
 
 from __future__ import annotations
@@ -160,15 +164,39 @@ def dedup_idempotence(f: S.Formula) -> S.Formula:
 class _Units:
     by_key: dict[str, S.Formula] = field(default_factory=dict)
     free: dict[str, frozenset] = field(default_factory=dict)
+    # every variable name, free or bound, of the recorded units
+    names: set[str] = field(default_factory=set)
     dedup_hits: int = 0
 
-    def intern(self, f: S.Formula) -> str:
+    def intern(self, f: S.Formula, free: Optional[frozenset] = None) -> str:
+        """Key of f, recording f under it when new.  `free`, when given,
+        is f's free variables, already known from interned parts.  A new
+        unit is a literal or is built from recorded units, so its own free
+        and bound variables are all it adds to `names`."""
         key = S.canonical_key(f)
         if key not in self.by_key:
             self.by_key[key] = f
-            self.free[key] = S.free_vars(f)
+            self.free[key] = S.free_vars(f) if free is None else free
+            self.names.update(self.free[key])
+            if isinstance(f, (S.Forall, S.Exists)):
+                self.names.update(f.vars)
         else:
             self.dedup_hits += 1
+        return key
+
+    def quantified(self, quantify, connect, block, parts: frozenset, memo: dict) -> str:
+        """Key of quantify(bound, connect(parts)) over interned `parts`,
+        where bound holds the variables of `block` free in them.  Each set
+        of parts is built, printed and interned once per block (`memo`); a
+        repeat counts as the dedup hit its re-interning would have been."""
+        key = memo.get(parts)
+        if key is not None:
+            self.dedup_hits += 1
+            return key
+        free = frozenset().union(*(self.free[k] for k in parts))
+        bound = tuple(v for v in block if v in free)
+        unit = quantify(bound, connect([self.by_key[k] for k in sorted(parts)]))
+        memo[parts] = key = self.intern(unit, free.difference(bound))
         return key
 
 
@@ -232,6 +260,7 @@ def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap
         residue = sorted(k for k in c if not (units.free[k] & yset))
         split.append((residue, carried))
     out = list(passthrough)
+    memo: dict[frozenset, str] = {}
     for size in range(1, len(split) + 1):
         for s in itertools.combinations(range(len(split)), size):
             count = 1
@@ -250,12 +279,7 @@ def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap
             for choice in itertools.product(*(split[i][1] for i in s)):
                 bodies.add(frozenset(choice))
             for body in sorted(bodies, key=sorted):
-                picked = [units.by_key[k] for k in sorted(body)]
-                bound = tuple(v for v in y_block if any(
-                    v in units.free[k] for k in body
-                ))
-                unit = S.exists(bound, S.conj(picked))
-                keys.add(units.intern(unit))
+                keys.add(units.quantified(S.exists, S.conj, y_block, body, memo))
             out.append(frozenset(keys))
     return out
 
@@ -263,16 +287,13 @@ def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap
 def _push_universal(conjs, units: _Units, x_block):
     xset = set(x_block)
     out = []
+    memo: dict[frozenset, str] = {}
     for c in conjs:
-        inside = sorted(k for k in c if units.free[k] & xset)
+        inside = frozenset(k for k in c if units.free[k] & xset)
         if not inside:
             out.append(c)
             continue
-        rest = [k for k in c if k not in set(inside)]
-        body = S.disj([units.by_key[k] for k in inside])
-        bound = tuple(v for v in x_block if v in S.free_vars(body))
-        unit = S.forall(bound, body)
-        out.append(frozenset(rest) | {units.intern(unit)})
+        out.append((c - inside) | {units.quantified(S.forall, S.disj, x_block, inside, memo)})
     return out
 
 
@@ -319,34 +340,55 @@ class BsrSentence:
 
 
 def _flatten_unit(f, alloc_names, cursor, fresh):
-    """Instantiate a quantified unit with prefix variables, recursively
-    flattening nested blocks of the same kind.  Returns the
+    """Instantiate a quantified unit with prefix variables, flattening
+    nested blocks of the same kind in one walk.  Returns the
     quantifier-free matrix; `cursor` tracks consumed prefix slots and
-    `alloc_names` is extended (via `fresh`) when the prefix runs out."""
-    if isinstance(f, (S.Forall, S.Exists)):
-        sub = {}
-        for v in f.vars:
-            if len(alloc_names) <= cursor[0]:
-                alloc_names.append(fresh(alloc_names))
-            sub[v] = S.Var(alloc_names[cursor[0]])
-            cursor[0] += 1
-        body = S.substitute(f.body, sub)
-        return _flatten_unit(body, alloc_names, cursor, fresh)
-    if isinstance(f, S.And):
-        return S.conj([_flatten_unit(p, alloc_names, cursor, fresh) for p in f.parts])
-    if isinstance(f, S.Or):
-        return S.disj([_flatten_unit(p, alloc_names, cursor, fresh) for p in f.parts])
-    if isinstance(f, (S.Not, S.Pred, S.Eq, S.Top, S.Bottom)):
-        return f
-    raise NotSF(f"unexpected unit shape: {S.print_formula(f)}")
+    `alloc_names` is extended (via `fresh`) when the prefix runs out.
+
+    Quantifiers take prefix slots in pre-order.  The renaming is carried
+    down the walk; the prefix names are fresh against every name of the
+    unit, so no binder inside can capture one."""
+
+    def term(t, env):
+        return env.get(t.name, t) if type(t) is S.Var else t
+
+    def walk(g, env):
+        t = type(g)
+        if t is S.Forall or t is S.Exists:
+            env = dict(env)
+            for v in g.vars:
+                if len(alloc_names) <= cursor[0]:
+                    alloc_names.append(fresh(alloc_names))
+                env[v] = S.Var(alloc_names[cursor[0]])
+                cursor[0] += 1
+            return walk(g.body, env)
+        if t is S.And:
+            return S.conj([walk(p, env) for p in g.parts])
+        if t is S.Or:
+            return S.disj([walk(p, env) for p in g.parts])
+        if t is S.Pred:
+            return S.Pred(g.name, tuple([term(a, env) for a in g.args])) if env else g
+        if t is S.Eq:
+            return S.Eq(term(g.left, env), term(g.right, env)) if env else g
+        if t is S.Not and type(g.sub) in (S.Pred, S.Eq):
+            return S.Not(walk(g.sub, env)) if env else g
+        if t is S.Top or t is S.Bottom:
+            return g
+        raise NotSF(f"unexpected unit shape: {S.print_formula(g)}")
+
+    return walk(f, {})
 
 
 def _minimize_terms(terms):
-    """Drop terms that are supersets of another term."""
+    """Drop terms that are supersets of another term.  Terms are distinct,
+    so only a strictly shorter kept term can be a proper subset of t."""
     ordered = sorted(set(terms), key=lambda t: (len(t), sorted(t)))
     kept = []
+    shorter, length = [], 0  # the kept terms strictly shorter than t
     for t in ordered:
-        if not any(k <= t for k in kept):
+        if len(t) > length:
+            shorter, length = list(kept), len(t)
+        if not any(k <= t for k in shorter):
             kept.append(t)
     return kept
 
@@ -388,10 +430,7 @@ def to_bsr(
     bound = analysis.bounds(sf).translation_existentials
 
     terms = _distribute(conjs, dnf_term_cap)
-    reserved = set(leading) | set(S.constants_of(sf.matrix))
-    for f in units.by_key.values():
-        reserved |= S.all_var_names(f)
-    fresh = S.FreshNames(reserved)
+    fresh = S.FreshNames(set(leading) | S.constants_of(sf.matrix) | units.names)
     uni_names: list[str] = []
     exi_names: list[str] = []
 

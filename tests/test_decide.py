@@ -321,6 +321,28 @@ def test_decide_inconclusive_reports_bound():
     assert v.status in ("sat", "inconclusive")
 
 
+def test_decide_analyses_each_form_once(monkeypatch):
+    # _model_bound and to_bsr both ask for the bounds and the fragment of
+    # the same standard form; each is computed once
+    from sepfrag import analysis
+
+    calls = {"degree": 0, "is_separated": 0}
+    for name in calls:
+        real = getattr(analysis, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    f, _ = parse_formula(
+        "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
+    )
+    v = decide_sat(f, DecideConfig(max_model_size=2))
+    assert "translation_bound" in v.details
+    assert calls == {"degree": 1, "is_separated": 1}
+
+
 def test_decide_krom_with_equality_routed_away():
     # equality elimination breaks the Krom property of this input
     f, _ = parse_formula("exists x y. (P(x) | P(y)) & x = y")

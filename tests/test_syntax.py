@@ -178,6 +178,38 @@ def test_canonical_key_alpha_invariant():
     assert print_formula(f) != print_formula(g)
 
 
+def _unshared(f):
+    """An equal tree that shares no quantifier node with f."""
+    if isinstance(f, (S.And, S.Or)):
+        return type(f)(tuple(_unshared(p) for p in f.parts))
+    if isinstance(f, S.Not):
+        return S.Not(_unshared(f.sub))
+    if isinstance(f, (S.Implies, S.Iff)):
+        return type(f)(_unshared(f.left), _unshared(f.right))
+    if isinstance(f, S.CountingExists):
+        return S.CountingExists(f.n, f.vars, _unshared(f.body))
+    if isinstance(f, (S.Forall, S.Exists)):
+        return type(f)(f.vars, _unshared(f.body))
+    return f
+
+
+def test_shared_quantifier_node_prints_like_a_copy():
+    # one quantifier object at two positions gets binder names at each
+    # position, as two equal objects would
+    a = S.Exists(("y",), S.Pred("P", (S.Var("y"),)))
+    b = _unshared(a)
+    assert a == b and a is not b
+    assert alpha_eq(S.And((a, a)), S.And((a, b)))
+    rng = random.Random(71)
+    for _ in range(60):
+        f, _ = random_sentence(rng, with_eq=True)
+        shared = S.And((f, S.Or((S.Not(f), f))))
+        copied = S.And((f, S.Or((S.Not(_unshared(f)), _unshared(f)))))
+        assert canonical_key(shared) == canonical_key(copied)
+        assert print_formula(shared) == print_formula(copied)
+        assert alpha_eq(parse_formula(print_formula(shared))[0], copied)
+
+
 # --- NNF -------------------------------------------------------------------
 
 def test_nnf_de_morgan():

@@ -9,6 +9,8 @@ from sepfrag.search import equivalent_upto
 from sepfrag.syntax import parse_formula, print_formula, to_standard_form
 from sepfrag.translate import (
     SelectionInstance,
+    _flatten_unit,
+    _minimize_terms,
     expand_selections,
     dedup_idempotence,
     push_quantifiers,
@@ -226,3 +228,122 @@ def test_to_bsr_random_corpus():
         assert equivalent_upto(f, b.to_formula(), 3).equal
         if b.stats.bound_exact is not None:
             assert b.stats.leading_existentials <= b.stats.bound_exact
+
+
+# The BsrStats of a few fixed translations, recorded before each block
+# interned its units once.  dedup_count includes every unit a block repeats,
+# so a memo that stops counting its hits changes it.
+TWO_BLOCK = (
+    "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
+)
+PINNED_STATS = [
+    (TWO_BLOCK, (19, 4, 6, "factored")),
+    (22, (3, 3, 72, "factored")),
+    (33, (7, 4, 51, "factored")),
+    (710, (142, 14, 13, "direct")),
+]
+
+
+@pytest.mark.parametrize(
+    "source, expected", PINNED_STATS, ids=["two-block", "draw22", "draw33", "draw710"]
+)
+def test_to_bsr_pinned_stats(source, expected):
+    if isinstance(source, str):
+        f, _ = parse_formula(source)
+    else:
+        f, _ = random_sf_sentence(random.Random(source), max_blocks=3, max_atoms=5, with_eq=True)
+    st = to_bsr(to_standard_form(f)).stats
+    assert (st.leading_existentials, st.universal_count, st.dedup_count, st.strategy) == expected
+
+
+# --- absorption ----------------------------------------------------------------
+
+def _minimal_terms(terms):
+    """Keep t unless some other term is a proper subset of t."""
+    distinct = set(terms)
+    kept = [t for t in distinct if not any(o < t for o in distinct)]
+    return sorted(kept, key=lambda t: (len(t), sorted(t)))
+
+
+def test_minimize_terms_keeps_exactly_the_minimal_terms():
+    rng = random.Random(83)
+    for _ in range(400):
+        universe = [f"k{i}" for i in range(rng.randint(1, 7))]
+        terms = []
+        for _ in range(rng.randint(0, 40)):
+            if terms and rng.random() < 0.4:
+                # a duplicate or an extension of an earlier term: chains
+                extra = rng.sample(universe, min(rng.randint(0, 2), len(universe)))
+                terms.append(rng.choice(terms) | frozenset(extra))
+            else:
+                # mostly two-element terms: many of equal length
+                k = min(rng.choice([2, 2, 2, 3, rng.randint(0, 4)]), len(universe))
+                terms.append(frozenset(rng.sample(universe, k)))
+        assert _minimize_terms(terms) == _minimal_terms(terms)
+
+
+# --- flattening units ------------------------------------------------------------
+
+def _flatten_by_substitution(f, alloc_names, cursor, fresh):
+    """The flattening the one-walk _flatten_unit replaces: substitute the
+    prefix names into the body at every quantifier, then walk the result."""
+    if isinstance(f, (S.Forall, S.Exists)):
+        sub = {}
+        for v in f.vars:
+            if len(alloc_names) <= cursor[0]:
+                alloc_names.append(fresh(alloc_names))
+            sub[v] = S.Var(alloc_names[cursor[0]])
+            cursor[0] += 1
+        return _flatten_by_substitution(S.substitute(f.body, sub), alloc_names, cursor, fresh)
+    if isinstance(f, S.And):
+        return S.conj([_flatten_by_substitution(p, alloc_names, cursor, fresh) for p in f.parts])
+    if isinstance(f, S.Or):
+        return S.disj([_flatten_by_substitution(p, alloc_names, cursor, fresh) for p in f.parts])
+    return f
+
+
+def _random_unit(rng, depth, scope, names):
+    """Nested quantified conjunctions and disjunctions of literals and
+    equalities over the variables in scope and a constant."""
+    if depth and rng.random() < 0.7:
+        r = rng.random()
+        if r < 0.4:
+            bound = tuple(next(names) for _ in range(rng.randint(1, 2)))
+            kind = S.Exists if rng.random() < 0.5 else S.Forall
+            return kind(bound, _random_unit(rng, depth - 1, scope + list(bound), names))
+        parts = tuple(_random_unit(rng, depth - 1, scope, names) for _ in range(rng.randint(2, 3)))
+        return S.And(parts) if r < 0.7 else S.Or(parts)
+    terms = [S.Var(v) for v in scope] + [S.Const("c")]
+    if rng.random() < 0.4:
+        lit = S.Eq(rng.choice(terms), rng.choice(terms))
+    else:
+        lit = S.Pred("P", (rng.choice(terms), rng.choice(terms)))
+    return S.Not(lit) if rng.random() < 0.3 else lit
+
+
+def test_flatten_unit_matches_substitution_per_level():
+    rng = random.Random(89)
+    for _ in range(200):
+        names = iter(f"w{i}" for i in range(1000))
+        units = [_random_unit(rng, 4, ["z"], names) for _ in range(rng.randint(1, 3))]
+        used = set()
+        for u in units:
+            used |= S.all_var_names(u) | S.constants_of(u)
+        start = ["u1"] if rng.random() < 0.5 else []
+        results = []
+        for flatten in (_flatten_unit, _flatten_by_substitution):
+            fresh = S.FreshNames(used)
+            alloc = list(start)
+            cursor = [0]
+            # consecutive units share one prefix, as in one factored disjunct
+            trees = [flatten(u, alloc, cursor, lambda a: fresh.fresh(f"u{len(a) + 1}")) for u in units]
+            results.append((trees, alloc, cursor))
+        assert results[0] == results[1]
+
+
+def test_flatten_unit_rejects_unexpected_shape():
+    p, q = atom("P", "y"), atom("Q", "y")
+    fresh = S.FreshNames({"y"})
+    for bad in (S.Exists(("y",), S.Implies(p, q)), S.Iff(p, q)):
+        with pytest.raises(NotSF):
+            _flatten_unit(bad, [], [0], lambda a: fresh.fresh("u"))

@@ -56,11 +56,7 @@ def skolemize_existential(f: S.Formula) -> S.Formula:
                 counter[0] += 1
                 binding[v] = S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{counter[0]}"))
             return walk(S.substitute(h.body, binding))
-        if isinstance(h, (S.And, S.Or)):
-            return type(h)(tuple(walk(p) for p in h.parts))
-        if isinstance(h, S.Not):
-            return S.Not(walk(h.sub))
-        return h
+        return S.rebuild(h, [walk(k) for k in S.children(h)])
 
     out = walk(g)
     if S.free_vars(out):
@@ -70,15 +66,6 @@ def skolemize_existential(f: S.Formula) -> S.Formula:
 
 # ---------------------------------------------------------------------------
 # ground equality elimination
-
-
-def _fresh_eq_pred(sig: S.Signature) -> str:
-    name = "E"
-    i = 0
-    while name in sig.predicates:
-        i += 1
-        name = f"E{i}"
-    return name
 
 
 def ground_equality_elim(g: S.Formula) -> S.Formula:
@@ -96,19 +83,8 @@ def _ground_equality_elim_info(g: S.Formula):
     if S.free_vars(g) or not S.is_quantifier_free(g):
         raise NotGround("input must be ground")
     sig = S.infer_signature(g)
-    ename = _fresh_eq_pred(sig)
+    replaced, ename = S.equality_as_predicate(g, sig.predicates)
     consts = sorted(sig.constants)
-
-    def replace(h):
-        if isinstance(h, S.Eq):
-            return S.Pred(ename, (h.left, h.right))
-        if isinstance(h, S.Not):
-            return S.Not(replace(h.sub))
-        if isinstance(h, (S.And, S.Or)):
-            return type(h)(tuple(replace(p) for p in h.parts))
-        if isinstance(h, (S.Implies, S.Iff)):
-            return type(h)(replace(h.left), replace(h.right))
-        return h
 
     def e(c, d):
         return S.Pred(ename, (S.Const(c), S.Const(d)))
@@ -143,7 +119,7 @@ def _ground_equality_elim_info(g: S.Formula):
                         S.Pred(pname, tuple(S.Const(c) for c in right)),
                     )
                 )
-    return S.conj([replace(g)] + axioms), ename
+    return S.conj([replaced] + axioms), ename
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +159,7 @@ def to_propositional(g: S.Formula):
             return S.Pred(f"q{index[key]}", ())
         if isinstance(h, S.Eq):
             raise NotGround("eliminate equality before propositional abstraction")
-        if isinstance(h, S.Not):
-            return S.Not(walk(h.sub))
-        if isinstance(h, (S.And, S.Or)):
-            return type(h)(tuple(walk(p) for p in h.parts))
-        if isinstance(h, (S.Implies, S.Iff)):
-            return type(h)(walk(h.left), walk(h.right))
-        return h
+        return S.rebuild(h, [walk(k) for k in S.children(h)])
 
     tree = walk(g)
     return tree, AtomMap(tuple(atoms))
@@ -360,24 +330,23 @@ class DecideConfig:
     max_model_size: int = 5
 
 
-def _herbrand_structure(g: S.Formula, assignment, amap: AtomMap, eq_pred) -> Structure:
+def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
     """Build a model of the ground sentence from a propositional
     assignment, then quotient by the congruence predicate if equality was
-    eliminated."""
-    consts = sorted(S.constants_of(g))
-    if not consts:
-        sig0 = S.infer_signature(g)
-        return Structure(("e1",), {}, {p: frozenset() for p in sig0.predicates})
-    universe = tuple(consts)
+    eliminated.  The atoms of `amap` are every atom of the sentence, so
+    they name all its constants and predicates; a sentence without
+    constants gets the one-element universe {e1}."""
+    consts = sorted({t.name for atom in amap.atoms for t in atom.args})
     tables: dict[str, set] = {}
     for i, atom in enumerate(amap.atoms):
         if assignment.get(i + 1, False):
             tables.setdefault(atom.name, set()).add(tuple(t.name for t in atom.args))
-    sig = S.infer_signature(g)
-    for p in sig.predicates:
-        tables.setdefault(p, set())
+    for atom in amap.atoms:
+        tables.setdefault(atom.name, set())
     structure = Structure(
-        universe, {c: c for c in consts}, {p: frozenset(t) for p, t in tables.items()}
+        tuple(consts) or ("e1",),
+        {c: c for c in consts},
+        {p: frozenset(t) for p, t in tables.items()},
     )
     if eq_pred is None:
         return structure
@@ -425,7 +394,7 @@ def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig)
     }
     if verdict.status == "unsat":
         return SatVerdict("unsat", details=details)
-    witness = _herbrand_structure(g, verdict.assignment, amap, eq_pred)
+    witness = _herbrand_structure(verdict.assignment, amap, eq_pred)
     if not evaluate(witness, {}, sentence):
         raise RuntimeError("internal error: propositional witness fails re-evaluation")
     return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)

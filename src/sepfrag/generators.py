@@ -82,16 +82,8 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
 
     def walk(g):
         nonlocal sites
-        if isinstance(g, (S.Top, S.Bottom, S.Pred, S.Eq)):
-            return g
-        if isinstance(g, S.Not):
-            return S.Not(walk(g.sub))
-        if isinstance(g, (S.And, S.Or)):
-            return type(g)(tuple(walk(p) for p in g.parts))
-        if isinstance(g, (S.Implies, S.Iff)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, (S.Forall, S.Exists)):
-            return type(g)(g.vars, walk(g.body))
+        if not isinstance(g, S.CountingExists):
+            return S.rebuild(g, [walk(k) for k in S.children(g)])
         body = walk(g.body)
         sites += 1
         groups = []
@@ -157,12 +149,8 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
         return conj([Iff(Pred(q, (s,)), Pred(q, (t,))) for q in qnames])
 
     def walk(g):
-        if isinstance(g, (S.Top, S.Bottom, S.Pred, S.Eq, S.Not)):
-            return g
-        if isinstance(g, (S.And, S.Or)):
-            return type(g)(tuple(walk(p) for p in g.parts))
-        if isinstance(g, S.Forall):
-            return Forall(g.vars, walk(g.body))
+        if isinstance(g, S.CountingExists):
+            raise NotNNF("input must be in negation normal form")
         if isinstance(g, S.Exists):
             if len(g.vars) > 1:
                 inner = walk(Exists(g.vars[1:], g.body))
@@ -172,7 +160,7 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
             v = fresh.fresh("v")
             guarded = Implies(eq_hat(Var(y), Var(v)), S.substitute(inner, {y: Var(v)}))
             return Exists((y,), Forall((v,), guarded))
-        raise NotNNF("input must be in negation normal form")
+        return S.rebuild(g, [walk(k) for k in S.children(g)])
 
     ax_fin = Forall(("x", "y"), Implies(eq_hat(Var("x"), Var("y")), Eq(Var("x"), Var("y"))))
     return And((ax_fin, walk(S.rename_apart(f, reserved={"x", "y"}))))
@@ -986,22 +974,8 @@ def sf_equality_elim(sf: S.StandardForm) -> S.Formula:
     per-argument congruence axioms for every predicate of the sentence.
     The result is equisatisfiable, and separated whenever the input is."""
     sig = S.infer_signature(sf.matrix)
-    ename = "E"
-    k = 0
-    while ename in sig.predicates:
-        k += 1
-        ename = f"E{k}"
-
-    def replace(g):
-        if isinstance(g, S.Eq):
-            return Pred(ename, (g.left, g.right))
-        if isinstance(g, S.Not):
-            return S.Not(replace(g.sub))
-        if isinstance(g, (S.And, S.Or)):
-            return type(g)(tuple(replace(p) for p in g.parts))
-        return g
-
-    replaced = S.StandardForm(sf.leading, sf.blocks, replace(sf.matrix)).to_formula()
+    matrix, ename = S.equality_as_predicate(sf.matrix, sig.predicates)
+    replaced = S.StandardForm(sf.leading, sf.blocks, matrix).to_formula()
 
     def E(u, w):
         return Pred(ename, (u, w))

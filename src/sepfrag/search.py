@@ -22,7 +22,6 @@ qualify is computed once per formula and space; the memo holds at most
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -53,9 +52,8 @@ _MEMO_WORDS = 1 << 18
 _ENTRY_WORDS = 40
 
 
-def default_budget() -> int:
-    env = os.environ.get("SEPFRAG_BUDGET")
-    return int(env) if env else 10_000_000
+# Structures one `equivalent_upto` call may evaluate over all sizes and maps.
+DEFAULT_BUDGET = 10_000_000
 
 
 class GroundSpace:
@@ -326,14 +324,7 @@ def _memo_plan(f: S.Formula) -> dict[int, tuple[int, tuple[str, ...]]]:
     def walk(g) -> frozenset:
         if isinstance(g, _ATOMS):
             return S.free_vars(g)
-        if isinstance(g, S.Not):
-            kids = (g.sub,)
-        elif isinstance(g, (S.And, S.Or)):
-            kids = g.parts
-        elif isinstance(g, (S.Implies, S.Iff)):
-            kids = (g.left, g.right)
-        else:
-            kids = (g.body,)
+        kids = S.children(g)
         bound = frozenset(g.vars) if isinstance(g, _QUANTIFIERS) else frozenset()
         kid_vars = [walk(k) for k in kids]
         varied = bound.union(*kid_vars)
@@ -365,17 +356,9 @@ _QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 
 
 def scope_minimized(f: S.Formula) -> S.Formula:
-    if isinstance(f, (S.Top, S.Bottom, S.Pred, S.Eq)):
-        return f
-    if isinstance(f, S.Not):
-        return S.Not(scope_minimized(f.sub))
-    if isinstance(f, (S.Implies, S.Iff)):
-        return type(f)(scope_minimized(f.left), scope_minimized(f.right))
-    if isinstance(f, (S.And, S.Or)):
-        return type(f)(tuple(scope_minimized(p) for p in f.parts))
-    if isinstance(f, S.CountingExists):
-        return S.CountingExists(f.n, f.vars, scope_minimized(f.body))
-    return _block(type(f), f.vars, scope_minimized(f.body))
+    if isinstance(f, (S.Forall, S.Exists)):
+        return _block(type(f), f.vars, scope_minimized(f.body))
+    return S.rebuild(f, [scope_minimized(k) for k in S.children(f)])
 
 
 def _block(quant, names, body: S.Formula) -> S.Formula:
@@ -475,7 +458,7 @@ def equivalent_upto(
     f: S.Formula,
     g: S.Formula,
     size: int,
-    budget: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> EquivVerdict:
     """Exhaustively compare f and g on every structure with universe size
     1..size over their joint signature.
@@ -488,8 +471,6 @@ def equivalent_upto(
     reported; exceeding the structure budget, counted over all constant
     maps, raises.
     """
-    if budget is None:
-        budget = default_budget()
     sig = S.infer_signature(g, S.infer_signature(f))
     fv = sorted(S.free_vars(f) | S.free_vars(g))
     var_consts = {}

@@ -21,6 +21,15 @@ then "->" (right associative), then "<->"; quantifier scopes stretch as
 far to the right as possible.  An identifier is a variable exactly when
 it is bound by an enclosing quantifier; all other lowercase identifiers
 denote constants.
+
+Traversal: `children` and `rebuild` are the only code that knows which
+fields of a node are subformulas.  A rewrite handles the node types it
+changes and passes every other node through
+``rebuild(g, [walk(k) for k in children(g)])``, and `subformulas` is a
+pre-order over `children`, so a new node type is added in those two
+functions only.  Walkers that compute something different for each node
+type stay hand-written: the evaluators, the printer, `free_vars`,
+`formula_len`, prenexing, the negated half of NNF and the CNF builders.
 """
 
 from __future__ import annotations
@@ -194,18 +203,50 @@ def exists(names, body) -> Formula:
 # traversals
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right; () for atoms, Top
+    and Bottom."""
+    t = type(f)
+    if t is And or t is Or:
+        return f.parts
+    if t is Not:
+        return (f.sub,)
+    if t is Implies or t is Iff:
+        return (f.left, f.right)
+    if t is Forall or t is Exists or t is CountingExists:
+        return (f.body,)
+    return ()
+
+
+def rebuild(f: Formula, kids) -> Formula:
+    """f with its immediate subformulas replaced by `kids`, given in the
+    order of `children(f)`; every other field is kept, and atoms, Top and
+    Bottom come back unchanged."""
+    t = type(f)
+    if t is And or t is Or:
+        return t(tuple(kids))
+    if t is Not:
+        (sub,) = kids
+        return Not(sub)
+    if t is Implies or t is Iff:
+        left, right = kids
+        return t(left, right)
+    if t is Forall or t is Exists:
+        (body,) = kids
+        return t(f.vars, body)
+    if t is CountingExists:
+        (body,) = kids
+        return CountingExists(f.n, f.vars, body)
+    return f
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.sub)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from subformulas(p)
-    elif isinstance(f, (Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists, CountingExists)):
-        yield from subformulas(f.body)
+    """Every subformula of f in pre-order, f first."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(children(g)))
 
 
 def atoms_iter(f: Formula) -> Iterator[Atom]:
@@ -391,27 +432,22 @@ def _rebind(f: Formula, env: dict[str, Term], name_binders, prune: bool) -> Form
     def walk(g: Formula, env) -> Formula:
         if prune and not env:
             return g
-        if isinstance(g, Pred):
+        kind = type(g)
+        if kind is Pred:
             return Pred(g.name, tuple(term(t, env) for t in g.args)) if env else g
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(walk(p, env) for p in g.parts))
-        if isinstance(g, Not):
-            return Not(walk(g.sub, env))
-        if isinstance(g, Eq):
+        if kind is Eq:
             return Eq(term(g.left, env), term(g.right, env)) if env else g
-        if isinstance(g, (Top, Bottom)):
-            return g
-        if isinstance(g, (Implies, Iff)):
-            return type(g)(walk(g.left, env), walk(g.right, env))
+        if kind is not Forall and kind is not Exists and kind is not CountingExists:
+            return rebuild(g, [walk(k, env) for k in children(g)])
         inner = {k: t for k, t in env.items() if k not in g.vars} if env else {}
         names = name_binders(g.vars, inner)
         for v, nv in zip(g.vars, names):
             if nv != v:
                 inner[v] = Var(nv)
         body = walk(g.body, inner)
-        if isinstance(g, CountingExists):
+        if kind is CountingExists:
             return CountingExists(g.n, names, body)
-        return type(g)(names, body)
+        return kind(names, body)
 
     return walk(f, env)
 
@@ -466,6 +502,23 @@ def substitute(f: Formula, binding: Mapping[str, Term]) -> Formula:
         return tuple(fresh(v) if v in captured else v for v in names)
 
     return _rebind(f, binding, avoid_capture, prune=True)
+
+
+def equality_as_predicate(f: Formula, taken) -> tuple[Formula, str]:
+    """f with every equation s = t turned into E(s, t) for a fresh binary
+    predicate E: the first of E, E1, E2, ... not in `taken`.  Returns the
+    new formula and E; the caller adds whatever axioms E needs."""
+    name, i = "E", 0
+    while name in taken:
+        i += 1
+        name = f"E{i}"
+
+    def walk(g: Formula) -> Formula:
+        if type(g) is Eq:
+            return Pred(name, (g.left, g.right))
+        return rebuild(g, [walk(k) for k in children(g)])
+
+    return walk(f), name
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +759,11 @@ def _names_in(f: Formula) -> set[str]:
             for a in g.args if t is Pred else (g.left, g.right):
                 if type(a) is Const or a.name not in bound:
                     out.add(a.name)
-        elif t is Not:
-            walk(g.sub, bound)
-        elif t is And or t is Or:
-            for p in g.parts:
-                walk(p, bound)
-        elif t is Implies or t is Iff:
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif t is not Top and t is not Bottom:
-            walk(g.body, bound.union(g.vars))
+            return
+        if t is Forall or t is Exists or t is CountingExists:
+            bound = bound.union(g.vars)
+        for k in children(g):
+            walk(k, bound)
 
     walk(f, frozenset())
     return out
@@ -817,19 +865,15 @@ def to_nnf(f: Formula) -> Formula:
         raise UnexpandedCounting("expand counting quantifiers before NNF")
 
     def pos(g: Formula) -> Formula:
-        if isinstance(g, (Top, Bottom, Pred, Eq)):
-            return g
         if isinstance(g, Not):
             return neg(g.sub)
-        if isinstance(g, (And, Or)):
-            return type(g)(tuple(pos(p) for p in g.parts))
         if isinstance(g, Implies):
             return disj([neg(g.left), pos(g.right)])
         if isinstance(g, Iff):
             return conj(
                 [disj([neg(g.left), pos(g.right)]), disj([pos(g.left), neg(g.right)])]
             )
-        return type(g)(g.vars, pos(g.body))
+        return rebuild(g, [pos(k) for k in children(g)])
 
     def neg(g: Formula) -> Formula:
         if isinstance(g, Top):

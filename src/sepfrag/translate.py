@@ -125,33 +125,23 @@ def dedup_idempotence(f: S.Formula) -> S.Formula:
     lists as sets under the alpha-invariant printed form."""
 
     def walk(g):
-        if isinstance(g, S.Not):
-            return S.Not(walk(g.sub))
-        if isinstance(g, (S.Implies, S.Iff)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, S.Forall):
-            return S.Forall(g.vars, walk(g.body))
-        if isinstance(g, S.Exists):
-            return S.Exists(g.vars, walk(g.body))
-        if isinstance(g, S.CountingExists):
-            return S.CountingExists(g.n, g.vars, walk(g.body))
-        if isinstance(g, (S.And, S.Or)):
-            flat = []
-            stack = list(g.parts)
-            while stack:
-                p = stack.pop(0)
-                if type(p) is type(g):
-                    stack = list(p.parts) + stack
-                else:
-                    flat.append(walk(p))
-            seen = {}
-            for p in flat:
-                seen.setdefault(S.canonical_key(p), p)
-            kept = [seen[k] for k in sorted(seen)]
-            if len(kept) == 1:
-                return kept[0]
-            return type(g)(tuple(kept))
-        return g
+        if not isinstance(g, (S.And, S.Or)):
+            return S.rebuild(g, [walk(k) for k in S.children(g)])
+        flat = []
+        stack = list(g.parts)
+        while stack:
+            p = stack.pop(0)
+            if type(p) is type(g):
+                stack = list(p.parts) + stack
+            else:
+                flat.append(walk(p))
+        seen = {}
+        for p in flat:
+            seen.setdefault(S.canonical_key(p), p)
+        kept = [seen[k] for k in sorted(seen)]
+        if len(kept) == 1:
+            return kept[0]
+        return type(g)(tuple(kept))
 
     return walk(f)
 

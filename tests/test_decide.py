@@ -266,6 +266,14 @@ def test_decide_existential_contradiction():
     assert decide_sat(f).status == "unsat"
 
 
+def test_decide_nullary_predicates():
+    p, q = S.Pred("P", ()), S.Pred("Q", ())
+    v = decide_sat(p)
+    assert v.status == "sat" and v.structure.predicates["P"] == {()}
+    assert decide_sat(S.And((p, S.Not(q)))).status == "sat"
+    assert decide_sat(S.And((p, S.Not(p)))).status == "unsat"
+
+
 def test_decide_universal_search():
     f, _ = parse_formula("forall x. exists y. P(x) | Q(y)")
     v = decide_sat(f)

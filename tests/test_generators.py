@@ -144,9 +144,10 @@ def test_smp_models_project_and_extend():
 def test_smp_rejects_non_nnf():
     from sepfrag.errors import NotNNF
 
-    f, _ = parse_formula("P(c) -> Q(c)")
-    with pytest.raises(NotNNF):
-        smp_to_sf(f, 2)
+    for text in ("P(c) -> Q(c)", "exists>=2 y. P(y)"):
+        f, _ = parse_formula(text)
+        with pytest.raises(NotNNF):
+            smp_to_sf(f, 2)
 
 
 # --- index hierarchy -----------------------------------------------------------

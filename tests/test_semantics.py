@@ -328,13 +328,6 @@ def test_equivalent_upto_budget():
         equivalent_upto(f, S.Not(S.Not(f)), 3, budget=1000)
 
 
-def test_budget_env_override(monkeypatch):
-    from sepfrag.search import default_budget
-
-    monkeypatch.setenv("SEPFRAG_BUDGET", "123")
-    assert default_budget() == 123
-
-
 def test_scope_minimization_preserves_truth():
     from sepfrag.search import scope_minimized
 

@@ -424,6 +424,70 @@ def test_rename_apart_binds_each_name_once():
         assert alpha_eq(out, h)
 
 
+# --- traversal -------------------------------------------------------------
+
+def _with_every_node_type(f):
+    """f under a counting quantifier and beside Top and Bottom, so that
+    one tree holds every node type."""
+    u = S.Var("u")
+    counted = S.CountingExists(2, ("u",), S.Or((f, S.Eq(u, u))))
+    return S.And((counted, S.Implies(S.TRUE, S.Not(S.FALSE))))
+
+
+def _preorder(f):
+    """Recursive pre-order, the reference for the iterative one."""
+    if isinstance(f, S.Not):
+        kids = [f.sub]
+    elif isinstance(f, (S.And, S.Or)):
+        kids = list(f.parts)
+    elif isinstance(f, (S.Implies, S.Iff)):
+        kids = [f.left, f.right]
+    elif isinstance(f, (S.Forall, S.Exists, S.CountingExists)):
+        kids = [f.body]
+    else:
+        kids = []
+    out = [f]
+    for k in kids:
+        out += _preorder(k)
+    return out
+
+
+def test_children_and_rebuild_invert_each_other():
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(100):
+        f, _ = random_sentence(rng, with_eq=True)
+        for g in S.subformulas(_with_every_node_type(f)):
+            seen.add(type(g))
+            kids = S.children(g)
+            assert S.rebuild(g, kids) == g
+            others = [S.Pred("K", (S.Const(f"k{i}"),)) for i in range(len(kids))]
+            h = S.rebuild(g, others)
+            assert type(h) is type(g)
+            assert S.children(h) == tuple(others)
+            assert S.rebuild(h, kids) == g
+            if not kids:
+                assert h is g
+    assert len(seen) == 12
+
+
+def test_subformulas_is_preorder():
+    rng = random.Random(73)
+    for _ in range(500):
+        f, _ = random_sentence(rng, with_eq=True)
+        h = _with_every_node_type(f)
+        assert [id(g) for g in S.subformulas(h)] == [id(g) for g in _preorder(h)]
+
+
+def test_equality_as_predicate_picks_first_free_name():
+    f, sig = parse_formula("c = d | E(c) | E1(d, c)")
+    g, name = S.equality_as_predicate(f, sig.predicates)
+    assert name == "E2"
+    assert g == S.Or((S.Pred("E2", (S.Const("c"), S.Const("d"))),) + f.parts[1:])
+    assert S.equality_as_predicate(f, ())[1] == "E"
+    assert S.equality_as_predicate(f, {"E"})[1] == "E1"
+
+
 # --- length ----------------------------------------------------------------
 
 def test_len_atom():

@@ -3,7 +3,10 @@
 Universal-free sentences reduce to propositional logic: Skolemize,
 eliminate ground equations via a fresh congruence predicate, abstract
 atoms, and decide the CNF with one CDCL solver.  Sentences with
-universals are searched up to the smallest applicable model-size bound.
+universals are searched up to the smallest applicable model-size bound;
+the search tries one element first, and the translation to BSR form,
+whose leading existentials give a bound, runs only when size 1 has no
+model.
 """
 
 from sepfrag import decide_sat, parse_formula, print_formula

@@ -6,7 +6,10 @@ ground equations via a fresh congruence predicate, abstract ground atoms
 to propositional variables, and decide the CNF with one CDCL solver
 (`dpll_sat`), whose SAT assignment is re-checked against the sentence
 as a Herbrand model.  Everything else is decided by bounded model search
-against the best available small-model bound.
+against the best available small-model bound.  The search tries size 1
+before the bound is complete: a one-element model is below every bound,
+so the translation to BSR form, whose leading existentials give a bound,
+runs only when size 1 has no model.
 """
 
 from __future__ import annotations
@@ -400,40 +403,40 @@ def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig)
     return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)
 
 
-def _model_bound(sf: S.StandardForm):
-    """Smallest exactly-evaluated size bound available for the sentence;
-    None when every applicable bound stays symbolic."""
+def _analysis_bound(sf: S.StandardForm):
+    """Smallest exactly evaluated bound of the analysis (degree, BSR, MFO)
+    and the symbolic degree bound; (None, None) outside the fragment."""
     if not analysis.is_sf(sf):
-        return None, None, {}
+        return None, None
     rep = analysis.bounds(sf)
-    details = {"degree_bound": str(rep.model_size)}
-    candidates = [
-        b
-        for b in (rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size)
-        if b is not None
-    ]
-    if not analysis.is_bsr(sf):
-        try:
-            bsr = translate.to_bsr(
-                sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
-                dnf_term_cap=512,
-            )
-            n_consts = len(S.constants_of(sf.matrix))
-            candidates.append(max(len(bsr.leading) + n_consts, 1))
-            details["translation_bound"] = candidates[-1]
-        except BudgetExceeded:
-            pass
-    if not candidates:
-        return None, rep.model_size, details
-    return min(candidates), None, details
+    exact = (rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size)
+    return min((b for b in exact if b is not None), default=None), rep.model_size
+
+
+def _translation_bound(sf: S.StandardForm) -> Optional[int]:
+    """Leading existentials of the BSR form plus the constants; None
+    outside the fragment, for input already in BSR form, or when `to_bsr`
+    exceeds these caps."""
+    if not analysis.is_sf(sf) or analysis.is_bsr(sf):
+        return None
+    try:
+        bsr = translate.to_bsr(
+            sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
+            dnf_term_cap=512,
+        )
+    except BudgetExceeded:
+        return None
+    return max(len(bsr.leading) + len(S.constants_of(sf.matrix)), 1)
 
 
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     """Decide satisfiability of a function-free sentence.
 
     Counting quantifiers are expanded first.  Universal-free sentences go
-    through the propositional route; everything else is searched up to
-    min(size bound, cfg.max_model_size), returning an inconclusive
+    through the propositional route.  Everything else is searched at size
+    1 first: a one-element model is below every bound, so the translation
+    to BSR form runs only when size 1 has none.  The search then goes on
+    up to min(size bound, cfg.max_model_size), returning an inconclusive
     verdict carrying the bound when the search space was not exhausted.
     """
     cfg = cfg or DecideConfig()
@@ -443,10 +446,18 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
         ground = skolemize_existential(sf.to_formula())
         return _existential_path(f, ground, cfg)
 
-    bound, symbolic, details = _model_bound(sf)
+    bound, symbolic = _analysis_bound(sf)
+    details = {} if symbolic is None else {"degree_bound": str(symbolic)}
+    witness = find_model(expanded, max_size=min(1, cfg.max_model_size))
+    if witness is None:
+        translated = _translation_bound(sf)
+        if translated is not None:
+            details["translation_bound"] = translated
+            bound = translated if bound is None else min(bound, translated)
     limit = cfg.max_model_size if bound is None else min(bound, cfg.max_model_size)
     details.update({"path": "model-search", "bound": bound, "search_limit": limit})
-    witness = find_model(expanded, max_size=limit)
+    if witness is None and limit >= 2:
+        witness = find_model(expanded, max_size=limit, min_size=2)
     if witness is not None:
         if not evaluate(witness, {}, f):
             raise RuntimeError("internal error: search witness fails re-evaluation")
@@ -455,6 +466,6 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
         return SatVerdict("unsat", details=details)
     return SatVerdict(
         "inconclusive",
-        bound=symbolic,
+        bound=symbolic if bound is None else None,
         details=details,
     )

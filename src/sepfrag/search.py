@@ -416,15 +416,15 @@ def enumerate_structures(sig: S.Signature, size: int) -> Iterator[Structure]:
             yield space.decode(cmap, code)
 
 
-def find_model(f: S.Formula, max_size: int = 4) -> Optional[Structure]:
-    """First structure (sizes 1..max_size, canonical enumeration order)
-    satisfying the sentence, or None.  Constants are pinned to canonical
-    universe prefixes, which is complete up to isomorphism."""
+def find_model(f: S.Formula, max_size: int = 4, min_size: int = 1) -> Optional[Structure]:
+    """First structure (sizes min_size..max_size, canonical enumeration
+    order) satisfying the sentence, or None.  Constants are pinned to
+    canonical universe prefixes, which is complete up to isomorphism."""
     if S.free_vars(f):
         raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
     sig = S.infer_signature(f)
     reduced = scope_minimized(f)
-    for size in range(1, max_size + 1):
+    for size in range(min_size, max_size + 1):
         space = GroundSpace(sig, size)
         for cmap in space.const_maps(canonical=True):
             for chunk in range(space.n_chunks):

@@ -311,7 +311,8 @@ class BsrStats:
     dedup_count: int
     strategy: str  # "factored" (shared prefix over a disjunction) or "direct"
     bound: analysis.TetrationExpr
-    bound_exact: Optional[int]
+    # may have far more digits than int-to-str conversion allows
+    bound_exact: Optional[int] = field(repr=False)
     within_bound: Optional[bool]
 
 
@@ -410,10 +411,7 @@ def to_bsr(
             sf.leading,
             tuple(uni),
             sf.matrix,
-            BsrStats(
-                len(sf.leading), len(uni), 0, "direct", b, b.evaluate(),
-                _within(len(sf.leading), b),
-            ),
+            _stats(len(sf.leading), len(uni), 0, "direct", b),
         )
 
     conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
@@ -474,21 +472,14 @@ def to_bsr(
     exi = tuple(exi_names)
 
     n_lead = len(leading) + len(exi)
-    stats = BsrStats(
-        n_lead,
-        len(uni_names),
-        units.dedup_hits,
-        strategy,
-        bound,
-        bound.evaluate(),
-        _within(n_lead, bound),
-    )
+    stats = _stats(n_lead, len(uni_names), units.dedup_hits, strategy, bound)
     return BsrSentence(tuple(leading) + exi, tuple(uni_names), matrix, stats)
 
 
-def _within(count, bound: analysis.TetrationExpr) -> Optional[bool]:
+def _stats(n_lead, n_uni, dedup, strategy, bound: analysis.TetrationExpr) -> BsrStats:
     exact = bound.evaluate()
-    return None if exact is None else count <= exact
+    within = None if exact is None else n_lead <= exact
+    return BsrStats(n_lead, n_uni, dedup, strategy, bound, exact, within)
 
 
 def _distribute(conjs, cap):

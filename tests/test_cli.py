@@ -44,6 +44,17 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_decide_translation_bound_only_without_one_element_model(capsys):
+    code, out = run_capture(capsys, ["decide", "forall x. exists y. P(x) | Q(y)"])
+    assert code == 0
+    assert "translation_bound" not in json.loads(out)["details"]
+    code, out = run_capture(
+        capsys, ["decide", "forall x11 x12. exists y11. (~P(y11) & Q(x12)) & P(x11)"]
+    )
+    assert code == 1
+    assert json.loads(out)["details"]["translation_bound"] == 1
+
+
 def test_decide_emit_model(tmp_path, capsys):
     target = tmp_path / "model.json"
     code = run(["decide", "exists z. P(z)", "--emit-model", str(target)])

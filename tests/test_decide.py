@@ -22,7 +22,7 @@ from sepfrag.search import find_model
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
-from util import random_atom, random_boolean, small_signature
+from util import random_atom, random_boolean, random_sf_sentence, small_signature
 
 
 # --- skolemization -----------------------------------------------------------
@@ -330,8 +330,8 @@ def test_decide_inconclusive_reports_bound():
 
 
 def test_decide_analyses_each_form_once(monkeypatch):
-    # _model_bound and to_bsr both ask for the bounds and the fragment of
-    # the same standard form; each is computed once
+    # the analysis bound and to_bsr both ask for the bounds and the
+    # fragment of the same standard form; each is computed once
     from sepfrag import analysis
 
     calls = {"degree": 0, "is_separated": 0}
@@ -343,12 +343,112 @@ def test_decide_analyses_each_form_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(analysis, name, counted)
+    # no one-element model, so the translation runs
+    f, _ = parse_formula("forall x11 x12. exists y11. (~P(y11) & Q(x12)) & P(x11)")
+    v = decide_sat(f, DecideConfig(max_model_size=2))
+    assert v.status == "unsat"
+    assert v.details["translation_bound"] == 1
+    assert v.details["bound"] == v.details["search_limit"] == 1
+    assert calls == {"degree": 1, "is_separated": 1}
+
+
+def test_decide_one_element_model_skips_translation(monkeypatch):
+    from sepfrag import translate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_bsr called although size 1 has a model")
+
+    monkeypatch.setattr(translate, "to_bsr", refuse)
     f, _ = parse_formula(
         "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
     )
     v = decide_sat(f, DecideConfig(max_model_size=2))
-    assert "translation_bound" in v.details
-    assert calls == {"degree": 1, "is_separated": 1}
+    assert v.status == "sat"
+    assert v.structure == find_model(f, max_size=2)
+    assert "translation_bound" not in v.details
+
+
+def test_decide_max_model_size_zero_searches_nothing():
+    f, _ = parse_formula("forall x. exists y. P(x) | Q(y)")
+    v = decide_sat(f, DecideConfig(max_model_size=0))
+    assert v.status == "inconclusive"
+    assert v.details["search_limit"] == 0
+
+
+def _bound_first(f, max_size):
+    """decide_sat's model-search route with the bound completed first:
+    analysis bounds and the BSR translation, then one search up to the
+    smaller of the bound and max_size."""
+    from sepfrag import analysis
+    from sepfrag.errors import BudgetExceeded
+    from sepfrag.translate import to_bsr
+
+    expanded = expand_counting(f).formula
+    sf = S.to_standard_form(expanded)
+    bound, details = None, {}
+    if analysis.is_sf(sf):
+        rep = analysis.bounds(sf)
+        details["degree_bound"] = str(rep.model_size)
+        exact = (rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size)
+        candidates = [b for b in exact if b is not None]
+        if not analysis.is_bsr(sf):
+            try:
+                bsr = to_bsr(
+                    sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
+                    dnf_term_cap=512,
+                )
+                candidates.append(max(len(bsr.leading) + len(S.constants_of(sf.matrix)), 1))
+                details["translation_bound"] = candidates[-1]
+            except BudgetExceeded:
+                pass
+        bound = min(candidates, default=None)
+    limit = max_size if bound is None else min(bound, max_size)
+    details.update({"path": "model-search", "bound": bound, "search_limit": limit})
+    witness = find_model(expanded, max_size=limit)
+    if witness is not None:
+        return "sat", witness, details
+    return ("unsat" if bound is not None and bound <= max_size else "inconclusive"), None, details
+
+
+def test_decide_matches_bound_first_route(monkeypatch):
+    # the size-1 probe changes when the translation runs, not what is
+    # searched or answered
+    from sepfrag import decide, translate
+
+    searched, translations = [], [0]
+    real_find, real_to_bsr = decide.find_model, translate.to_bsr
+
+    def find(f, max_size=4, min_size=1):
+        searched.extend(range(min_size, max_size + 1))
+        return real_find(f, max_size=max_size, min_size=min_size)
+
+    def to_bsr(*args, **kwargs):
+        translations[0] += 1
+        return real_to_bsr(*args, **kwargs)
+
+    rng = random.Random(41)
+    kinds = {"size 1": 0, "size 2+": 0, "unsat": 0, "inconclusive": 0}
+    for _ in range(200):
+        f, _ = random_sf_sentence(rng, with_eq=True)
+        if not S.to_standard_form(f).universal_vars:
+            continue
+        status, witness, details = _bound_first(f, 3)
+        searched.clear()
+        translations[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(decide, "find_model", find)
+            m.setattr(translate, "to_bsr", to_bsr)
+            v = decide_sat(f, DecideConfig(max_model_size=3))
+        assert (v.status, v.structure) == (status, witness), print_formula(f)
+        if status == "sat" and len(witness.universe) == 1:
+            kinds["size 1"] += 1
+            assert searched == [1]
+            assert translations[0] == 0 and "translation_bound" not in v.details
+        else:
+            kinds["size 2+" if status == "sat" else status] += 1
+            assert sorted(searched) == list(range(1, v.details["search_limit"] + 1))
+            assert v.details == details, print_formula(f)
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_decide_krom_with_equality_routed_away():

@@ -8,6 +8,7 @@ from sepfrag.generators import generate_hard_family
 from sepfrag.search import equivalent_upto
 from sepfrag.syntax import parse_formula, print_formula, to_standard_form
 from sepfrag.translate import (
+    BsrStats,
     SelectionInstance,
     _flatten_unit,
     _minimize_terms,
@@ -228,6 +229,17 @@ def test_to_bsr_random_corpus():
         assert equivalent_upto(f, b.to_formula(), 3).equal
         if b.stats.bound_exact is not None:
             assert b.stats.leading_existentials <= b.stats.bound_exact
+
+
+def test_bsr_stats_repr_with_huge_exact_bound():
+    # 2^200000 has about 60,000 decimal digits, past the conversion limit
+    from sepfrag import analysis
+
+    bound = analysis.power(analysis.nat(2), analysis.nat(200000))
+    stats = BsrStats(3, 2, 0, "direct", bound, bound.evaluate(), True)
+    assert stats.bound_exact == 2**200000
+    text = repr(stats)
+    assert "leading_existentials=3" in text and "bound_exact" not in text
 
 
 # The BsrStats of a few fixed translations, recorded before each block

@@ -1,20 +1,22 @@
 """Satisfiability decision.
 
 Sentences without universal quantifiers go through the propositional
-route: Skolemize each existential variable to a fresh constant, eliminate
-ground equations via a fresh congruence predicate, abstract ground atoms
-to propositional variables, and decide the CNF with one CDCL solver
-(`dpll_sat`), whose SAT assignment is re-checked against the sentence
-as a Herbrand model.  Everything else is decided by bounded model search
-against the best available small-model bound.  The search tries size 1
-before the bound is complete: a one-element model is below every bound,
-so the translation to BSR form, whose leading existentials give a bound,
-runs only when size 1 has no model.
+route: Skolemize each existential variable to a fresh constant, turn
+ground equations into a fresh predicate whose axioms become clauses,
+abstract atoms to signed ints in one negation-pushing walk
+(`to_propositional`), distribute to CNF (`prop_cnf`) and decide it with
+one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked against
+the sentence as a Herbrand model.  Everything else is decided by bounded
+model search against the best available small-model bound.  The search
+tries size 1 before the bound is complete: a one-element model is below
+every bound, so the translation to BSR form, whose leading existentials
+give a bound, runs only when size 1 has no model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 from . import analysis
@@ -72,57 +74,43 @@ def skolemize_existential(f: S.Formula) -> S.Formula:
 
 
 def ground_equality_elim(g: S.Formula) -> S.Formula:
-    """Replace ground equations c = d with E(c, d) and append ground
-    instances of reflexivity, symmetry, transitivity, and congruence.
-
-    Congruence instances are restricted to pairs of non-equational atoms
-    that actually occur in the input, which keeps the output cubic in the
-    input length."""
-    out, _ = _ground_equality_elim_info(g)
-    return out
-
-
-def _ground_equality_elim_info(g: S.Formula):
+    """Replace ground equations c = d with E(c, d) and append the ground
+    instances of `equality_axioms`, each as its conclusion alone or as
+    premises -> conclusion."""
     if S.free_vars(g) or not S.is_quantifier_free(g):
         raise NotGround("input must be ground")
-    sig = S.infer_signature(g)
-    replaced, ename = S.equality_as_predicate(g, sig.predicates)
-    consts = sorted(sig.constants)
+    replaced, ename = S.equality_as_predicate(g, S.infer_signature(g).predicates)
+    axioms = [S.Implies(S.conj(p), c) if p else c for p, c in equality_axioms(g, ename)]
+    return S.conj([replaced] + axioms)
 
-    def e(c, d):
-        return S.Pred(ename, (S.Const(c), S.Const(d)))
 
-    axioms = [e(c, c) for c in consts]
-    axioms += [
-        S.Implies(e(c, d), e(d, c)) for c in consts for d in consts if c != d
-    ]
-    axioms += [
-        S.Implies(S.And((e(c, d), e(d, f))), e(c, f))
-        for c in consts
-        for d in consts
-        for f in consts
-        if len({c, d, f}) > 1
-    ]
-    occurring = {}
+def equality_axioms(g: S.Formula, ename: str):
+    """Ground instances of reflexivity, symmetry and transitivity of the
+    predicate `ename` over the constants of g, then of congruence, as
+    (premises, conclusion) pairs of atoms.
+
+    Congruence instances are restricted to pairs of non-equational atoms
+    that actually occur in g, which keeps the output cubic in the length
+    of g."""
+    consts = sorted(S.constants_of(g))
+    e = {(c, d): S.Pred(ename, (S.Const(c), S.Const(d))) for c, d in product(consts, repeat=2)}
+    for c in consts:
+        yield (), e[c, c]
+    for c, d in product(consts, repeat=2):
+        if c != d:
+            yield (e[c, d],), e[d, c]
+    for c, d, f in product(consts, repeat=3):
+        if c != d or d != f:
+            yield (e[c, d], e[d, f]), e[c, f]
+    occurring: dict[str, dict] = {}
     for a in S.atoms_iter(g):
         if isinstance(a, S.Pred):
-            occurring.setdefault(a.name, set()).add(
-                tuple(t.name for t in a.args)
-            )
-    for pname in sorted(occurring):
-        tuples = sorted(occurring[pname])
-        for left in tuples:
-            for right in tuples:
-                if left == right:
-                    continue
-                prem = [e(c, d) for c, d in zip(left, right)]
-                axioms.append(
-                    S.Implies(
-                        S.conj(prem + [S.Pred(pname, tuple(S.Const(c) for c in left))]),
-                        S.Pred(pname, tuple(S.Const(c) for c in right)),
-                    )
-                )
-    return S.conj([replaced] + axioms), ename
+            occurring.setdefault(a.name, {})[tuple(t.name for t in a.args)] = a
+    for _, atoms in sorted(occurring.items()):
+        for left, right in product(sorted(atoms), repeat=2):
+            if left != right:
+                prem = tuple(e[c, d] for c, d in zip(left, right))
+                yield prem + (atoms[left],), atoms[right]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +120,7 @@ def _ground_equality_elim_info(g: S.Formula):
 @dataclass(frozen=True)
 class AtomMap:
     """Bijection between the ground atoms of a formula and propositional
-    variable indices (0-based, first-occurrence order)."""
+    variables: atoms[v - 1] is variable v, in first-occurrence order."""
 
     atoms: tuple[S.Pred, ...]
 
@@ -143,40 +131,34 @@ class PropCnf:
     clauses: tuple[tuple[int, ...], ...]  # nonzero ints; +v / -v encode polarity
 
 
-def to_propositional(g: S.Formula):
-    """Abstract each distinct ground atom to a propositional variable;
-    returns the abstracted tree (atoms become nullary predicates q<i>)
-    and the atom map.  Structure is untouched, so Horn stays Horn and
-    Krom stays Krom."""
-    if S.free_vars(g) or not S.is_quantifier_free(g):
-        raise NotGround("input must be ground")
-    atoms: list[S.Pred] = []
-    index: dict = {}
+def to_propositional(g: S.Formula, axioms=()):
+    """Abstract each distinct ground atom of g to a propositional variable
+    and push negation down to the variables, in one walk
+    (`syntax.nnf_tree`), so Horn stays Horn and Krom stays Krom.
+    Variables are numbered 1, 2, ... in first-occurrence order.  Each
+    (premises, conclusion) pair of ground atoms in `axioms` is added as
+    the clause ("|", [-p..., c]), its new atoms numbered after g's.
+    Returns the tree and the atom map."""
+    index: dict[S.Pred, int] = {}
 
-    def walk(h):
-        if isinstance(h, S.Pred):
-            key = S.atom_key(h)
-            if key not in index:
-                index[key] = len(atoms)
-                atoms.append(h)
-            return S.Pred(f"q{index[key]}", ())
-        if isinstance(h, S.Eq):
-            raise NotGround("eliminate equality before propositional abstraction")
-        return S.rebuild(h, [walk(k) for k in S.children(h)])
+    def var(a) -> int:
+        v = index.get(a)
+        if v is None:
+            if type(a) is not S.Pred or any(type(t) is not S.Const for t in a.args):
+                raise NotGround("expected ground atoms without equations")
+            v = index[a] = len(index) + 1
+        return v
 
-    tree = walk(g)
-    return tree, AtomMap(tuple(atoms))
+    tree = S.nnf_tree(g, var)
+    clauses = [("|", [-var(p) for p in prem] + [var(c)]) for prem, c in axioms]
+    return (("&", [tree, *clauses]) if clauses else tree), AtomMap(tuple(index))
 
 
-def prop_cnf(tree: S.Formula, amap: AtomMap) -> PropCnf:
-    matrix = S.cnf_matrix(S.to_nnf(tree))
-    clauses = []
-    for cl in matrix.clauses:
-        lits = []
-        for lit in cl:
-            v = int(lit.atom.name[1:]) + 1
-            lits.append(v if lit.positive else -v)
-        clauses.append(tuple(lits))
+def prop_cnf(tree, amap: AtomMap) -> PropCnf:
+    """`syntax.distribute` of a `to_propositional` tree, with literals
+    ordered as `syntax.cnf_matrix` orders atoms q0, q1, ... named after
+    variables 1, 2, ..."""
+    clauses = S.distribute(tree, lambda v: (f"q{abs(v) - 1}", v < 0))
     return PropCnf(len(amap.atoms), tuple(clauses))
 
 
@@ -381,11 +363,11 @@ def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
 
 def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig) -> SatVerdict:
     has_eq = any(isinstance(a, S.Eq) for a in S.atoms_iter(ground))
-    eq_pred = None
-    g = ground
+    g, eq_pred, axioms = ground, None, ()
     if has_eq:
-        g, eq_pred = _ground_equality_elim_info(ground)
-    tree, amap = to_propositional(g)
+        g, eq_pred = S.equality_as_predicate(ground, S.infer_signature(ground).predicates)
+        axioms = equality_axioms(ground, eq_pred)
+    tree, amap = to_propositional(g, axioms)
     cnf = prop_cnf(tree, amap)
     verdict = dpll_sat(cnf)
     details = {

@@ -356,29 +356,44 @@ _QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 
 
 def scope_minimized(f: S.Formula) -> S.Formula:
-    if isinstance(f, (S.Forall, S.Exists)):
-        return _block(type(f), f.vars, scope_minimized(f.body))
-    return S.rebuild(f, [scope_minimized(k) for k in S.children(f)])
+    # id -> (free variables, node); holding the node keeps its id unique
+    memo: dict[int, tuple[frozenset, S.Formula]] = {}
+
+    def free(g: S.Formula) -> frozenset:
+        hit = memo.get(id(g))
+        if hit is None:
+            kids = S.children(g)
+            fv = frozenset().union(*map(free, kids)) if kids else S.free_vars(g)
+            if isinstance(g, _QUANTIFIERS):
+                fv -= frozenset(g.vars)
+            hit = memo[id(g)] = (fv, g)
+        return hit[0]
+
+    def walk(g: S.Formula) -> S.Formula:
+        if isinstance(g, (S.Forall, S.Exists)):
+            return _block(type(g), g.vars, walk(g.body), free)
+        return S.rebuild(g, [walk(k) for k in S.children(g)])
+
+    return walk(f)
 
 
-def _block(quant, names, body: S.Formula) -> S.Formula:
+def _block(quant, names, body: S.Formula, free) -> S.Formula:
     """Minimized form of `quant names. body` for an already minimized body."""
-    free = S.free_vars(body)
-    names = tuple(v for v in names if v in free)
+    names = tuple(v for v in names if v in free(body))
     if not names:
         return body
     if type(body) is quant and not set(names) & set(body.vars):
-        return _block(quant, names + body.vars, body.body)
+        return _block(quant, names + body.vars, body.body, free)
     if not isinstance(body, (S.And, S.Or)):
         return quant(names, body)
     conn = type(body)
     if (quant is S.Forall) == (conn is S.And):
-        return conn(tuple(_block(quant, names, p) for p in body.parts))
+        return conn(tuple(_block(quant, names, p, free) for p in body.parts))
     groups: list[tuple[set, list]] = []
     free_parts = []
     nameset = set(names)
     for p in body.parts:
-        pv = S.free_vars(p) & nameset
+        pv = free(p) & nameset
         if not pv:
             free_parts.append(p)
             continue
@@ -395,11 +410,11 @@ def _block(quant, names, body: S.Formula) -> S.Formula:
         for gvars, gparts in groups:
             gparts.sort(key=lambda p: order[id(p)])
             sub = gparts[0] if len(gparts) == 1 else conn(tuple(gparts))
-            pieces.append(_block(quant, tuple(v for v in names if v in gvars), sub))
+            pieces.append(_block(quant, tuple(v for v in names if v in gvars), sub, free))
         pieces.extend(free_parts)
         return conn(tuple(pieces))
     if len(names) > 1:
-        return quant(names[:1], _block(quant, names[1:], body))
+        return quant(names[:1], _block(quant, names[1:], body, free))
     return quant(names, body)
 
 

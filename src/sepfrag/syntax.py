@@ -29,7 +29,7 @@ changes and passes every other node through
 pre-order over `children`, so a new node type is added in those two
 functions only.  Walkers that compute something different for each node
 type stay hand-written: the evaluators, the printer, `free_vars`,
-`formula_len`, prenexing, the negated half of NNF and the CNF builders.
+`formula_len`, prenexing, and both NNF walks, `to_nnf` and `nnf_tree`.
 """
 
 from __future__ import annotations
@@ -902,6 +902,43 @@ def to_nnf(f: Formula) -> Formula:
     return pos(f)
 
 
+def nnf_tree(f: Formula, number: Callable[[Formula], int]):
+    """`to_nnf` of a quantifier-free f over signed ints, in one walk: an
+    atom a becomes the literal number(a) and ~a becomes -number(a), and
+    every connective is nested and flattened as `to_nnf` does it.  The
+    tree is a literal or ("&" | "|", parts), with ("&", ()) for true and
+    ("|", ()) for false.  Any other node is passed to `number`."""
+
+    def walk(g, positive: bool):
+        t = type(g)
+        if t is Not:
+            return walk(g.sub, not positive)
+        if t is And or t is Or:
+            op = "&" if (t is And) == positive else "|"
+            parts = [walk(k, positive) for k in g.parts]
+            return (op, parts) if positive else _join(op, parts)
+        if t is Implies or t is Iff:
+            inner = "|" if positive else "&"
+            left = _join(inner, [walk(g.left, not positive), walk(g.right, positive)])
+            if t is Implies:
+                return left
+            right = _join(inner, [walk(g.left, positive), walk(g.right, not positive)])
+            return _join("&" if positive else "|", [left, right])
+        if t is Top or t is Bottom:
+            return ("&" if (t is Top) == positive else "|", ())
+        return number(g) if positive else -number(g)
+
+    return walk(f, True)
+
+
+def _join(op: str, parts: list):
+    """`conj` (op "&") or `disj` (op "|") of int trees."""
+    flat = []
+    for p in parts:
+        flat.extend(p[1] if type(p) is tuple and p[0] == op else (p,))
+    return flat[0] if len(flat) == 1 else (op, flat)
+
+
 # ---------------------------------------------------------------------------
 # prenexing and standard form
 
@@ -1067,6 +1104,47 @@ class CnfMatrix:
 DEFAULT_CLAUSE_BUDGET = 10**6
 
 
+def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tuple[int, ...]]:
+    """Distribution-based CNF of a tree as `nnf_tree` builds it.
+
+    Duplicate literals and clauses are removed; each clause's literals
+    are sorted by `key`, which must give distinct literals distinct
+    values, and the clauses by their literals' keys.  Exceeding
+    `max_clauses` at any node raises rather than truncating.
+    """
+
+    def check(n: int):
+        if n > max_clauses:
+            raise ClauseBudgetExceeded(
+                f"CNF clause budget of {max_clauses} exceeded", limit=max_clauses
+            )
+
+    def clauses(g) -> list[frozenset[int]]:
+        if type(g) is int:
+            return [frozenset((g,))]
+        op, parts = g
+        if op == "&":
+            out = []
+            for p in parts:
+                out.extend(clauses(p))
+                check(len(out))
+            return out
+        # "|": distribute over the conjunctions of the parts
+        out = [frozenset()]
+        for p in parts:
+            pcl = clauses(p)
+            check(len(out) * len(pcl))
+            out = [a | b for a in out for b in pcl]
+        return out
+
+    distinct = set(clauses(tree))
+    # sort by rank, so that `key` is called once per distinct literal
+    lits = sorted({lit for cl in distinct for lit in cl}, key=key)
+    rank = {lit: i for i, lit in enumerate(lits)}
+    ranked = sorted(tuple(sorted(map(rank.__getitem__, cl))) for cl in distinct)
+    return [tuple(lits[r] for r in cl) for cl in ranked]
+
+
 def cnf_matrix(m: Formula, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> CnfMatrix:
     """Distribution-based CNF of a quantifier-free NNF formula.
 
@@ -1076,46 +1154,11 @@ def cnf_matrix(m: Formula, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> CnfMatri
     """
     if not is_quantifier_free(m) or not is_nnf(m):
         raise NotNNF(f"expected a quantifier-free NNF formula, got: {print_formula(m)}")
-
-    def clauses(g) -> list[frozenset[Literal]]:
-        if isinstance(g, Top):
-            return []
-        if isinstance(g, Bottom):
-            return [frozenset()]
-        if isinstance(g, (Pred, Eq)):
-            return [frozenset((Literal(g, True),))]
-        if isinstance(g, Not):
-            return [frozenset((Literal(g.sub, False),))]
-        if isinstance(g, And):
-            out = []
-            for p in g.parts:
-                out.extend(clauses(p))
-                if len(out) > max_clauses:
-                    raise ClauseBudgetExceeded(
-                        f"CNF clause budget of {max_clauses} exceeded",
-                        limit=max_clauses,
-                    )
-            return out
-        # Or: distribute over the conjunctions of the parts
-        out = [frozenset()]
-        for p in g.parts:
-            pcl = clauses(p)
-            if len(out) * len(pcl) > max_clauses:
-                raise ClauseBudgetExceeded(
-                    f"CNF clause budget of {max_clauses} exceeded", limit=max_clauses
-                )
-            out = [a | b for a in out for b in pcl]
-        return out
-
-    seen = set()
-    result = []
-    for cl in clauses(m):
-        ordered = tuple(sorted(cl, key=Literal.key))
-        if ordered not in seen:
-            seen.add(ordered)
-            result.append(ordered)
-    result.sort(key=lambda cl: tuple(l.key() for l in cl))
-    return CnfMatrix(tuple(result))
+    index: dict[Atom, int] = {}
+    tree = nnf_tree(m, lambda a: index.setdefault(a, len(index) + 1))
+    lit = {s * v: Literal(a, s > 0) for a, v in index.items() for s in (1, -1)}
+    clauses = distribute(tree, lambda v: lit[v].key(), max_clauses)
+    return CnfMatrix(tuple(tuple(lit[v] for v in cl) for cl in clauses))
 
 
 @dataclass(frozen=True)

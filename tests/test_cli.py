@@ -55,6 +55,35 @@ def test_decide_translation_bound_only_without_one_element_model(capsys):
     assert json.loads(out)["details"]["translation_bound"] == 1
 
 
+def test_decide_ground_equational_golden(capsys):
+    code, out = run_capture(
+        capsys, ["decide", "exists x y. P(x) & ~P(y) & (x = c | y = c) & R(c, x)"]
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "sat",
+        "model": {
+            "universe": ["c", "sk1"],
+            "constants": {"c": "c", "sk1": "sk1", "sk2": "c"},
+            "predicates": {"P": [["sk1"]], "R": [["c", "sk1"]]},
+        },
+        "bound": None,
+        "details": {
+            "backend": "cdcl",
+            "path": "propositional",
+            "equality_eliminated": True,
+            "variables": 12,
+            "clauses": 39,
+        },
+    }
+
+
+def test_decide_clause_budget_exit_65(capsys):
+    wide = [" & ".join(f"{p}(a{i})" for i in range(1, 1002)) for p in "PQ"]
+    assert run(["decide", f"({wide[0]}) | ({wide[1]})"]) == 65
+    assert "budget" in capsys.readouterr().err
+
+
 def test_decide_emit_model(tmp_path, capsys):
     target = tmp_path / "model.json"
     code = run(["decide", "exists z. P(z)", "--emit-model", str(target)])

@@ -9,6 +9,7 @@ from sepfrag.decide import (
     PropCnf,
     decide_sat,
     dpll_sat,
+    equality_axioms,
     ground_equality_elim,
     horn_sat,
     krom_sat,
@@ -16,7 +17,7 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import HasUniversals, NotGround, NotHorn, NotKrom
+from sepfrag.errors import ClauseBudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
 from sepfrag.generators import expand_counting, generate_hard_family
 from sepfrag.search import find_model
 from sepfrag.semantics import evaluate
@@ -81,6 +82,18 @@ def test_elim_no_equations_appends_axioms_only():
     assert g.parts[0] == f
 
 
+def test_elim_golden_output():
+    f, _ = parse_formula("P(c) & c = d & ~P(d)")
+    assert print_formula(ground_equality_elim(f)) == (
+        "P(c) & E(c, d) & ~P(d) & E(c, c) & E(d, d) & (E(c, d) -> E(d, c)) & "
+        "(E(d, c) -> E(c, d)) & (E(c, c) & E(c, d) -> E(c, d)) & "
+        "(E(c, d) & E(d, c) -> E(c, c)) & (E(c, d) & E(d, d) -> E(c, d)) & "
+        "(E(d, c) & E(c, c) -> E(d, c)) & (E(d, c) & E(c, d) -> E(d, d)) & "
+        "(E(d, d) & E(d, c) -> E(d, c)) & (E(c, d) & P(c) -> P(d)) & "
+        "(E(d, c) & P(d) -> P(c))"
+    )
+
+
 def test_elim_unsat_by_congruence():
     f, _ = parse_formula("P(c) & c = d & ~P(d)")
     g = ground_equality_elim(f)
@@ -131,6 +144,51 @@ def test_abstraction_round_trip_random():
         v = dpll_sat(cnf)
         sat = find_model(f, max_size=2) is not None
         assert (v.status == "sat") == sat
+
+
+def formula_route_cnf(g: S.Formula):
+    """The reference abstraction: atoms become nullary predicates q0,
+    q1, ... in first-occurrence order, then `to_nnf` and `cnf_matrix`."""
+    index = {}
+
+    def walk(h):
+        if isinstance(h, S.Pred):
+            return S.Pred(f"q{index.setdefault(h, len(index))}", ())
+        return S.rebuild(h, [walk(k) for k in S.children(h)])
+
+    m = S.cnf_matrix(S.to_nnf(walk(g)))
+    clauses = tuple(
+        tuple((int(l.atom.name[1:]) + 1) * (1 if l.positive else -1) for l in cl)
+        for cl in m.clauses
+    )
+    return len(index), clauses
+
+
+def test_prop_cnf_matches_formula_route():
+    rng = random.Random(29)
+    with_eq = 0
+    for i in range(200):
+        sig = small_signature(rng, max_bits=9)
+        sig.constants = {"c", "d", "e"}
+        leaves = [random_atom(rng, sig, [], with_eq=i % 2 == 0) for _ in range(5)]
+        f = random_boolean(rng, leaves + [S.TRUE, S.FALSE], max_depth=4)
+        if any(isinstance(a, S.Eq) for a in S.atoms_iter(f)):
+            with_eq += 1
+            replaced, ename = S.equality_as_predicate(f, S.infer_signature(f).predicates)
+            cnf = prop_cnf(*to_propositional(replaced, equality_axioms(f, ename)))
+            expected = formula_route_cnf(ground_equality_elim(f))
+        else:
+            cnf = prop_cnf(*to_propositional(f))
+            expected = formula_route_cnf(f)
+        assert (cnf.num_vars, cnf.clauses) == expected, print_formula(f)
+    assert with_eq >= 50
+
+
+def test_decide_clause_budget():
+    wide = [" & ".join(f"{p}(a{i})" for i in range(1, 1002)) for p in "PQ"]
+    f, _ = parse_formula(f"({wide[0]}) | ({wide[1]})")
+    with pytest.raises(ClauseBudgetExceeded):
+        decide_sat(f)
 
 
 # --- the SAT solver -----------------------------------------------------------

@@ -16,7 +16,9 @@ def test_tracer_installs_and_uninstalls():
     tracer = module.Tracer()
     tracer.install()
     try:
-        f, _ = syntax.parse_formula("exists x. P(x) & ~P(c)")
+        # ground and equational: the propositional stages the benchmark
+        # measures all run
+        f, _ = syntax.parse_formula("exists x y. P(x) & ~P(y) & (x = c | y = c) & R(c, x)")
         assert decide.decide_sat(f).status == "sat"
         tracer.end_op(True)
     finally:
@@ -24,3 +26,6 @@ def test_tracer_installs_and_uninstalls():
     assert (syntax.parse_formula, decide.decide_sat, decide.dpll_sat) == originals
     assert tracer.calls["syntax.parse_formula"] == 1
     assert tracer.calls["decide.dpll_sat"] == 1
+    assert tracer.calls["decide.to_propositional"] == 1
+    assert tracer.calls["decide.prop_cnf"] == 1
+    assert tracer.counts["decide.prop_cnf.clauses"] == 39

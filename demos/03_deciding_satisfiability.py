@@ -9,13 +9,14 @@ whose leading existentials give a bound, runs only when size 1 has no
 model.
 """
 
-from sepfrag import decide_sat, parse_formula, print_formula
+from sepfrag import decide_sat, parse_formula, print_formula, to_standard_form
 from sepfrag.decide import ground_equality_elim, skolemize_existential
 from sepfrag.generators import expand_counting
 
 print("Skolemization replaces existentials with fresh constants:")
 f, _ = parse_formula("exists x y. R(x, y) & x = y")
-print(" ", print_formula(f), "  ->  ", print_formula(skolemize_existential(f)))
+ground = skolemize_existential(to_standard_form(f))
+print(" ", print_formula(f), "  ->  ", print_formula(ground))
 print()
 
 print("Ground equality elimination makes congruence explicit:")

@@ -1,8 +1,9 @@
 """Satisfiability decision.
 
 Sentences without universal quantifiers go through the propositional
-route: Skolemize each existential variable to a fresh constant, turn
-ground equations into a fresh predicate whose axioms become clauses,
+route: substitute fresh constants for the leading existential block of
+the standard form, whose matrix is already quantifier-free and in NNF,
+turn ground equations into a fresh predicate whose axioms become clauses,
 abstract atoms to signed ints in one negation-pushing walk
 (`to_propositional`), distribute to CNF (`prop_cnf`) and decide it with
 one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked against
@@ -22,14 +23,7 @@ from typing import Optional
 from . import analysis
 from . import syntax as S
 from . import translate
-from .errors import (
-    BudgetExceeded,
-    HasUniversals,
-    NotGround,
-    NotHorn,
-    NotKrom,
-    UnexpandedCounting,
-)
+from .errors import BudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
 from .search import find_model
 from .semantics import Structure, evaluate
 from .generators import expand_counting
@@ -41,32 +35,19 @@ SKOLEM_PREFIX = "sk"
 # Skolemization of purely existential sentences
 
 
-def skolemize_existential(f: S.Formula) -> S.Formula:
-    """Replace each existential variable of a universal-free sentence with
-    a fresh constant sk1, sk2, ... in quantifier order; the result is
-    ground and equisatisfiable."""
-    if S.has_counting(f):
-        raise UnexpandedCounting("expand counting quantifiers before Skolemization")
-    g = S.to_nnf(f)
-    uni, _ = S.bound_vars_by_kind(g)
-    if uni:
-        raise HasUniversals(f"universal variables {sorted(uni)}")
-    fresh = S.FreshNames(S.constants_of(g) | S.all_var_names(g))
-    counter = [0]
-
-    def walk(h):
-        if isinstance(h, S.Exists):
-            binding = {}
-            for v in h.vars:
-                counter[0] += 1
-                binding[v] = S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{counter[0]}"))
-            return walk(S.substitute(h.body, binding))
-        return S.rebuild(h, [walk(k) for k in S.children(h)])
-
-    out = walk(g)
-    if S.free_vars(out):
-        raise HasUniversals("input must be a sentence")
-    return out
+def skolemize_existential(sf: S.StandardForm) -> S.Formula:
+    """Replace each variable of the leading block of a universal-free
+    standard form with a fresh constant sk1, sk2, ... in block order; the
+    result is the ground, equisatisfiable matrix.  Each name avoids the
+    matrix's constants and the block's variables.  The standard form is
+    already a counting-free sentence in NNF, so nothing else is checked."""
+    if sf.blocks:
+        raise HasUniversals(f"universal variables {sorted(sf.universal_vars)}")
+    fresh = S.FreshNames(S.constants_of(sf.matrix) | set(sf.leading))
+    binding = {
+        v: S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{i}")) for i, v in enumerate(sf.leading, 1)
+    }
+    return S.substitute(sf.matrix, binding)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +342,7 @@ def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
     return Structure(universe2, {c: rep[c] for c in consts}, tables2)
 
 
-def _existential_path(sentence: S.Formula, ground: S.Formula, cfg: DecideConfig) -> SatVerdict:
+def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
     has_eq = any(isinstance(a, S.Eq) for a in S.atoms_iter(ground))
     g, eq_pred, axioms = ground, None, ()
     if has_eq:
@@ -425,8 +406,7 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     expanded = expand_counting(f).formula
     sf = S.to_standard_form(expanded)
     if not sf.universal_vars:
-        ground = skolemize_existential(sf.to_formula())
-        return _existential_path(f, ground, cfg)
+        return _existential_path(f, skolemize_existential(sf))
 
     bound, symbolic = _analysis_bound(sf)
     details = {} if symbolic is None else {"degree_bound": str(symbolic)}

@@ -74,8 +74,11 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
 
     The result flags when an expansion puts fresh existential variables
     into an atom together with a universally quantified variable, since
-    separatedness is lost in that case.
+    separatedness is lost in that case.  A sentence without counting
+    quantifiers is returned as it is.
     """
+    if not S.has_counting(f):
+        return ExpansionResult(f, False, 0)
     fresh = S.FreshNames(S.all_var_names(f) | S.constants_of(f))
     introduced: set[str] = set()
     sites = 0

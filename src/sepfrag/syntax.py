@@ -860,9 +860,8 @@ def alpha_eq(f: Formula, g: Formula) -> bool:
 def to_nnf(f: Formula) -> Formula:
     """Push negations down to atoms, eliminating -> and <-> by the
     length-preserving rewrites a -> b == ~a | b and
-    a <-> b == (~a | b) & (a | ~b)."""
-    if has_counting(f):
-        raise UnexpandedCounting("expand counting quantifiers before NNF")
+    a <-> b == (~a | b) & (a | ~b).  A counting quantifier raises
+    UnexpandedCounting."""
 
     def pos(g: Formula) -> Formula:
         if isinstance(g, Not):
@@ -873,6 +872,8 @@ def to_nnf(f: Formula) -> Formula:
             return conj(
                 [disj([neg(g.left), pos(g.right)]), disj([pos(g.left), neg(g.right)])]
             )
+        if isinstance(g, CountingExists):
+            raise UnexpandedCounting("expand counting quantifiers before NNF")
         return rebuild(g, [pos(k) for k in children(g)])
 
     def neg(g: Formula) -> Formula:
@@ -897,6 +898,8 @@ def to_nnf(f: Formula) -> Formula:
             )
         if isinstance(g, Forall):
             return Exists(g.vars, neg(g.body))
+        if isinstance(g, CountingExists):
+            raise UnexpandedCounting("expand counting quantifiers before NNF")
         return Forall(g.vars, neg(g.body))
 
     return pos(f)

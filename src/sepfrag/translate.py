@@ -117,36 +117,6 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
 
 
 # ---------------------------------------------------------------------------
-# idempotence-based normalization
-
-
-def dedup_idempotence(f: S.Formula) -> S.Formula:
-    """Flatten nested conjunctions/disjunctions and treat their argument
-    lists as sets under the alpha-invariant printed form."""
-
-    def walk(g):
-        if not isinstance(g, (S.And, S.Or)):
-            return S.rebuild(g, [walk(k) for k in S.children(g)])
-        flat = []
-        stack = list(g.parts)
-        while stack:
-            p = stack.pop(0)
-            if type(p) is type(g):
-                stack = list(p.parts) + stack
-            else:
-                flat.append(walk(p))
-        seen = {}
-        for p in flat:
-            seen.setdefault(S.canonical_key(p), p)
-        kept = [seen[k] for k in sorted(seen)]
-        if len(kept) == 1:
-            return kept[0]
-        return type(g)(tuple(kept))
-
-    return walk(f)
-
-
-# ---------------------------------------------------------------------------
 # the working representation: interned units
 
 

@@ -30,22 +30,29 @@ from util import random_atom, random_boolean, random_sf_sentence, small_signatur
 
 def test_skolemize_single():
     f, _ = parse_formula("exists x. P(x)")
-    assert print_formula(skolemize_existential(f)) == "P(sk1)"
+    assert print_formula(skolemize_existential(S.to_standard_form(f))) == "P(sk1)"
 
 
 def test_skolemize_with_equation():
     f, _ = parse_formula("exists x y. R(x, y) & x = y")
-    g = skolemize_existential(f)
+    g = skolemize_existential(S.to_standard_form(f))
     assert print_formula(g) == "R(sk1, sk2) & sk1 = sk2"
+
+
+def test_skolemize_avoids_taken_names():
+    # the constant sk1 and the variable sk2 are both reserved
+    f, _ = parse_formula("exists sk2 x. P(sk2, sk1, x)")
+    g = skolemize_existential(S.to_standard_form(f))
+    assert print_formula(g) == "P(sk1#1, sk1, sk2#1)"
 
 
 def test_skolemize_rejects_universals():
     f, _ = parse_formula("forall x. P(x)")
     with pytest.raises(HasUniversals):
-        skolemize_existential(f)
+        skolemize_existential(S.to_standard_form(f))
     g, _ = parse_formula("~(exists x. P(x))")  # hidden universal
     with pytest.raises(HasUniversals):
-        skolemize_existential(g)
+        skolemize_existential(S.to_standard_form(g))
 
 
 def test_skolemize_equisatisfiable_random():
@@ -55,7 +62,7 @@ def test_skolemize_equisatisfiable_random():
         vars_ = ["v1", "v2"]
         leaves = [random_atom(rng, sig, vars_, with_eq=True) for _ in range(3)]
         f = S.Exists(tuple(vars_), random_boolean(rng, leaves, allow_imp=False))
-        g = skolemize_existential(f)
+        g = skolemize_existential(S.to_standard_form(f))
         n = len(S.constants_of(g)) or 1
         assert (find_model(f, max_size=n) is None) == (find_model(g, max_size=n) is None)
 

@@ -84,6 +84,13 @@ def test_expand_counting_separation_warning():
     assert not expand_counting(g).breaks_separation
 
 
+def test_expand_counting_returns_counting_free_input():
+    f, _ = parse_formula("forall x. exists y. R(x, y) & ~(x = y)")
+    out = expand_counting(f)
+    assert out.formula is f
+    assert out.sites == 0 and not out.breaks_separation
+
+
 # --- small-model translation ---------------------------------------------------
 
 def test_smp_axiom_shape_bound_two():

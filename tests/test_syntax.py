@@ -223,9 +223,12 @@ def test_nnf_biconditional_shape():
 
 
 def test_nnf_rejects_counting():
-    f, _ = parse_formula("exists>=2 y. P(y)")
-    with pytest.raises(UnexpandedCounting):
-        to_nnf(f)
+    # reached by the walk itself: at the top, under a negation, and as a
+    # conjunct after an atom
+    for text in ("exists>=2 y. P(y)", "~(exists>=2 y. P(y))", "P(a) & (exists>=2 y. P(y))"):
+        f, _ = parse_formula(text)
+        with pytest.raises(UnexpandedCounting):
+            to_nnf(f)
 
 
 def test_nnf_equivalent_on_random_formulas():

@@ -26,6 +26,8 @@ def test_tracer_installs_and_uninstalls():
     assert (syntax.parse_formula, decide.decide_sat, decide.dpll_sat) == originals
     assert tracer.calls["syntax.parse_formula"] == 1
     assert tracer.calls["decide.dpll_sat"] == 1
+    assert tracer.calls["decide.skolemize_existential"] == 1
+    assert tracer.calls["generators.expand_counting"] == 1
     assert tracer.calls["decide.to_propositional"] == 1
     assert tracer.calls["decide.prop_cnf"] == 1
     assert tracer.counts["decide.prop_cnf.clauses"] == 39

@@ -13,7 +13,6 @@ from sepfrag.translate import (
     _flatten_unit,
     _minimize_terms,
     expand_selections,
-    dedup_idempotence,
     push_quantifiers,
     to_bsr,
 )
@@ -99,32 +98,6 @@ def test_validation_errors():
                 (1,), {1: ("a",)}, {1: atom("P", "y")}, {"a": atom("Q", "y")}, ("y",)
             )
         )
-
-
-# --- idempotence -------------------------------------------------------------
-
-def test_dedup_duplicate_conjunct():
-    a = atom("P", "z")
-    assert dedup_idempotence(S.And((a, a))) == a
-
-
-def test_dedup_commuted_disjuncts():
-    a, b = atom("P", "z"), atom("Q", "z")
-    f = S.And((S.Or((a, b)), S.Or((b, a))))
-    out = dedup_idempotence(f)
-    assert isinstance(out, S.Or)
-
-
-def test_dedup_equivalent_random():
-    rng = random.Random(11)
-    from util import random_boolean
-
-    for _ in range(40):
-        sig = small_signature(rng)
-        sig.constants.add("c")
-        leaves = [random_atom(rng, sig, []) for _ in range(3)]
-        f = random_boolean(rng, leaves)
-        assert equivalent_upto(f, dedup_idempotence(f), 3).equal
 
 
 # --- pushing blocks ----------------------------------------------------------

@@ -343,10 +343,12 @@ def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
 
 
 def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
-    has_eq = any(isinstance(a, S.Eq) for a in S.atoms_iter(ground))
+    # the predicate names, and None for an equation, in one walk
+    names = {a.name if type(a) is S.Pred else None for a in S.atoms_iter(ground)}
+    has_eq = None in names
     g, eq_pred, axioms = ground, None, ()
     if has_eq:
-        g, eq_pred = S.equality_as_predicate(ground, S.infer_signature(ground).predicates)
+        g, eq_pred = S.equality_as_predicate(ground, names)
         axioms = equality_axioms(ground, eq_pred)
     tree, amap = to_propositional(g, axioms)
     cnf = prop_cnf(tree, amap)

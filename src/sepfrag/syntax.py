@@ -22,6 +22,15 @@ far to the right as possible.  An identifier is a variable exactly when
 it is bound by an enclosing quantifier; all other lowercase identifiers
 denote constants.
 
+Parsing: one `findall` of one regex returns the tokens as strings, each
+passed through `sys.intern`, so every parse shares one object per name;
+a token's kind is read off its first character, and token positions are
+computed only for a `ParseError`.  A character that starts no token is
+reported before any syntax error.  The parser records the binder names
+and the constants, and `parse_formula` calls `rename_apart` only when a
+binder name repeats or is also a constant.  `rename_apart` returns its
+input after one scan when no binder needs a new name.
+
 Traversal: `children` and `rebuild` are the only code that knows which
 fields of a node are subformulas.  A rewrite handles the node types it
 changes and passes every other node through
@@ -34,7 +43,9 @@ type stay hand-written: the evaluators, the printer, `free_vars`,
 
 from __future__ import annotations
 
+import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional, Union
 
@@ -287,13 +298,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    out = set()
-    for a in atoms_iter(f):
-        terms = (a.left, a.right) if isinstance(a, Eq) else a.args
-        for t in terms:
-            if isinstance(t, Const):
-                out.add(t.name)
-    return frozenset(out)
+    return frozenset(_names_in(f)[2])
 
 
 def bound_vars_by_kind(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
@@ -309,13 +314,34 @@ def bound_vars_by_kind(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
 
 def all_var_names(f: Formula) -> frozenset[str]:
     """Every variable name occurring in f, free or bound."""
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, (Pred, Eq)):
-            out |= atom_vars(g)
-        elif isinstance(g, (Forall, Exists, CountingExists)):
-            out.update(g.vars)
-    return frozenset(out)
+    binders, free, _ = _names_in(f)
+    return frozenset(binders).union(free)
+
+
+def _names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
+    """Binder names (one entry per binder, repeats included), free
+    variables and constants of f, collected in one walk."""
+    binders: list[str] = []
+    free: set[str] = set()
+    consts: set[str] = set()
+
+    def walk(g, bound):
+        t = type(g)
+        if t is Pred or t is Eq:
+            for a in g.args if t is Pred else (g.left, g.right):
+                if type(a) is Const:
+                    consts.add(a.name)
+                elif a.name not in bound:
+                    free.add(a.name)
+            return
+        if t is Forall or t is Exists or t is CountingExists:
+            binders.extend(g.vars)
+            bound = bound.union(g.vars)
+        for k in children(g):
+            walk(k, bound)
+
+    walk(f, frozenset())
+    return binders, free, consts
 
 
 def has_counting(f: Formula) -> bool:
@@ -458,12 +484,18 @@ def rename_apart(f: Formula, reserved=()) -> Formula:
     One pass, left to right: the first binder of a name keeps it, and a
     later one gets a fresh name (counter per base name) that is bound in
     its body in the same pass.  Free variables, constants, and the names
-    in `reserved` are never chosen as binder names.
+    in `reserved` are never chosen as binder names.  When no binder needs
+    a new name, f itself is returned after one scan.
     """
-    reserved = set(reserved)
-    consts = constants_of(f)
-    taken = reserved | free_vars(f) | consts
-    fresh = _fresh_on_demand(lambda: reserved | all_var_names(f) | consts)
+    return _apart(f, *_names_in(f), set(reserved))
+
+
+def _apart(f: Formula, binders, free, consts, reserved: set) -> Formula:
+    """`rename_apart(f, reserved)` given `_names_in(f)`."""
+    taken = reserved | free | consts
+    if len(set(binders)) == len(binders) and taken.isdisjoint(binders):
+        return f
+    fresh = _fresh_on_demand(lambda: taken | set(binders))
 
     def claim(names, inner):
         out = []
@@ -524,21 +556,15 @@ def equality_as_predicate(f: Formula, taken) -> tuple[Formula, str]:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<ge>>=)
-  | (?P<nat>\d+)
-  | (?P<pred>[A-Z][A-Za-z0-9_]*)
-  | (?P<word>[a-z_][A-Za-z0-9_]*)
-  | (?P<sym>[()~&|=,.])
-    """,
-    re.VERBOSE,
-)
+# One alternative per token kind, tried in this order; the last one takes
+# a character that starts no token, which the parser rejects.  A token's
+# kind is read off its first character.
+_TOKEN_RE = re.compile(r"<->|->|>=|\d+|[A-Za-z_][A-Za-z0-9_]*|[()~&|=,.]|\S")
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
+_PRED_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_WORD_START = frozenset("abcdefghijklmnopqrstuvwxyz_")
+_SYMBOLS = frozenset("()~&|=,.")
 
 # Nesting accepted by the parser.  '~', '(', quantifiers and each arrow
 # of a '->' or '<->' chain (which nests the tree one level deeper) count
@@ -548,116 +574,108 @@ _KEYWORDS = {"forall", "exists", "true", "false"}
 MAX_NESTING = 100
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(i, "a token", f"parse error at {i}: unexpected {text[i]!r}")
-        i = m.end()
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, m.group(), m.start()))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
+def _is_bad(tok: str) -> bool:
+    """A token of the last alternative of _TOKEN_RE ('<', '-' or '>'
+    alone included)."""
+    return len(tok) == 1 and not (
+        tok in _SYMBOLS or tok in _WORD_START or tok in _PRED_START or tok.isdecimal()
+    )
 
 
 class _Parser:
+    """Recursive descent over the token strings, with "" for the end of
+    input.  Positions are computed only for a ParseError."""
+
     def __init__(self, text: str, sig_hint: Optional[Signature]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        toks = list(map(sys.intern, _TOKEN_RE.findall(text)))
+        if any(map(_is_bad, set(toks))):
+            i = next(m.start() for m in _TOKEN_RE.finditer(text) if _is_bad(m.group()))
+            raise ParseError(i, "a token", f"parse error at {i}: unexpected {text[i]!r}")
+        toks.append("")
+        self.text = text
+        self.toks = toks
+        self.i = 0
         self.sig = sig_hint.copy() if sig_hint is not None else Signature()
-        self.scopes: list[set[str]] = []
+        self.bound: frozenset[str] = frozenset()  # names in scope
+        self.consts: dict[str, Const] = {}  # one node per constant
+        self.binders: list[str] = []  # every binder name, repeats included
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, expected: str, at: Optional[int] = None):
+        """Raise a ParseError at token `at`, by default the next one."""
+        at = self.i if at is None else at
+        m = next(itertools.islice(_TOKEN_RE.finditer(self.text), at, None), None)
+        raise ParseError(len(self.text) if m is None else m.start(), expected)
 
-    def next(self) -> _Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self.fail(repr(tok))
+        self.i += 1
 
-    def expect(self, text: str) -> _Token:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(t.pos, repr(text))
-        return t
-
-    def error(self, expected: str):
-        raise ParseError(self.peek().pos, expected)
-
-    def deeper(self, t: _Token):
+    def deeper(self, at: int):
         if self.depth == MAX_NESTING:
-            raise ParseError(
-                t.pos, f"at most {MAX_NESTING} nested '~', '(', quantifiers and arrows"
-            )
+            self.fail(f"at most {MAX_NESTING} nested '~', '(', quantifiers and arrows", at)
         self.depth += 1
 
-    def nested(self, t: _Token, parse):
-        self.deeper(t)
+    def nested(self, at: int, parse):
+        self.deeper(at)
         out = parse()
         self.depth -= 1
         return out
 
-    def in_scope(self, name: str) -> bool:
-        return any(name in s for s in self.scopes)
-
     def term(self) -> Term:
-        t = self.next()
-        if t.kind != "word" or t.text in _KEYWORDS:
-            raise ParseError(t.pos, "a term")
-        if self.in_scope(t.text):
-            return Var(t.text)
-        self.sig.constants.add(t.text)
-        return Const(t.text)
+        t = self.toks[self.i]
+        if t[:1] not in _WORD_START or t in _KEYWORDS:
+            self.fail("a term")
+        self.i += 1
+        if t in self.bound:
+            return Var(t)
+        c = self.consts.get(t)
+        if c is None:
+            c = self.consts[t] = Const(t)
+            self.sig.constants.add(t)
+        return c
 
     def formula(self) -> Formula:
-        t = self.peek()
-        if t.kind == "word" and t.text in ("forall", "exists"):
+        if self.toks[self.i] in ("forall", "exists"):
             return self.quantified()
         return self.iff()
 
     def quantified(self) -> Formula:
-        t = self.next()
+        toks, at = self.toks, self.i
+        head = toks[at]
+        self.i += 1
         n = None
-        if t.text == "exists" and self.peek().kind == "ge":
-            self.next()
-            nat = self.next()
-            if nat.kind != "nat":
-                raise ParseError(nat.pos, "a counting threshold")
-            n = int(nat.text)
+        if head == "exists" and toks[self.i] == ">=":
+            self.i += 1
+            if not toks[self.i].isdecimal():
+                self.fail("a counting threshold")
+            n = int(toks[self.i])
             if n < 1:
-                raise ParseError(nat.pos, "a threshold >= 1")
-        names = []
-        while self.peek().kind == "word" and self.peek().text not in _KEYWORDS:
-            names.append(self.next().text)
+                self.fail("a threshold >= 1")
+            self.i += 1
+        start = self.i
+        while toks[self.i][:1] in _WORD_START and toks[self.i] not in _KEYWORDS:
+            self.i += 1
+        names = tuple(toks[start : self.i])
         if not names:
-            self.error("at least one bound variable")
+            self.fail("at least one bound variable")
         self.expect(".")
-        self.scopes.append(set(names))
-        body = self.nested(t, self.formula)
-        self.scopes.pop()
+        self.binders.extend(names)
+        outer = self.bound
+        self.bound = outer.union(names)
+        body = self.nested(at, self.formula)
+        self.bound = outer
         if n is not None:
-            return CountingExists(n, tuple(names), body)
-        if t.text == "forall":
-            return Forall(tuple(names), body)
-        return Exists(tuple(names), body)
+            return CountingExists(n, names, body)
+        return (Forall if head == "forall" else Exists)(names, body)
 
     def iff(self) -> Formula:
         depth = self.depth
         out = self.imp()
-        while self.peek().kind == "iff":
-            self.deeper(self.next())
+        while self.toks[self.i] == "<->":
+            self.i += 1
+            self.deeper(self.i - 1)
             out = Iff(out, self.imp())
         self.depth = depth
         return out
@@ -665,8 +683,9 @@ class _Parser:
     def imp(self) -> Formula:
         depth = self.depth
         parts = [self.disj()]
-        while self.peek().kind == "imp":
-            self.deeper(self.next())
+        while self.toks[self.i] == "->":
+            self.i += 1
+            self.deeper(self.i - 1)
             parts.append(self.disj())
         self.depth = depth
         out = parts.pop()
@@ -676,65 +695,68 @@ class _Parser:
 
     def disj(self) -> Formula:
         parts = [self.conj()]
-        while self.peek().text == "|":
-            self.next()
+        while self.toks[self.i] == "|":
+            self.i += 1
             parts.append(self.conj())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def conj(self) -> Formula:
         parts = [self.neg()]
-        while self.peek().text == "&":
-            self.next()
+        while self.toks[self.i] == "&":
+            self.i += 1
             parts.append(self.neg())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def neg(self) -> Formula:
-        t = self.peek()
-        if t.text == "~":
-            self.next()
-            return Not(self.nested(t, self.neg))
-        if t.text == "(":
-            self.next()
-            out = self.nested(t, self.formula)
+        t = self.toks[self.i]
+        if t == "~":
+            self.i += 1
+            return Not(self.nested(self.i - 1, self.neg))
+        if t == "(":
+            self.i += 1
+            out = self.nested(self.i - 1, self.formula)
             self.expect(")")
             return out
-        if t.kind == "word" and t.text == "true":
-            self.next()
-            return TRUE
-        if t.kind == "word" and t.text == "false":
-            self.next()
-            return FALSE
-        if t.kind == "pred":
+        if t == "true" or t == "false":
+            self.i += 1
+            return TRUE if t == "true" else FALSE
+        if t[:1] in _PRED_START:
             return self.predicate()
-        if t.kind == "word" and t.text not in _KEYWORDS:
+        if t[:1] in _WORD_START and t not in _KEYWORDS:
             left = self.term()
             self.expect("=")
             return Eq(left, self.term())
-        self.error("a formula")
+        self.fail("a formula")
 
     def predicate(self) -> Formula:
-        name = self.next()
+        toks = self.toks
+        name = toks[self.i]
+        self.i += 1
         self.expect("(")
         args = [self.term()]
-        while self.peek().text == ",":
-            self.next()
+        while toks[self.i] == ",":
+            self.i += 1
             args.append(self.term())
         self.expect(")")
-        self.sig.declare(name.text, len(args))
-        return Pred(name.text, tuple(args))
+        self.sig.declare(name, len(args))
+        return Pred(name, tuple(args))
 
 
 def parse_formula(text: str, sig_hint: Optional[Signature] = None):
     """Parse the concrete syntax; returns (formula, inferred signature).
 
     Binders are alpha-renamed so that no name is bound twice and no name
-    is both free and bound.
+    is both free and bound; `rename_apart` runs only when a binder name
+    repeats or is also a constant.
     """
     p = _Parser(text, sig_hint)
     f = p.formula()
-    if p.peek().kind != "eof":
-        p.error("end of input")
-    return rename_apart(f), p.sig
+    if p.toks[p.i]:
+        p.fail("end of input")
+    names = p.binders
+    if len(set(names)) < len(names) or not p.sig.constants.isdisjoint(names):
+        f = rename_apart(f)
+    return f, p.sig
 
 
 # ---------------------------------------------------------------------------
@@ -749,26 +771,6 @@ _PREC_AND = 4
 _PREC_NEG = 5
 
 
-def _names_in(f: Formula) -> set[str]:
-    """Constants and free variables of f, collected in one walk."""
-    out: set[str] = set()
-
-    def walk(g, bound):
-        t = type(g)
-        if t is Pred or t is Eq:
-            for a in g.args if t is Pred else (g.left, g.right):
-                if type(a) is Const or a.name not in bound:
-                    out.add(a.name)
-            return
-        if t is Forall or t is Exists or t is CountingExists:
-            bound = bound.union(g.vars)
-        for k in children(g):
-            walk(k, bound)
-
-    walk(f, frozenset())
-    return out
-
-
 def _render(f: Formula, canonical: bool) -> str:
     """The one printer.  Binder names are chosen while printing, in
     pre-order, so every quantifier position gets its own names even when
@@ -776,7 +778,8 @@ def _render(f: Formula, canonical: bool) -> str:
     with a constant, a free variable, a keyword or an earlier binder:
     `canonical` names binders v1, v2, ... by position; otherwise a binder
     keeps its own name where that is a legal identifier not yet used."""
-    used = _names_in(f) | _KEYWORDS
+    _, free, consts = _names_in(f)
+    used = free | consts | _KEYWORDS
     counter = 0
 
     def pick(name: str) -> str:
@@ -1038,11 +1041,12 @@ def _prenex(f: Formula):
 
 def to_standard_form(f: Formula) -> StandardForm:
     """Equivalence-preserving conversion of a sentence to standard form."""
-    if free_vars(f):
-        raise NotASentence(f"free variables: {sorted(free_vars(f))}")
-    g = rename_apart(to_nnf(f))
-    prefix, matrix = _prenex(g)
-    fv = free_vars(matrix)
+    g = to_nnf(f)
+    binders, free, consts = _names_in(g)
+    if free:
+        raise NotASentence(f"free variables: {sorted(free)}")
+    prefix, matrix = _prenex(_apart(g, binders, free, consts, set()))
+    fv = free_vars(matrix) if prefix else frozenset()
     cleaned = []
     for kind, names in prefix:
         kept = [v for v in names if v in fv]
@@ -1055,16 +1059,9 @@ def to_standard_form(f: Formula) -> StandardForm:
     leading: tuple[str, ...] = ()
     if cleaned and cleaned[0][0] == "exists":
         leading = tuple(cleaned.pop(0)[1])
-    blocks = []
-    i = 0
-    while i < len(cleaned):
-        x = tuple(cleaned[i][1])
-        y: tuple[str, ...] = ()
-        if i + 1 < len(cleaned):
-            y = tuple(cleaned[i + 1][1])
-        blocks.append((x, y))
-        i += 2
-    return StandardForm(leading, tuple(blocks), matrix)
+    # alternating forall/exists blocks, paired; a last forall gets y = ()
+    names = [tuple(v) for _, v in cleaned] + [()]
+    return StandardForm(leading, tuple(zip(names[0::2], names[1::2])), matrix)
 
 
 # ---------------------------------------------------------------------------

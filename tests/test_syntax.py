@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,45 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as e:
         parse_formula("forall . P(c)")
     assert e.value.position == 7
+
+
+# (text, position, expected, message), recorded on the tokenizer that
+# built one dataclass per token
+MALFORMED = [
+    ("P(a)) $", 6, "a token", "parse error at 6: unexpected '$'"),
+    ("P(a) & ( $", 9, "a token", "parse error at 9: unexpected '$'"),
+    ("\u1e56(a)", 0, "a token", "parse error at 0: unexpected '\u1e56'"),
+    ("a - b", 2, "a token", "parse error at 2: unexpected '-'"),
+    ("P(a) <- Q(a)", 5, "a token", "parse error at 5: unexpected '<'"),
+    ("P(a) &\xa0Q(b) | #", 14, "a token", "parse error at 14: unexpected '#'"),
+    ("P(a &", 4, "')'", "parse error at 4: expected ')'"),
+    ("(P(a)", 5, "')'", "parse error at 5: expected ')'"),
+    ("P()", 2, "a term", "parse error at 2: expected a term"),
+    ("P(a,)", 4, "a term", "parse error at 4: expected a term"),
+    ("P(forall)", 2, "a term", "parse error at 2: expected a term"),
+    ("a = ", 4, "a term", "parse error at 4: expected a term"),
+    ("a(b)", 1, "'='", "parse error at 1: expected '='"),
+    ("exists. P(a)", 6, "at least one bound variable",
+     "parse error at 6: expected at least one bound variable"),
+    ("exists>=0 x. P(x)", 8, "a threshold >= 1", "parse error at 8: expected a threshold >= 1"),
+    ("exists>= x. P(x)", 9, "a counting threshold",
+     "parse error at 9: expected a counting threshold"),
+    ("forall x", 8, "'.'", "parse error at 8: expected '.'"),
+    ("exists>=2 x y", 13, "'.'", "parse error at 13: expected '.'"),
+    ("forall x. exists y.", 19, "a formula", "parse error at 19: expected a formula"),
+    ("P(a) -> ", 8, "a formula", "parse error at 8: expected a formula"),
+    ("", 0, "a formula", "parse error at 0: expected a formula"),
+    ("P(a) | Q(b)) & R(c)", 11, "end of input", "parse error at 11: expected end of input"),
+    ("true = a", 5, "end of input", "parse error at 5: expected end of input"),
+    ("P(a) >= 2", 5, "end of input", "parse error at 5: expected end of input"),
+]
+
+
+@pytest.mark.parametrize("text, position, expected, message", MALFORMED)
+def test_parse_error_table(text, position, expected, message):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text)
+    assert (e.value.position, e.value.expected, str(e.value)) == (position, expected, message)
 
 
 @pytest.mark.parametrize(
@@ -425,6 +466,54 @@ def test_rename_apart_binds_each_name_once():
         assert S.free_vars(out) == S.free_vars(h)
         assert not set(names) & (S.free_vars(h) | S.constants_of(h) | reserved)
         assert alpha_eq(out, h)
+
+
+def test_rename_apart_returns_input_when_nothing_clashes():
+    f, _ = parse_formula("forall x. (exists y. P(x, y)) & (exists z. Q(z, c))")
+    assert S.rename_apart(f) is f
+    assert S.rename_apart(f, reserved={"w", "d"}) is f
+    assert S.rename_apart(f, reserved={"y"}) is not f
+
+
+def test_parse_renames_clashing_binders_as_before():
+    x1, a1 = S.Var("x#1"), S.Var("a#1")
+    f, _ = parse_formula("exists x x. P(x)")
+    assert f == S.Exists(("x", "x#1"), S.Pred("P", (x1,)))
+    g, _ = parse_formula("P(a) & (exists a. Q(a))")
+    assert g == S.And((S.Pred("P", (S.Const("a"),)), S.Exists(("a#1",), S.Pred("Q", (a1,)))))
+
+
+def test_shared_quantifier_node_is_renamed():
+    x = S.Var("x")
+    q = S.Exists(("x",), S.Pred("P", (x,)))
+    out = S.rename_apart(S.And((q, q)))
+    assert out == S.And((q, S.Exists(("x#1",), S.Pred("P", (S.Var("x#1"),)))))
+    assert S.rename_apart(S.And((q, S.Pred("Q", (x,))))) == S.And(
+        (S.Exists(("x#1",), S.Pred("P", (S.Var("x#1"),))), S.Pred("Q", (x,)))
+    )
+
+
+def test_parses_share_interned_names():
+    f, _ = parse_formula("P(c17)")
+    g, _ = parse_formula(" P( c17 )")
+    assert f.args[0].name is g.args[0].name
+    assert f.name is g.name
+
+
+# SHA-1 of canonical_key of the parse of each frozen benchmark sentence,
+# recorded on the tokenizer that built one dataclass per token
+FROZEN = {
+    "hard1": "2fa1c62ea2c9299a32ec418ab29447301e17f657",
+    "domino1": "042860d586919edd0366c2f93709f0acc0f14326",
+    "hierarchy12": "5d1620cb842a56c79cb2c96c1ab67de6e5e1fe91",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_frozen_benchmark_sentences_parse_as_before(name):
+    text = (Path(__file__).resolve().parent.parent / "bench" / "data" / f"{name}.txt").read_text()
+    f, _ = parse_formula(text.strip())
+    assert hashlib.sha1(canonical_key(f).encode()).hexdigest() == FROZEN[name]
 
 
 # --- traversal -------------------------------------------------------------

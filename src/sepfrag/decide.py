@@ -9,9 +9,10 @@ abstract atoms to signed ints in one negation-pushing walk
 one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked against
 the sentence as a Herbrand model.  Everything else is decided by bounded
 model search against the best available small-model bound.  The search
-tries size 1 before the bound is complete: a one-element model is below
-every bound, so the translation to BSR form, whose leading existentials
-give a bound, runs only when size 1 has no model.
+tries size 1, on the sentence as written, before the bound is complete:
+a one-element model is below every bound, so the translation to BSR form
+runs only when size 1 has no model, and only counts the leading
+existentials that give its bound.  Larger sizes share one prepared form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import analysis
 from . import syntax as S
 from . import translate
 from .errors import BudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
-from .search import find_model
+from .search import ModelSearch, find_model  # noqa: F401  (bench/tracer.py wraps it)
 from .semantics import Structure, evaluate
 from .generators import expand_counting
 
@@ -385,13 +386,13 @@ def _translation_bound(sf: S.StandardForm) -> Optional[int]:
     if not analysis.is_sf(sf) or analysis.is_bsr(sf):
         return None
     try:
-        bsr = translate.to_bsr(
+        leading = translate.bsr_leading_count(
             sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
             dnf_term_cap=512,
         )
     except BudgetExceeded:
         return None
-    return max(len(bsr.leading) + len(S.constants_of(sf.matrix)), 1)
+    return max(leading + len(S.constants_of(sf.matrix)), 1)
 
 
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
@@ -399,10 +400,11 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
 
     Counting quantifiers are expanded first.  Universal-free sentences go
     through the propositional route.  Everything else is searched at size
-    1 first: a one-element model is below every bound, so the translation
-    to BSR form runs only when size 1 has none.  The search then goes on
-    up to min(size bound, cfg.max_model_size), returning an inconclusive
-    verdict carrying the bound when the search space was not exhausted.
+    1 first, as written: a one-element model is below every bound, so the
+    translation to BSR form runs only when size 1 has none.  The search
+    then goes on up to min(size bound, cfg.max_model_size) on a form
+    prepared once, returning an inconclusive verdict carrying the bound
+    when the search space was not exhausted.
     """
     cfg = cfg or DecideConfig()
     expanded = expand_counting(f).formula
@@ -412,7 +414,8 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
 
     bound, symbolic = _analysis_bound(sf)
     details = {} if symbolic is None else {"degree_bound": str(symbolic)}
-    witness = find_model(expanded, max_size=min(1, cfg.max_model_size))
+    models = ModelSearch(expanded)
+    witness = models.run(min(1, cfg.max_model_size))
     if witness is None:
         translated = _translation_bound(sf)
         if translated is not None:
@@ -421,7 +424,7 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     limit = cfg.max_model_size if bound is None else min(bound, cfg.max_model_size)
     details.update({"path": "model-search", "bound": bound, "search_limit": limit})
     if witness is None and limit >= 2:
-        witness = find_model(expanded, max_size=limit, min_size=2)
+        witness = models.run(limit, min_size=2)
     if witness is not None:
         if not evaluate(witness, {}, f):
             raise RuntimeError("internal error: search witness fails re-evaluation")

@@ -5,9 +5,10 @@ with bit codes: one bit per ground atom, ordered predicate-major.  The
 evaluator computes a formula's truth over 2^20 structures at a time as a
 packed uint64 vector, which makes the brute-force oracles cheap enough to
 back every other module's tests.  The evaluator enumerates each
-quantifier block as written; `scope_minimized` rewrites a sentence once,
-before evaluation, so that its blocks are as narrow as possible, which
-changes cost, never truth values.
+quantifier block as written.  `ModelSearch` evaluates size 1 on the
+sentence itself, where every block has one binding, and builds the
+`scope_minimized` form, whose blocks are as narrow as possible, once for
+all larger sizes; that changes cost, never truth values.
 
 `Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
 and quantifier loops fold, stopping at a dominating one; a bool becomes
@@ -15,7 +16,7 @@ a vector only at the root.  A subformula whose free variables are a
 strict subset of those its parent varies is memoized under their
 values, so it is evaluated once per binding of its free variables, not
 once per binding of every enclosing quantifier.  Which subformulas
-qualify is computed once per formula and space; the memo holds at most
+qualify is computed once per formula and search; the memo holds at most
 `_MEMO_WORDS` words per chunk evaluation and, once full, is only read.
 """
 
@@ -81,15 +82,10 @@ class GroundSpace:
             self.valid_mask = np.uint64((1 << (1 << self.chunk_bits)) - 1)
         else:
             self.valid_mask = _ALL_ONES
-        self._plans: dict[int, tuple[S.Formula, dict]] = {}
-
-    @property
-    def n_const_maps(self) -> int:
-        return self.size ** len(self.const_names)
 
     @property
     def n_structures(self) -> int:
-        return self.n_const_maps * (1 << self.n_bits)
+        return self.size ** len(self.const_names) << self.n_bits
 
     def const_maps(self, canonical: bool = False) -> Iterator[dict[str, int]]:
         """Constant interpretations in lexicographic order.  With
@@ -97,16 +93,9 @@ class GroundSpace:
         is complete up to isomorphism when all structures over the
         remaining symbols are enumerated."""
         for combo in itertools.product(range(self.size), repeat=len(self.const_names)):
-            if canonical:
-                top = 0
-                ok = True
-                for idx in combo:
-                    if idx > top:
-                        ok = False
-                        break
-                    top = max(top, idx + 1)
-                if not ok:
-                    continue
+            # restricted growth: the indices first occur in the order 0, 1, 2, ...
+            if canonical and list(dict.fromkeys(combo)) != list(range(len(set(combo)))):
+                continue
             yield dict(zip(self.const_names, combo))
 
     def decode(self, cmap: dict[str, int], code: int) -> Structure:
@@ -140,22 +129,16 @@ class GroundSpace:
         cache[bit] = vec
         return vec
 
-    def eval_chunk(self, f: S.Formula, cmap: dict[str, int], chunk: int) -> np.ndarray:
+    def eval_chunk(
+        self, f: S.Formula, cmap: dict[str, int], chunk: int, plan: Optional[dict] = None
+    ) -> np.ndarray:
         """Truth of sentence f on every structure in the chunk, one bit
-        per structure code."""
-        out = _VecEval(self, cmap, chunk, self._plan(f)).eval(f, {})
+        per structure code.  `plan` is f's `_memo_plan`, built here when
+        not given."""
+        out = _VecEval(self, cmap, chunk, _memo_plan(f) if plan is None else plan).eval(f, {})
         if type(out) is bool:
             return np.full(self.n_words, self.valid_mask if out else 0, dtype=np.uint64)
         return out & self.valid_mask
-
-    def _plan(self, f: S.Formula) -> dict:
-        # one `_memo_plan(f)` per formula, reused across constant maps and
-        # chunks; keyed by id like the plan itself, and the entry holds f
-        # so that its id cannot be reused
-        entry = self._plans.get(id(f))
-        if entry is None:
-            entry = self._plans[id(f)] = (f, _memo_plan(f))
-        return entry[1]
 
     def first_true(self, vec: np.ndarray, chunk: int) -> Optional[int]:
         nz = np.nonzero(vec)[0]
@@ -194,11 +177,12 @@ class _VecEval:
             return env[t.name]
         return self.cmap[t.name]
 
-    def _bindings(self, g, env):
+    def _instances(self, g, env):
+        """Values of a quantifier's body under each binding of its block."""
         for combo in itertools.product(range(self.space.size), repeat=len(g.vars)):
             env2 = dict(env)
             env2.update(zip(g.vars, combo))
-            yield env2
+            yield self.eval(g.body, env2)
 
     def eval(self, g: S.Formula, env):
         marked = self.plan.get(id(g))
@@ -216,49 +200,34 @@ class _VecEval:
         return out
 
     def _eval(self, g: S.Formula, env):
-        if isinstance(g, S.Pred):
-            combo = tuple(self._resolve(t, env) for t in g.args)
-            bit = self.space.atom_index[(g.name, combo)]
-            return self.space._atom_vec(bit, self.chunk, self.cache)
-        if isinstance(g, S.Eq):
-            return self._resolve(g.left, env) == self._resolve(g.right, env)
-        if isinstance(g, S.Top):
+        rule = _RULES.get(type(g))
+        if rule is None:
+            raise TypeError(f"not a formula: {g!r}")
+        return rule(self, g, env)
+
+    def _pred(self, g: S.Pred, env):
+        bit = self.space.atom_index[(g.name, tuple(self._resolve(t, env) for t in g.args))]
+        return self.space._atom_vec(bit, self.chunk, self.cache)
+
+    def _implies(self, g: S.Implies, env):
+        left = self.eval(g.left, env)
+        if left is False:
             return True
-        if isinstance(g, S.Bottom):
-            return False
-        if isinstance(g, S.Not):
-            return _not(self.eval(g.sub, env))
-        if isinstance(g, S.And):
-            return _combine(True, (self.eval(p, env) for p in g.parts))
-        if isinstance(g, S.Or):
-            return _combine(False, (self.eval(p, env) for p in g.parts))
-        if isinstance(g, S.Implies):
-            left = self.eval(g.left, env)
-            if left is False:
-                return True
-            return _or(_not(left), self.eval(g.right, env))
-        if isinstance(g, S.Iff):
-            left = self.eval(g.left, env)
-            right = self.eval(g.right, env)
-            if type(left) is bool:
-                return right if left else _not(right)
-            if type(right) is bool:
-                return left if right else ~left
-            return ~(left ^ right)
-        if isinstance(g, (S.Forall, S.Exists)):
-            universal = isinstance(g, S.Forall)
-            return _combine(
-                universal, (self.eval(g.body, e) for e in self._bindings(g, env))
-            )
-        if isinstance(g, S.CountingExists):
-            return self._count(g, env)
-        raise TypeError(f"not a formula: {g!r}")
+        return _or(_not(left), self.eval(g.right, env))
+
+    def _iff(self, g: S.Iff, env):
+        left = self.eval(g.left, env)
+        right = self.eval(g.right, env)
+        if type(left) is bool:
+            return right if left else _not(right)
+        if type(right) is bool:
+            return left if right else ~left
+        return ~(left ^ right)
 
     def _count(self, g: S.CountingExists, env):
         # levels[i]: at least i witness tuples so far
         levels = [True] + [False] * g.n
-        for env2 in self._bindings(g, env):
-            v = self.eval(g.body, env2)
+        for v in self._instances(g, env):
             if v is False:
                 continue
             for i in range(g.n, 0, -1):
@@ -266,6 +235,23 @@ class _VecEval:
             if levels[g.n] is True:
                 return True
         return levels[g.n]
+
+
+# `_VecEval._eval` by node type
+_RULES = {
+    S.Pred: _VecEval._pred,
+    S.Eq: lambda ev, g, env: ev._resolve(g.left, env) == ev._resolve(g.right, env),
+    S.Top: lambda ev, g, env: True,
+    S.Bottom: lambda ev, g, env: False,
+    S.Not: lambda ev, g, env: _not(ev.eval(g.sub, env)),
+    S.And: lambda ev, g, env: _combine(True, (ev.eval(p, env) for p in g.parts)),
+    S.Or: lambda ev, g, env: _combine(False, (ev.eval(p, env) for p in g.parts)),
+    S.Implies: _VecEval._implies,
+    S.Iff: _VecEval._iff,
+    S.Forall: lambda ev, g, env: _combine(True, ev._instances(g, env)),
+    S.Exists: lambda ev, g, env: _combine(False, ev._instances(g, env)),
+    S.CountingExists: _VecEval._count,
+}
 
 
 def _not(a):
@@ -431,29 +417,47 @@ def enumerate_structures(sig: S.Signature, size: int) -> Iterator[Structure]:
             yield space.decode(cmap, code)
 
 
+class ModelSearch:
+    """Model search on one sentence, prepared once.  Size 1 evaluates the
+    sentence as written: every quantifier block has one binding there, so
+    scope minimization and memoization save nothing.  The scope-minimized
+    form and its memo plan are built on the first search at size 2 or
+    more and reused for every later size and call."""
+
+    def __init__(self, f: S.Formula):
+        if S.free_vars(f):
+            raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
+        self.f = f
+        self.sig = S.infer_signature(f)
+        self._reduced = None  # (scope-minimized form, its memo plan)
+
+    def run(self, max_size: int, min_size: int = 1) -> Optional[Structure]:
+        """`find_model` on the prepared sentence."""
+        for size in range(min_size, max_size + 1):
+            if size > 1 and self._reduced is None:
+                reduced = scope_minimized(self.f)
+                self._reduced = (reduced, _memo_plan(reduced))
+            g, plan = (self.f, {}) if size == 1 else self._reduced
+            space = GroundSpace(self.sig, size)
+            for cmap in space.const_maps(canonical=True):
+                for chunk in range(space.n_chunks):
+                    code = space.first_true(space.eval_chunk(g, cmap, chunk, plan), chunk)
+                    if code is not None:
+                        witness = space.decode(cmap, code)
+                        if not evaluate(witness, {}, self.f):
+                            raise RuntimeError(
+                                "internal error: packed evaluation disagrees with "
+                                "the reference evaluator on the returned witness"
+                            )
+                        return witness
+        return None
+
+
 def find_model(f: S.Formula, max_size: int = 4, min_size: int = 1) -> Optional[Structure]:
     """First structure (sizes min_size..max_size, canonical enumeration
     order) satisfying the sentence, or None.  Constants are pinned to
     canonical universe prefixes, which is complete up to isomorphism."""
-    if S.free_vars(f):
-        raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
-    sig = S.infer_signature(f)
-    reduced = scope_minimized(f)
-    for size in range(min_size, max_size + 1):
-        space = GroundSpace(sig, size)
-        for cmap in space.const_maps(canonical=True):
-            for chunk in range(space.n_chunks):
-                vec = space.eval_chunk(reduced, cmap, chunk)
-                code = space.first_true(vec, chunk)
-                if code is not None:
-                    witness = space.decode(cmap, code)
-                    if not evaluate(witness, {}, f):
-                        raise RuntimeError(
-                            "internal error: packed evaluation disagrees with "
-                            "the reference evaluator on the returned witness"
-                        )
-                    return witness
-    return None
+    return ModelSearch(f).run(max_size, min_size)
 
 
 @dataclass(frozen=True)
@@ -486,20 +490,18 @@ def equivalent_upto(
     reported; exceeding the structure budget, counted over all constant
     maps, raises.
     """
-    sig = S.infer_signature(g, S.infer_signature(f))
     fv = sorted(S.free_vars(f) | S.free_vars(g))
-    var_consts = {}
-    fresh = S.FreshNames(set(sig.constants) | set(fv))
-    for v in fv:
-        var_consts[v] = fresh.fresh(f"{v}_val")
+    fresh = S.FreshNames(S.constants_of(f) | S.constants_of(g) | set(fv))
+    var_consts = {v: fresh.fresh(f"{v}_val") for v in fv}
     if var_consts:
         binding = {v: S.Const(c) for v, c in var_consts.items()}
         f = S.substitute(f, binding)
         g = S.substitute(g, binding)
-        sig = S.infer_signature(g, S.infer_signature(f))
+    sig = S.infer_signature(g, S.infer_signature(f))
 
     fr = scope_minimized(f)
     gr = scope_minimized(g)
+    fplan, gplan = _memo_plan(fr), _memo_plan(gr)
     spent = 0
     for m in range(1, size + 1):
         space = GroundSpace(sig, m)
@@ -513,8 +515,8 @@ def equivalent_upto(
             )
         for cmap in space.const_maps(canonical=True):
             for chunk in range(space.n_chunks):
-                va = space.eval_chunk(fr, cmap, chunk)
-                vb = space.eval_chunk(gr, cmap, chunk)
+                va = space.eval_chunk(fr, cmap, chunk, fplan)
+                vb = space.eval_chunk(gr, cmap, chunk, gplan)
                 code = space.first_true(va ^ vb, chunk)
                 if code is None:
                     continue
@@ -523,9 +525,7 @@ def equivalent_upto(
                     v: witness.constants[c] for v, c in var_consts.items()
                 }
                 consts = {
-                    c: e
-                    for c, e in witness.constants.items()
-                    if c not in set(var_consts.values())
+                    c: e for c, e in witness.constants.items() if c not in var_consts.values()
                 }
                 local = code - (chunk << space.chunk_bits)
                 left_true = bool((int(va[local >> 6]) >> (local & 63)) & 1)

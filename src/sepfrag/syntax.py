@@ -44,6 +44,7 @@ type stay hand-written: the evaluators, the printer, `free_vars`,
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
@@ -1129,11 +1130,13 @@ def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tupl
                 out.extend(clauses(p))
                 check(len(out))
             return out
-        # "|": distribute over the conjunctions of the parts
+        # "|": distribute over the conjunctions of the parts, once every
+        # running product of their clause counts is within budget
+        pcls = [clauses(p) for p in parts]
+        for n in itertools.accumulate(map(len, pcls), operator.mul):
+            check(n)
         out = [frozenset()]
-        for p in parts:
-            pcl = clauses(p)
-            check(len(out) * len(pcl))
+        for pcl in pcls:
             out = [a | b for a in out for b in pcl]
         return out
 

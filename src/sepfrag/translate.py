@@ -160,15 +160,9 @@ class _Units:
         return key
 
 
-def _dedup_conjuncts(conjs, units: Optional[_Units] = None):
-    seen = set()
-    out = []
-    for c in conjs:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-        elif units is not None:
-            units.dedup_hits += 1
+def _dedup_conjuncts(conjs, units: _Units):
+    out = list(dict.fromkeys(conjs))
+    units.dedup_hits += len(conjs) - len(out)
     return out
 
 
@@ -444,6 +438,35 @@ def to_bsr(
     n_lead = len(leading) + len(exi)
     stats = _stats(n_lead, len(uni_names), units.dedup_hits, strategy, bound)
     return BsrSentence(tuple(leading) + exi, tuple(uni_names), matrix, stats)
+
+
+def bsr_leading_count(
+    sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
+) -> int:
+    """`len(to_bsr(sf, caps).leading)` for a separated sentence not in BSR
+    form, raising what `to_bsr` raises, without building the matrix.  An
+    existential unit takes one prefix slot per quantified variable: the
+    factored strategy shares one prefix among the terms, the direct one
+    gives every unit occurrence its own."""
+    conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
+    memo: dict[int, int] = {}  # id -> slots; `units` keeps every node alive
+
+    def slots(g) -> int:
+        n = memo.get(id(g))
+        if n is None:
+            t = type(g)
+            if t is S.Forall or t is S.Exists:
+                n = len(g.vars) + slots(g.body)
+            else:
+                n = sum(map(slots, g.parts)) if t is S.And or t is S.Or else 0
+            memo[id(g)] = n
+        return n
+
+    own = {k: slots(u) for k, u in units.by_key.items() if isinstance(u, S.Exists)}
+    terms = _distribute(conjs, dnf_term_cap)
+    if terms is None:
+        return len(leading) + sum(own.get(k, 0) for c in conjs for k in c)
+    return len(leading) + max((sum(own.get(k, 0) for k in t) for t in terms), default=0)
 
 
 def _stats(n_lead, n_uni, dedup, strategy, bound: analysis.TetrationExpr) -> BsrStats:

@@ -198,6 +198,22 @@ def test_decide_clause_budget():
         decide_sat(f)
 
 
+def test_decide_clause_budget_checked_before_the_product():
+    # 21 two-clause disjuncts: 2^21 clauses; the budget is checked on the
+    # clause counts, before the product is built
+    import tracemalloc
+
+    f, _ = parse_formula(" | ".join(f"(P(a{i}) <-> Q(a{i}))" for i in range(21)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClauseBudgetExceeded):
+            decide_sat(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
 # --- the SAT solver -----------------------------------------------------------
 
 def truth_table_sat(c: PropCnf):
@@ -478,18 +494,20 @@ def _bound_first(f, max_size):
 def test_decide_matches_bound_first_route(monkeypatch):
     # the size-1 probe changes when the translation runs, not what is
     # searched or answered
-    from sepfrag import decide, translate
+    from sepfrag import translate
+    from sepfrag.search import ModelSearch
 
     searched, translations = [], [0]
-    real_find, real_to_bsr = decide.find_model, translate.to_bsr
+    real_run, real_pushed = ModelSearch.run, translate._pushed
 
-    def find(f, max_size=4, min_size=1):
+    def run(self, max_size, min_size=1):
         searched.extend(range(min_size, max_size + 1))
-        return real_find(f, max_size=max_size, min_size=min_size)
+        return real_run(self, max_size, min_size)
 
-    def to_bsr(*args, **kwargs):
+    def pushed(*args, **kwargs):
+        # the block pushing that every translation route starts with
         translations[0] += 1
-        return real_to_bsr(*args, **kwargs)
+        return real_pushed(*args, **kwargs)
 
     rng = random.Random(41)
     kinds = {"size 1": 0, "size 2+": 0, "unsat": 0, "inconclusive": 0}
@@ -501,8 +519,8 @@ def test_decide_matches_bound_first_route(monkeypatch):
         searched.clear()
         translations[0] = 0
         with monkeypatch.context() as m:
-            m.setattr(decide, "find_model", find)
-            m.setattr(translate, "to_bsr", to_bsr)
+            m.setattr(ModelSearch, "run", run)
+            m.setattr(translate, "_pushed", pushed)
             v = decide_sat(f, DecideConfig(max_model_size=3))
         assert (v.status, v.structure) == (status, witness), print_formula(f)
         if status == "sat" and len(witness.universe) == 1:
@@ -514,6 +532,40 @@ def test_decide_matches_bound_first_route(monkeypatch):
             assert sorted(searched) == list(range(1, v.details["search_limit"] + 1))
             assert v.details == details, print_formula(f)
     assert min(kinds.values()) >= 5, kinds
+
+
+def test_decide_prepares_the_search_once(monkeypatch):
+    # size 1 is searched as written; sizes 2 and up share one
+    # scope-minimized form and one memo plan
+    from sepfrag import search
+
+    calls = {"scope_minimized": 0, "_memo_plan": 0}
+    for name in calls:
+        real = getattr(search, name)
+
+        def counted(f, real=real, name=name):
+            calls[name] += 1
+            return real(f)
+
+        monkeypatch.setattr(search, name, counted)
+    rng = random.Random(43)
+    kinds = {"size 1": 0, "searched past size 1": 0}
+    for _ in range(200):
+        f, _ = random_sf_sentence(rng, max_blocks=3, with_eq=True)
+        if not S.to_standard_form(f).universal_vars:
+            continue
+        for name in calls:
+            calls[name] = 0
+        v = decide_sat(f, DecideConfig(max_model_size=3))
+        if v.structure is not None and len(v.structure.universe) == 1:
+            kind, want = "size 1", 0
+        else:
+            want = int(v.details["search_limit"] >= 2)
+            kind = "searched past size 1" if want else None
+        assert calls == {"scope_minimized": want, "_memo_plan": want}, print_formula(f)
+        if kind:
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_decide_krom_with_equality_routed_away():

@@ -267,10 +267,45 @@ def test_memo_budget_leaves_vectors_unchanged(monkeypatch):
     sizes = []
     for words in (3 * (search._ENTRY_WORDS + 1), 1 << 40):
         monkeypatch.setattr(search, "_MEMO_WORDS", words)
-        ev = search._VecEval(space, {}, 0, space._plan(f))
+        ev = search._VecEval(space, {}, 0, search._memo_plan(f))
         ev.eval(f, {})
         sizes.append(len(ev.memo))
     assert sizes[0] == 3 < sizes[1]
+
+
+def test_packed_engine_rejects_non_formulas():
+    from sepfrag.search import _VecEval
+
+    space = GroundSpace(S.Signature({"P": 1}, set()), 1)
+    for bad in (S.Var("x"), "P(x)", None):
+        with pytest.raises(TypeError):
+            _VecEval(space, {}, 0, {}).eval(S.Not(bad), {})
+
+
+def test_memo_plan_once_per_formula_per_call(monkeypatch):
+    # whatever the number of sizes searched or compared
+    from sepfrag import search
+
+    planned = []
+    real = search._memo_plan
+
+    def counted(f):
+        planned.append(f)
+        return real(f)
+
+    monkeypatch.setattr(search, "_memo_plan", counted)
+    rng = random.Random(47)
+    past_size_two = 0
+    for _ in range(60):
+        f, _ = random_sentence(rng, with_eq=True)
+        planned.clear()
+        m = find_model(f, max_size=3)
+        assert len(planned) == (0 if m is not None and len(m.universe) == 1 else 1)
+        past_size_two += m is None or len(m.universe) == 3
+        planned.clear()
+        search.equivalent_upto(f, S.Not(f), 3, budget=10**9)
+        assert len(planned) == 2
+    assert past_size_two >= 5
 
 
 def test_equivalent_upto_matches_full_enumeration():

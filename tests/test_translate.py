@@ -3,7 +3,8 @@ import random
 import pytest
 
 from sepfrag import syntax as S
-from sepfrag.errors import EmptyIndexSet, NotSF, BoundVariableInResidue
+from sepfrag import analysis
+from sepfrag.errors import BoundVariableInResidue, BudgetExceeded, EmptyIndexSet, NotSF
 from sepfrag.generators import generate_hard_family
 from sepfrag.search import equivalent_upto
 from sepfrag.syntax import parse_formula, print_formula, to_standard_form
@@ -12,6 +13,7 @@ from sepfrag.translate import (
     SelectionInstance,
     _flatten_unit,
     _minimize_terms,
+    bsr_leading_count,
     expand_selections,
     push_quantifiers,
     to_bsr,
@@ -202,6 +204,38 @@ def test_to_bsr_random_corpus():
         assert equivalent_upto(f, b.to_formula(), 3).equal
         if b.stats.bound_exact is not None:
             assert b.stats.leading_existentials <= b.stats.bound_exact
+
+
+def test_bsr_leading_count_matches_to_bsr():
+    # the count-only path gives to_bsr's prefix length, or raises the same
+    # budget error, under every strategy; small caps reach the direct
+    # strategy and every budget
+    rng = random.Random(29)
+    seen, grown = {}, 0
+    for _ in range(300):
+        f, _ = random_sf_sentence(rng, max_blocks=3, max_atoms=5, with_eq=True)
+        sf = to_standard_form(f)
+        if not analysis.is_sf(sf) or analysis.is_bsr(sf):
+            continue
+        caps = dict(
+            selection_cap=rng.choice((8, 2000)),
+            conjunct_cap=rng.choice((16, 2000)),
+            clause_budget=rng.choice((8, 2000, 2000, 2000)),
+            dnf_term_cap=rng.choice((2, 8, 512)),
+        )
+        try:
+            b = to_bsr(sf, **caps)
+        except BudgetExceeded as e:
+            with pytest.raises(type(e)) as raised:
+                bsr_leading_count(sf, **caps)
+            assert type(raised.value) is type(e)
+            kind = type(e).__name__
+        else:
+            assert bsr_leading_count(sf, **caps) == len(b.leading), print_formula(f)
+            kind = b.stats.strategy
+            grown += len(b.leading) > len(sf.leading)
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 4 and min(seen.values()) >= 5 and grown >= 100, (seen, grown)
 
 
 def test_bsr_stats_repr_with_huge_exact_bound():

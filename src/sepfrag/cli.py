@@ -38,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_formula(args) -> S.Formula:
     if getattr(args, "file", None):
-        text = open(args.file, "r", encoding="utf-8").read()
+        with open(args.file, "r", encoding="utf-8") as fh:
+            text = fh.read()
     elif args.formula == "-":
         text = sys.stdin.read()
     elif args.formula is not None:
@@ -61,6 +62,18 @@ def _read_formula_arg(value: str) -> S.Formula:
             pass
     f, _ = S.parse_formula(value)
     return f
+
+
+def _count(low: int):
+    """argparse type: an integer of at least `low`; below it is a usage error."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return count
 
 
 def _emit(args, data: dict, text: str):
@@ -88,7 +101,7 @@ def build_parser() -> _Parser:
 
     d = sub.add_parser("decide", help="decide satisfiability")
     _add_formula_args(d)
-    d.add_argument("--max-size", type=int, default=5)
+    d.add_argument("--max-size", type=_count(0), default=5)
     d.add_argument("--emit-model", help="write a SAT witness as structure JSON")
 
     g = sub.add_parser("gen", help="benchmark generators")
@@ -125,7 +138,7 @@ def build_parser() -> _Parser:
     q = sub.add_parser("equiv", help="exhaustive bounded equivalence check")
     q.add_argument("left", help="formula or file")
     q.add_argument("right", help="formula or file")
-    q.add_argument("--up-to", type=int, default=3)
+    q.add_argument("--up-to", type=_count(1), default=3)
     q.add_argument("--format", choices=("json", "text"), default="json")
     return p
 

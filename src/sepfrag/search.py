@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import syntax as S
-from .errors import BudgetExceeded, NotASentence
+from .errors import BadParams, BudgetExceeded, NotASentence
 from .semantics import Structure, evaluate
 
 _CHUNK_BITS = 20
@@ -488,8 +488,10 @@ def equivalent_upto(
     the canonical map is the lex-least of its orbit, so the first
     disagreement is the one a full enumeration would meet first.  It is
     reported; exceeding the structure budget, counted over all constant
-    maps, raises.
+    maps, raises.  A size below 1 compares nothing and raises BadParams.
     """
+    if size < 1:
+        raise BadParams(f"equivalence check needs size >= 1, got {size}")
     fv = sorted(S.free_vars(f) | S.free_vars(g))
     fresh = S.FreshNames(S.constants_of(f) | S.constants_of(g) | set(fv))
     var_consts = {v: fresh.fresh(f"{v}_val") for v in fv}

@@ -587,7 +587,7 @@ class _Parser:
     """Recursive descent over the token strings, with "" for the end of
     input.  Positions are computed only for a ParseError."""
 
-    def __init__(self, text: str, sig_hint: Optional[Signature]):
+    def __init__(self, text: str):
         toks = list(map(sys.intern, _TOKEN_RE.findall(text)))
         if any(map(_is_bad, set(toks))):
             i = next(m.start() for m in _TOKEN_RE.finditer(text) if _is_bad(m.group()))
@@ -596,7 +596,7 @@ class _Parser:
         self.text = text
         self.toks = toks
         self.i = 0
-        self.sig = sig_hint.copy() if sig_hint is not None else Signature()
+        self.sig = Signature()
         self.bound: frozenset[str] = frozenset()  # names in scope
         self.consts: dict[str, Const] = {}  # one node per constant
         self.binders: list[str] = []  # every binder name, repeats included
@@ -743,14 +743,14 @@ class _Parser:
         return Pred(name, tuple(args))
 
 
-def parse_formula(text: str, sig_hint: Optional[Signature] = None):
+def parse_formula(text: str):
     """Parse the concrete syntax; returns (formula, inferred signature).
 
     Binders are alpha-renamed so that no name is bound twice and no name
     is both free and bound; `rename_apart` runs only when a binder name
     repeats or is also a constant.
     """
-    p = _Parser(text, sig_hint)
+    p = _Parser(text)
     f = p.formula()
     if p.toks[p.i]:
         p.fail("end of input")

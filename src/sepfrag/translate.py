@@ -21,6 +21,10 @@ interns each of its units once: a selection body of an existential block,
 or the universal part of a conjunct, is interned the first time it
 appears in the block, and every repeat counts as a dedup hit.  A new unit
 takes its free variables from its interned parts.
+
+One plan (`_plan`) gives both the prefix length that `bsr_leading_count`
+returns and the sentence that `to_bsr` builds, whose prefix is allocated
+from that count before any unit is instantiated.
 """
 
 from __future__ import annotations
@@ -294,15 +298,14 @@ class BsrSentence:
         return S.is_quantifier_free(self.matrix)
 
 
-def _flatten_unit(f, alloc_names, cursor, fresh):
+def _flatten_unit(f, names):
     """Instantiate a quantified unit with prefix variables, flattening
     nested blocks of the same kind in one walk.  Returns the
-    quantifier-free matrix; `cursor` tracks consumed prefix slots and
-    `alloc_names` is extended (via `fresh`) when the prefix runs out.
+    quantifier-free matrix; each quantified variable takes the next name
+    of the iterator `names`, in pre-order.
 
-    Quantifiers take prefix slots in pre-order.  The renaming is carried
-    down the walk; the prefix names are fresh against every name of the
-    unit, so no binder inside can capture one."""
+    The renaming is carried down the walk; the prefix names are fresh
+    against every name of the unit, so no binder inside can capture one."""
 
     def term(t, env):
         return env.get(t.name, t) if type(t) is S.Var else t
@@ -312,10 +315,7 @@ def _flatten_unit(f, alloc_names, cursor, fresh):
         if t is S.Forall or t is S.Exists:
             env = dict(env)
             for v in g.vars:
-                if len(alloc_names) <= cursor[0]:
-                    alloc_names.append(fresh(alloc_names))
-                env[v] = S.Var(alloc_names[cursor[0]])
-                cursor[0] += 1
+                env[v] = S.Var(next(names))
             return walk(g.body, env)
         if t is S.And:
             return S.conj([walk(p, env) for p in g.parts])
@@ -348,106 +348,13 @@ def _minimize_terms(terms):
     return kept
 
 
-def to_bsr(
-    sf: S.StandardForm,
-    selection_cap: int = DEFAULT_SELECTION_CAP,
-    conjunct_cap: int = DEFAULT_CONJUNCT_CAP,
-    clause_budget: int = S.DEFAULT_CLAUSE_BUDGET,
-    dnf_term_cap: int = DEFAULT_DNF_CAP,
-) -> BsrSentence:
-    """Full translation to an equivalent exists*forall* sentence.
-
-    After pushing the blocks inward, the conjunction of unit-disjunctions
-    is distributed into a disjunction of unit sets (with absorption),
-    existential units are instantiated against a single prefix shared by
-    all disjuncts, and universal units are hoisted with fresh variables.
-    When distribution exceeds `dnf_term_cap` the conjunction shape is kept
-    and every unit occurrence gets its own prefix variables instead.
-    """
-    # fast path: already exists*forall*
-    if analysis.is_bsr(sf):
-        if not analysis.is_sf(sf):
-            raise NotSF("translation applies to separated sentences only")
-        uni = sf.blocks[0][0] if sf.blocks else ()
-        rep = analysis.bounds(sf)
-        b = rep.translation_existentials
-        return BsrSentence(
-            sf.leading,
-            tuple(uni),
-            sf.matrix,
-            _stats(len(sf.leading), len(uni), 0, "direct", b),
-        )
-
-    conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
-    bound = analysis.bounds(sf).translation_existentials
-
-    terms = _distribute(conjs, dnf_term_cap)
-    fresh = S.FreshNames(set(leading) | S.constants_of(sf.matrix) | units.names)
-    uni_names: list[str] = []
-    exi_names: list[str] = []
-
-    def fresh_uni(_alloc):
-        # universal occurrences never share variables
-        name = fresh.fresh(f"v{len(uni_names) + 1}")
-        uni_names.append(name)
-        return name
-
-    def fresh_exi_shared(alloc):
-        # alloc is exi_names itself; _flatten_unit does the append
-        return fresh.fresh(f"u{len(alloc) + 1}")
-
-    def fresh_exi_own(_alloc):
-        name = fresh.fresh(f"u{len(exi_names) + 1}")
-        exi_names.append(name)
-        return name
-
-    if terms is not None:
-        # one existential prefix shared by all disjuncts; each disjunct
-        # instantiates an initial slice of it
-        disjuncts = []
-        for t in terms:
-            cursor = [0]
-            parts = []
-            for key in sorted(t):
-                u = units.by_key[key]
-                if isinstance(u, S.Exists):
-                    parts.append(_flatten_unit(u, exi_names, cursor, fresh_exi_shared))
-                else:
-                    parts.append(_flatten_unit(u, [], [0], fresh_uni))
-            disjuncts.append(S.conj(parts))
-        matrix = S.disj(disjuncts)
-        strategy = "factored"
-    else:
-        # conjunction kept; every unit occurrence gets its own variables
-        conj_parts = []
-        for c in conjs:
-            lits = []
-            for key in sorted(c):
-                u = units.by_key[key]
-                if isinstance(u, S.Exists):
-                    lits.append(_flatten_unit(u, [], [0], fresh_exi_own))
-                elif isinstance(u, S.Forall):
-                    lits.append(_flatten_unit(u, [], [0], fresh_uni))
-                else:
-                    lits.append(u)
-            conj_parts.append(S.disj(lits))
-        matrix = S.conj(conj_parts)
-        strategy = "direct"
-    exi = tuple(exi_names)
-
-    n_lead = len(leading) + len(exi)
-    stats = _stats(n_lead, len(uni_names), units.dedup_hits, strategy, bound)
-    return BsrSentence(tuple(leading) + exi, tuple(uni_names), matrix, stats)
-
-
-def bsr_leading_count(
-    sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
-) -> int:
-    """`len(to_bsr(sf, caps).leading)` for a separated sentence not in BSR
-    form, raising what `to_bsr` raises, without building the matrix.  An
-    existential unit takes one prefix slot per quantified variable: the
-    factored strategy shares one prefix among the terms, the direct one
-    gives every unit occurrence its own."""
+def _plan(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap):
+    """The BSR plan of a separated sentence not in BSR form, raising what
+    `to_bsr` raises: (conjuncts, units, leading, terms, n_exi), with the
+    minimal DNF terms (None past `dnf_term_cap`) and the number of
+    existential prefix slots.  An existential unit takes one slot per
+    quantified variable: the factored strategy shares one prefix among the
+    terms, the direct one gives every unit occurrence its own."""
     conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
     memo: dict[int, int] = {}  # id -> slots; `units` keeps every node alive
 
@@ -465,8 +372,91 @@ def bsr_leading_count(
     own = {k: slots(u) for k, u in units.by_key.items() if isinstance(u, S.Exists)}
     terms = _distribute(conjs, dnf_term_cap)
     if terms is None:
-        return len(leading) + sum(own.get(k, 0) for c in conjs for k in c)
-    return len(leading) + max((sum(own.get(k, 0) for k in t) for t in terms), default=0)
+        n_exi = sum(own.get(k, 0) for c in conjs for k in c)
+    else:
+        n_exi = max((sum(own.get(k, 0) for k in t) for t in terms), default=0)
+    return conjs, units, leading, terms, n_exi
+
+
+def _numbered(fresh: S.FreshNames, base: str, taken: list):
+    """Fresh names base1, base2, ... on demand, each recorded in `taken`."""
+    for i in itertools.count(1):
+        taken.append(fresh.fresh(f"{base}{i}"))
+        yield taken[-1]
+
+
+def to_bsr(
+    sf: S.StandardForm,
+    selection_cap: int = DEFAULT_SELECTION_CAP,
+    conjunct_cap: int = DEFAULT_CONJUNCT_CAP,
+    clause_budget: int = S.DEFAULT_CLAUSE_BUDGET,
+    dnf_term_cap: int = DEFAULT_DNF_CAP,
+) -> BsrSentence:
+    """Full translation to an equivalent exists*forall* sentence.
+
+    After pushing the blocks inward, the conjunction of unit-disjunctions
+    is distributed into a disjunction of unit sets (with absorption),
+    existential units are instantiated against a single prefix shared by
+    all disjuncts, and universal units are hoisted with fresh variables.
+    When distribution exceeds `dnf_term_cap` the conjunction shape is kept
+    and every unit occurrence gets its own prefix variables instead.  The
+    prefix is allocated from the count of the plan `bsr_leading_count` reads.
+    """
+    # fast path: already exists*forall*
+    if analysis.is_bsr(sf):
+        if not analysis.is_sf(sf):
+            raise NotSF("translation applies to separated sentences only")
+        uni = sf.blocks[0][0] if sf.blocks else ()
+        rep = analysis.bounds(sf)
+        b = rep.translation_existentials
+        return BsrSentence(
+            sf.leading,
+            tuple(uni),
+            sf.matrix,
+            _stats(len(sf.leading), len(uni), 0, "direct", b),
+        )
+
+    conjs, units, leading, terms, n_exi = _plan(
+        sf, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
+    )
+    bound = analysis.bounds(sf).translation_existentials
+
+    # u and v names never collide, so no name depends on the order of allocation
+    fresh = S.FreshNames(set(leading) | S.constants_of(sf.matrix) | units.names)
+    exi = tuple(fresh.fresh(f"u{i}") for i in range(1, n_exi + 1))
+    uni: list[str] = []
+    uni_names = _numbered(fresh, "v", uni)  # universal occurrences never share variables
+
+    def flat(keys, connect, exi_names):
+        us = [units.by_key[k] for k in sorted(keys)]
+        return connect([
+            _flatten_unit(u, exi_names if isinstance(u, S.Exists) else uni_names) for u in us
+        ])
+
+    if terms is not None:
+        # one existential prefix shared by all disjuncts; each disjunct
+        # instantiates an initial slice of it
+        matrix = S.disj([flat(t, S.conj, iter(exi)) for t in terms])
+        strategy = "factored"
+    else:
+        # conjunction kept; every unit occurrence gets its own variables
+        exi_names = iter(exi)
+        matrix = S.conj([flat(c, S.disj, exi_names) for c in conjs])
+        strategy = "direct"
+
+    n_lead = len(leading) + n_exi
+    stats = _stats(n_lead, len(uni), units.dedup_hits, strategy, bound)
+    return BsrSentence(tuple(leading) + exi, tuple(uni), matrix, stats)
+
+
+def bsr_leading_count(
+    sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
+) -> int:
+    """`len(to_bsr(sf, caps).leading)` for a separated sentence not in BSR
+    form, read off the plan that `to_bsr` builds its sentence from, without
+    building the matrix; raises what `to_bsr` raises."""
+    _, _, leading, _, n_exi = _plan(sf, selection_cap, conjunct_cap, clause_budget, dnf_term_cap)
+    return len(leading) + n_exi
 
 
 def _stats(n_lead, n_uni, dedup, strategy, bound: analysis.TetrationExpr) -> BsrStats:

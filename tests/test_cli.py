@@ -211,6 +211,40 @@ def test_usage_error_exit_64():
     assert e.value.code == 64
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equiv", "--up-to", "0", "P(a)", "~P(a)"],
+        ["equiv", "--up-to", "-1", "P(a)", "P(a)"],
+        ["decide", "--max-size", "-3", "forall x. P(x)"],
+    ],
+    ids=["up-to-0", "up-to-negative", "max-size-negative"],
+)
+def test_out_of_range_size_is_a_usage_error(capsys, argv):
+    # nothing would be compared or searched, so no verdict may be printed
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 64
+    assert capsys.readouterr().out == ""
+
+
+def test_decide_max_size_zero_is_inconclusive(capsys):
+    code, out = run_capture(capsys, ["decide", "--max-size", "0", "forall x. P(x)"])
+    assert code == 2
+    assert json.loads(out)["details"]["search_limit"] == 0
+
+
+@pytest.mark.parametrize("command", ["check", "decide"])
+def test_file_option_reads_and_closes_the_file(tmp_path, capsys, command):
+    # an unclosed file would raise a ResourceWarning, an error under the
+    # test settings
+    path = tmp_path / "f.fol"
+    path.write_text("forall x. exists y. P(x) | Q(y)")
+    code, out = run_capture(capsys, [command, "--file", str(path)])
+    assert code == 0
+    assert json.loads(out)
+
+
 def test_parse_error_exit_3(capsys):
     assert run(["check", "forall . P(c)"]) == 3
 

@@ -363,6 +363,17 @@ def test_equivalent_upto_budget():
         equivalent_upto(f, S.Not(S.Not(f)), 3, budget=1000)
 
 
+@pytest.mark.parametrize("size", [0, -2])
+def test_equivalent_upto_rejects_sizes_below_one(size):
+    # no structure would be compared, so "equal" would be unchecked
+    from sepfrag.errors import BadParams
+    from sepfrag.search import equivalent_upto
+
+    f, _ = parse_formula("P(a)")
+    with pytest.raises(BadParams):
+        equivalent_upto(f, S.Not(f), size)
+
+
 def test_scope_minimization_preserves_truth():
     from sepfrag.search import scope_minimized
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -251,28 +252,33 @@ def test_bsr_stats_repr_with_huge_exact_bound():
 
 # The BsrStats of a few fixed translations, recorded before each block
 # interned its units once.  dedup_count includes every unit a block repeats,
-# so a memo that stops counting its hits changes it.
+# so a memo that stops counting its hits changes it.  The SHA-1 of the
+# printed sentence was recorded before the prefix was allocated from the
+# plan's count: the stats and every equivalence test pass on a sentence
+# whose prefix names are permuted, the digest does not.
 TWO_BLOCK = (
     "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
 )
 PINNED_STATS = [
-    (TWO_BLOCK, (19, 4, 6, "factored")),
-    (22, (3, 3, 72, "factored")),
-    (33, (7, 4, 51, "factored")),
-    (710, (142, 14, 13, "direct")),
+    (TWO_BLOCK, (19, 4, 6, "factored"), "ea9b210ed1f2a94c94ddc4bb044525dfc0bfe7cd"),
+    (22, (3, 3, 72, "factored"), "21319807199a93e960d143dadd2b81762749840d"),
+    (33, (7, 4, 51, "factored"), "39abf7183f006c437c1fb3c21e15fe3bab676be7"),
+    (710, (142, 14, 13, "direct"), "d28b5990a5785a34ca46f3df8bf8aed7dba4794f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "source, expected", PINNED_STATS, ids=["two-block", "draw22", "draw33", "draw710"]
+    "source, expected, digest", PINNED_STATS, ids=["two-block", "draw22", "draw33", "draw710"]
 )
-def test_to_bsr_pinned_stats(source, expected):
+def test_to_bsr_pinned_stats(source, expected, digest):
     if isinstance(source, str):
         f, _ = parse_formula(source)
     else:
         f, _ = random_sf_sentence(random.Random(source), max_blocks=3, max_atoms=5, with_eq=True)
-    st = to_bsr(to_standard_form(f)).stats
+    bsr = to_bsr(to_standard_form(f))
+    st = bsr.stats
     assert (st.leading_existentials, st.universal_count, st.dedup_count, st.strategy) == expected
+    assert hashlib.sha1(print_formula(bsr.to_formula()).encode()).hexdigest() == digest
 
 
 # --- absorption ----------------------------------------------------------------
@@ -348,21 +354,22 @@ def test_flatten_unit_matches_substitution_per_level():
         used = set()
         for u in units:
             used |= S.all_var_names(u) | S.constants_of(u)
-        start = ["u1"] if rng.random() < 0.5 else []
-        results = []
-        for flatten in (_flatten_unit, _flatten_by_substitution):
-            fresh = S.FreshNames(used)
-            alloc = list(start)
-            cursor = [0]
-            # consecutive units share one prefix, as in one factored disjunct
-            trees = [flatten(u, alloc, cursor, lambda a: fresh.fresh(f"u{len(a) + 1}")) for u in units]
-            results.append((trees, alloc, cursor))
-        assert results[0] == results[1]
+        fresh = S.FreshNames(used)
+        alloc = ["u1"] if rng.random() < 0.5 else []
+        cursor = [0]
+        # consecutive units share one prefix, as in one factored disjunct
+        expected = [
+            _flatten_by_substitution(u, alloc, cursor, lambda a: fresh.fresh(f"u{len(a) + 1}"))
+            for u in units
+        ]
+        prefix = iter(alloc)
+        assert [_flatten_unit(u, prefix) for u in units] == expected
+        # the walk took exactly the reference's first cursor[0] names, in order
+        assert list(prefix) == alloc[cursor[0]:]
 
 
 def test_flatten_unit_rejects_unexpected_shape():
     p, q = atom("P", "y"), atom("Q", "y")
-    fresh = S.FreshNames({"y"})
     for bad in (S.Exists(("y",), S.Implies(p, q)), S.Iff(p, q)):
         with pytest.raises(NotSF):
-            _flatten_unit(bad, [], [0], lambda a: fresh.fresh("u"))
+            _flatten_unit(bad, iter(["u"]))

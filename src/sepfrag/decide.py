@@ -24,7 +24,7 @@ from typing import Optional
 from . import analysis
 from . import syntax as S
 from . import translate
-from .errors import BudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
+from .errors import BadParams, BudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
 from .search import ModelSearch, find_model  # noqa: F401  (bench/tracer.py wraps it)
 from .semantics import Structure, evaluate
 from .generators import expand_counting
@@ -404,9 +404,12 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     translation to BSR form runs only when size 1 has none.  The search
     then goes on up to min(size bound, cfg.max_model_size) on a form
     prepared once, returning an inconclusive verdict carrying the bound
-    when the search space was not exhausted.
+    when the search space was not exhausted.  A negative
+    cfg.max_model_size raises BadParams.
     """
     cfg = cfg or DecideConfig()
+    if cfg.max_model_size < 0:
+        raise BadParams(f"model search needs max_model_size >= 0, got {cfg.max_model_size}")
     expanded = expand_counting(f).formula
     sf = S.to_standard_form(expanded)
     if not sf.universal_vars:
@@ -426,7 +429,8 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     if witness is None and limit >= 2:
         witness = models.run(limit, min_size=2)
     if witness is not None:
-        if not evaluate(witness, {}, f):
+        # the search re-checked it against `expanded`, which is f unless f counts
+        if expanded is not f and not evaluate(witness, {}, f):
             raise RuntimeError("internal error: search witness fails re-evaluation")
         return SatVerdict("sat", structure=witness, details=details)
     if bound is not None and bound <= cfg.max_model_size:

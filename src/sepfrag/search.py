@@ -5,10 +5,13 @@ with bit codes: one bit per ground atom, ordered predicate-major.  The
 evaluator computes a formula's truth over 2^20 structures at a time as a
 packed uint64 vector, which makes the brute-force oracles cheap enough to
 back every other module's tests.  The evaluator enumerates each
-quantifier block as written.  `ModelSearch` evaluates size 1 on the
-sentence itself, where every block has one binding, and builds the
-`scope_minimized` form, whose blocks are as narrow as possible, once for
-all larger sizes; that changes cost, never truth values.
+quantifier block as written.  `ModelSearch` is the one scan over
+structures: it evaluates size 1 on the sentence itself, where every
+block has one binding, and builds the `scope_minimized` form, whose
+blocks are as narrow as possible, once for all larger sizes; that
+changes cost, never truth values.  Every structure it returns is
+re-checked by the reference evaluator.  The equivalence oracle is a
+model search for `f <-> ~g`, which holds exactly where f and g disagree.
 
 `Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
 and quantifier loops fold, stopping at a dominating one; a bool becomes
@@ -82,10 +85,6 @@ class GroundSpace:
             self.valid_mask = np.uint64((1 << (1 << self.chunk_bits)) - 1)
         else:
             self.valid_mask = _ALL_ONES
-
-    @property
-    def n_structures(self) -> int:
-        return self.size ** len(self.const_names) << self.n_bits
 
     def const_maps(self, canonical: bool = False) -> Iterator[dict[str, int]]:
         """Constant interpretations in lexicographic order.  With
@@ -408,6 +407,11 @@ def _block(quant, names, body: S.Formula, free) -> S.Formula:
 # public operations
 
 
+def _n_structures(sig: S.Signature, size: int) -> int:
+    """Structures over sig with universe {e1..e_size}, all constant maps."""
+    return size ** len(sig.constants) << sum(size**a for a in sig.predicates.values())
+
+
 def enumerate_structures(sig: S.Signature, size: int) -> Iterator[Structure]:
     """Every structure over sig with universe {e1..e_size}, constant maps
     lexicographic outermost, predicate table codes ascending innermost."""
@@ -483,12 +487,13 @@ def equivalent_upto(
     1..size over their joint signature.
 
     Free variables are handled by binding them to fresh constants, so the
-    check covers all assignments as well.  Constant maps are enumerated
-    canonically (restricted growth), which is complete up to isomorphism;
-    the canonical map is the lex-least of its orbit, so the first
-    disagreement is the one a full enumeration would meet first.  It is
-    reported; exceeding the structure budget, counted over all constant
-    maps, raises.  A size below 1 compares nothing and raises BadParams.
+    check covers all assignments as well.  The comparison is a model
+    search for `f <-> ~g`, which holds exactly where f and g disagree, so
+    its first model is the first disagreement a full enumeration would
+    meet, and it is re-checked by the reference evaluator.  Exceeding the
+    structure budget, counted over all constant maps and checked before
+    each size, raises.  A size below 1 compares nothing and raises
+    BadParams.
     """
     if size < 1:
         raise BadParams(f"equivalence check needs size >= 1, got {size}")
@@ -499,15 +504,10 @@ def equivalent_upto(
         binding = {v: S.Const(c) for v, c in var_consts.items()}
         f = S.substitute(f, binding)
         g = S.substitute(g, binding)
-    sig = S.infer_signature(g, S.infer_signature(f))
-
-    fr = scope_minimized(f)
-    gr = scope_minimized(g)
-    fplan, gplan = _memo_plan(fr), _memo_plan(gr)
+    differ = ModelSearch(S.Iff(f, S.Not(g)))
     spent = 0
     for m in range(1, size + 1):
-        space = GroundSpace(sig, m)
-        spent += space.n_structures
+        spent += _n_structures(differ.sig, m)
         if spent > budget:
             raise BudgetExceeded(
                 f"equivalence check needs {spent} structure evaluations, "
@@ -515,28 +515,17 @@ def equivalent_upto(
                 needed=spent,
                 limit=budget,
             )
-        for cmap in space.const_maps(canonical=True):
-            for chunk in range(space.n_chunks):
-                va = space.eval_chunk(fr, cmap, chunk, fplan)
-                vb = space.eval_chunk(gr, cmap, chunk, gplan)
-                code = space.first_true(va ^ vb, chunk)
-                if code is None:
-                    continue
-                witness = space.decode(cmap, code)
-                assignment = {
-                    v: witness.constants[c] for v, c in var_consts.items()
-                }
-                consts = {
-                    c: e for c, e in witness.constants.items() if c not in var_consts.values()
-                }
-                local = code - (chunk << space.chunk_bits)
-                left_true = bool((int(va[local >> 6]) >> (local & 63)) & 1)
-                return EquivVerdict(
-                    False,
-                    Counterexample(
-                        Structure(witness.universe, consts, witness.predicates),
-                        assignment,
-                        "left" if left_true else "right",
-                    ),
-                )
+        witness = differ.run(m, min_size=m)
+        if witness is not None:
+            consts = {
+                c: e for c, e in witness.constants.items() if c not in var_consts.values()
+            }
+            return EquivVerdict(
+                False,
+                Counterexample(
+                    Structure(witness.universe, consts, witness.predicates),
+                    {v: witness.constants[c] for v, c in var_consts.items()},
+                    "left" if evaluate(witness, {}, f) else "right",
+                ),
+            )
     return EquivVerdict(True)

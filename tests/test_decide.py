@@ -456,6 +456,16 @@ def test_decide_max_model_size_zero_searches_nothing():
     assert v.details["search_limit"] == 0
 
 
+@pytest.mark.parametrize("size", [-1, -3])
+def test_decide_rejects_negative_max_model_size(size):
+    # nothing would be searched, so "search_limit" would report a search never made
+    from sepfrag.errors import BadParams
+
+    f, _ = parse_formula("forall x. P(x)")
+    with pytest.raises(BadParams):
+        decide_sat(f, DecideConfig(max_model_size=size))
+
+
 def _bound_first(f, max_size):
     """decide_sat's model-search route with the bound completed first:
     analysis bounds and the BSR translation, then one search up to the

@@ -303,8 +303,12 @@ def test_memo_plan_once_per_formula_per_call(monkeypatch):
         assert len(planned) == (0 if m is not None and len(m.universe) == 1 else 1)
         past_size_two += m is None or len(m.universe) == 3
         planned.clear()
+        # f and ~f differ on every structure, so size 1 answers unplanned
         search.equivalent_upto(f, S.Not(f), 3, budget=10**9)
-        assert len(planned) == 2
+        assert len(planned) == 0
+        planned.clear()
+        search.equivalent_upto(f, S.Not(S.Not(f)), 3, budget=10**9)
+        assert len(planned) == 1
     assert past_size_two >= 5
 
 
@@ -361,6 +365,16 @@ def test_equivalent_upto_budget():
     f, _ = parse_formula("forall x y. R(x, y) | T(x, y) | U(y, x)")
     with pytest.raises(BudgetExceeded):
         equivalent_upto(f, S.Not(S.Not(f)), 3, budget=1000)
+
+
+def test_equivalent_upto_rechecks_packed_counterexample(monkeypatch):
+    # a packed evaluator that reports a disagreement on an equal pair
+    from sepfrag.search import equivalent_upto
+
+    monkeypatch.setattr(GroundSpace, "first_true", lambda self, vec, chunk: 0)
+    f, _ = parse_formula("forall x. P(x) | Q(c)")
+    with pytest.raises(RuntimeError):
+        equivalent_upto(f, S.Not(S.Not(f)), 2)
 
 
 @pytest.mark.parametrize("size", [0, -2])

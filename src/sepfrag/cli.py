@@ -107,22 +107,22 @@ def build_parser() -> _Parser:
     g = sub.add_parser("gen", help="benchmark generators")
     gsub = g.add_subparsers(dest="generator", required=True)
     gh = gsub.add_parser("hierarchy")
-    gh.add_argument("--kappa", type=int, required=True)
-    gh.add_argument("--mu", type=int, required=True)
+    gh.add_argument("--kappa", type=_count(1), required=True)
+    gh.add_argument("--mu", type=_count(2), required=True)
     gh.add_argument("--with-model", action="store_true")
     gh.add_argument("--format", choices=("json", "text"), default="json")
     gd = gsub.add_parser("domino")
     gd.add_argument("--spec", required=True, help="domino system JSON file")
-    gd.add_argument("--kappa", type=int, required=True)
-    gd.add_argument("--mu", type=int, required=True)
+    gd.add_argument("--kappa", type=_count(1), required=True)
+    gd.add_argument("--mu", type=_count(2), required=True)
     gd.add_argument("--with-model", action="store_true")
     gd.add_argument("--format", choices=("json", "text"), default="json")
     ga = gsub.add_parser("hard")
-    ga.add_argument("--n", type=int, required=True)
+    ga.add_argument("--n", type=_count(1), required=True)
     ga.add_argument("--with-model", action="store_true")
     ga.add_argument("--format", choices=("json", "text"), default="json")
     gs = gsub.add_parser("smp")
-    gs.add_argument("--bound", type=int, required=True)
+    gs.add_argument("--bound", type=_count(1), required=True)
     _add_formula_args(gs)
 
     e = sub.add_parser("eliminate-eq", help="replace equality by a fresh predicate")
@@ -217,7 +217,7 @@ def _cmd_gen(args) -> int:
         return _gen_output(args, f, model)
     if args.generator == "domino":
         with open(args.spec, "r", encoding="utf-8") as fh:
-            system, word = generators.DominoSystem.from_json(json.load(fh))
+            system, word = generators.DominoSystem.from_json(fh.read())
         p = generators.HierarchyParams(args.kappa, args.mu)
         f = generators.generate_domino_encoding(system, word, p)
         model = None

@@ -9,10 +9,10 @@ abstract atoms to signed ints in one negation-pushing walk
 one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked against
 the sentence as a Herbrand model.  Everything else is decided by bounded
 model search against the best available small-model bound.  The search
-tries size 1, on the sentence as written, before the bound is complete:
-a one-element model is below every bound, so the translation to BSR form
-runs only when size 1 has no model, and only counts the leading
-existentials that give its bound.  Larger sizes share one prepared form.
+tries size 1 first, on the sentence as written: a one-element model is
+below every bound, so all size bounds, the BSR translation's included,
+are computed only when size 1 has no model, and a size-1 sat verdict
+carries only "path" and "search_limit".  Larger sizes share one form.
 """
 
 from __future__ import annotations
@@ -369,30 +369,47 @@ def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
     return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)
 
 
-def _analysis_bound(sf: S.StandardForm):
-    """Smallest exactly evaluated bound of the analysis (degree, BSR, MFO)
-    and the symbolic degree bound; (None, None) outside the fragment."""
+def _bound(sf: S.StandardForm, details: dict):
+    """Smallest exactly evaluated size bound (degree, BSR, MFO and, outside
+    BSR form, the BSR translation's leading existentials plus the
+    constants) and the symbolic degree bound, both None outside the
+    fragment; records "degree_bound" and "translation_bound" in `details`."""
     if not analysis.is_sf(sf):
         return None, None
     rep = analysis.bounds(sf)
-    exact = (rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size)
+    details["degree_bound"] = str(rep.model_size)
+    exact = [rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size]
+    if not analysis.is_bsr(sf):
+        try:
+            leading = translate.bsr_leading_count(
+                sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000, dnf_term_cap=512
+            )
+            details["translation_bound"] = max(leading + len(S.constants_of(sf.matrix)), 1)
+            exact.append(details["translation_bound"])
+        except BudgetExceeded:
+            pass
     return min((b for b in exact if b is not None), default=None), rep.model_size
 
 
-def _translation_bound(sf: S.StandardForm) -> Optional[int]:
-    """Leading existentials of the BSR form plus the constants; None
-    outside the fragment, for input already in BSR form, or when `to_bsr`
-    exceeds these caps."""
-    if not analysis.is_sf(sf) or analysis.is_bsr(sf):
-        return None
-    try:
-        leading = translate.bsr_leading_count(
-            sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
-            dnf_term_cap=512,
-        )
-    except BudgetExceeded:
-        return None
-    return max(leading + len(S.constants_of(sf.matrix)), 1)
+def _search_path(f: S.Formula, expanded: S.Formula, sf: S.StandardForm, max_size: int):
+    models = ModelSearch(expanded)
+    witness = models.run(min(1, max_size))
+    bound = symbolic = None
+    details = {"path": "model-search", "search_limit": 1}
+    if witness is None:
+        details = {}
+        bound, symbolic = _bound(sf, details)
+        limit = max_size if bound is None else min(bound, max_size)
+        details.update({"path": "model-search", "bound": bound, "search_limit": limit})
+        witness = models.run(limit, min_size=2)
+    if witness is not None:
+        # the search re-checked it against `expanded`, which is f unless f counts
+        if expanded is not f and not evaluate(witness, {}, f):
+            raise RuntimeError("internal error: search witness fails re-evaluation")
+        return SatVerdict("sat", structure=witness, details=details)
+    if bound is not None and bound <= max_size:
+        return SatVerdict("unsat", details=details)
+    return SatVerdict("inconclusive", bound=symbolic if bound is None else None, details=details)
 
 
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
@@ -400,12 +417,12 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
 
     Counting quantifiers are expanded first.  Universal-free sentences go
     through the propositional route.  Everything else is searched at size
-    1 first, as written: a one-element model is below every bound, so the
-    translation to BSR form runs only when size 1 has none.  The search
-    then goes on up to min(size bound, cfg.max_model_size) on a form
-    prepared once, returning an inconclusive verdict carrying the bound
-    when the search space was not exhausted.  A negative
-    cfg.max_model_size raises BadParams.
+    1 first, as written; a sat verdict there carries the details
+    {"path": "model-search", "search_limit": 1}.  Only when size 1 has no
+    model are the size bounds computed; the search then goes on up to
+    min(bound, cfg.max_model_size) on a form prepared once, returning an
+    inconclusive verdict carrying the bound when the search space was not
+    exhausted.  A negative cfg.max_model_size raises BadParams.
     """
     cfg = cfg or DecideConfig()
     if cfg.max_model_size < 0:
@@ -414,29 +431,4 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     sf = S.to_standard_form(expanded)
     if not sf.universal_vars:
         return _existential_path(f, skolemize_existential(sf))
-
-    bound, symbolic = _analysis_bound(sf)
-    details = {} if symbolic is None else {"degree_bound": str(symbolic)}
-    models = ModelSearch(expanded)
-    witness = models.run(min(1, cfg.max_model_size))
-    if witness is None:
-        translated = _translation_bound(sf)
-        if translated is not None:
-            details["translation_bound"] = translated
-            bound = translated if bound is None else min(bound, translated)
-    limit = cfg.max_model_size if bound is None else min(bound, cfg.max_model_size)
-    details.update({"path": "model-search", "bound": bound, "search_limit": limit})
-    if witness is None and limit >= 2:
-        witness = models.run(limit, min_size=2)
-    if witness is not None:
-        # the search re-checked it against `expanded`, which is f unless f counts
-        if expanded is not f and not evaluate(witness, {}, f):
-            raise RuntimeError("internal error: search witness fails re-evaluation")
-        return SatVerdict("sat", structure=witness, details=details)
-    if bound is not None and bound <= cfg.max_model_size:
-        return SatVerdict("unsat", details=details)
-    return SatVerdict(
-        "inconclusive",
-        bound=symbolic if bound is None else None,
-        details=details,
-    )
+    return _search_path(f, expanded, sf, cfg.max_model_size)

@@ -20,6 +20,7 @@ strings are those with most significant bit 0 plus the single string
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -579,13 +580,17 @@ class DominoSystem:
                 raise BadParams(f"adjacency over unknown tiles: {(a, b)}")
 
     @staticmethod
-    def from_json(data) -> tuple["DominoSystem", tuple[str, ...]]:
-        system = DominoSystem(
-            tuple(data["tiles"]),
-            frozenset(tuple(e) for e in data["H"]),
-            frozenset(tuple(e) for e in data["V"]),
-        )
-        return system, tuple(data.get("word", ()))
+    def from_json(text: str) -> tuple["DominoSystem", tuple[str, ...]]:
+        try:
+            data = json.loads(text)
+            system = DominoSystem(
+                tuple(data["tiles"]),
+                frozenset(tuple(e) for e in data["H"]),
+                frozenset(tuple(e) for e in data["V"]),
+            )
+            return system, tuple(data.get("word", ()))
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise BadParams(f"malformed domino system JSON ({exc!r})") from None
 
 
 @dataclass(frozen=True)

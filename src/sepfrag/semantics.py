@@ -50,15 +50,18 @@ class Structure:
 
     @staticmethod
     def from_json(text: str) -> "Structure":
-        data = json.loads(text)
-        return Structure(
-            tuple(data["universe"]),
-            dict(data.get("constants", {})),
-            {
-                p: frozenset(tuple(t) for t in table)
-                for p, table in data.get("predicates", {}).items()
-            },
-        )
+        try:
+            data = json.loads(text)
+            return Structure(
+                tuple(data["universe"]),
+                dict(data.get("constants", {})),
+                {
+                    p: frozenset(tuple(t) for t in table)
+                    for p, table in data.get("predicates", {}).items()
+                },
+            )
+        except (ValueError, TypeError, KeyError, AttributeError) as exc:
+            raise SignatureMismatch(f"malformed structure JSON ({exc!r})") from None
 
 
 Assignment = dict  # variable name -> element label

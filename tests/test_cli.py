@@ -47,12 +47,15 @@ def test_decide_exit_codes(capsys):
 def test_decide_translation_bound_only_without_one_element_model(capsys):
     code, out = run_capture(capsys, ["decide", "forall x. exists y. P(x) | Q(y)"])
     assert code == 0
-    assert "translation_bound" not in json.loads(out)["details"]
+    details = json.loads(out)["details"]
+    assert "translation_bound" not in details and "degree_bound" not in details
     code, out = run_capture(
         capsys, ["decide", "forall x11 x12. exists y11. (~P(y11) & Q(x12)) & P(x11)"]
     )
     assert code == 1
-    assert json.loads(out)["details"]["translation_bound"] == 1
+    details = json.loads(out)["details"]
+    assert details["translation_bound"] == 1
+    assert "degree_bound" in details
 
 
 def test_decide_ground_equational_golden(capsys):
@@ -217,8 +220,16 @@ def test_usage_error_exit_64():
         ["equiv", "--up-to", "0", "P(a)", "~P(a)"],
         ["equiv", "--up-to", "-1", "P(a)", "P(a)"],
         ["decide", "--max-size", "-3", "forall x. P(x)"],
+        ["gen", "hierarchy", "--kappa", "0", "--mu", "2"],
+        ["gen", "hierarchy", "--kappa", "1", "--mu", "1"],
+        ["gen", "domino", "--spec", "unread.json", "--kappa", "1", "--mu", "-1"],
+        ["gen", "hard", "--n", "0"],
+        ["gen", "smp", "--bound", "0", "forall x. P(x)"],
     ],
-    ids=["up-to-0", "up-to-negative", "max-size-negative"],
+    ids=[
+        "up-to-0", "up-to-negative", "max-size-negative", "hierarchy-kappa-0",
+        "hierarchy-mu-1", "domino-mu-negative", "hard-n-0", "smp-bound-0",
+    ],
 )
 def test_out_of_range_size_is_a_usage_error(capsys, argv):
     # nothing would be compared or searched, so no verdict may be printed
@@ -243,6 +254,25 @@ def test_file_option_reads_and_closes_the_file(tmp_path, capsys, command):
     code, out = run_capture(capsys, [command, "--file", str(path)])
     assert code == 0
     assert json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", "[1, 2]", '{"word": ["A"]}'], ids=["not-json", "list", "no-keys"]
+)
+@pytest.mark.parametrize("command", ["eval", "gen-domino"])
+def test_malformed_json_file_is_an_input_error(tmp_path, capsys, command, text):
+    # one error line, not an internal failure with a traceback
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = {
+        "eval": ["eval", "--model", str(path), "exists x. P(x)"],
+        "gen-domino": ["gen", "domino", "--spec", str(path), "--kappa", "1", "--mu", "2"],
+    }[command]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: malformed")
 
 
 def test_parse_error_exit_3(capsys):

@@ -434,19 +434,22 @@ def test_decide_analyses_each_form_once(monkeypatch):
 
 
 def test_decide_one_element_model_skips_translation(monkeypatch):
-    from sepfrag import translate
+    from sepfrag import analysis, translate
 
     def refuse(*args, **kwargs):
-        raise AssertionError("to_bsr called although size 1 has a model")
+        raise AssertionError("a size bound computed although size 1 has a model")
 
-    monkeypatch.setattr(translate, "to_bsr", refuse)
+    for owner, name in [
+        (translate, "to_bsr"), (translate, "bsr_leading_count"), (analysis, "bounds"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
     f, _ = parse_formula(
         "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
     )
     v = decide_sat(f, DecideConfig(max_model_size=2))
     assert v.status == "sat"
     assert v.structure == find_model(f, max_size=2)
-    assert "translation_bound" not in v.details
+    assert v.details == {"path": "model-search", "search_limit": 1}
 
 
 def test_decide_max_model_size_zero_searches_nothing():

@@ -272,7 +272,7 @@ def test_canonical_domino_model_validates_tiling():
 
 def test_domino_system_json_round_trip():
     system, word = DominoSystem.from_json(
-        {"tiles": ["A", "B"], "H": [["A", "B"]], "V": [["A", "A"]], "word": ["A"]}
+        '{"tiles": ["A", "B"], "H": [["A", "B"]], "V": [["A", "A"]], "word": ["A"]}'
     )
     assert system.tiles == ("A", "B")
     assert ("A", "B") in system.horizontal

@@ -3,11 +3,14 @@
 Sentences without universal quantifiers go through the propositional
 route: substitute fresh constants for the leading existential block of
 the standard form, whose matrix is already quantifier-free and in NNF,
-turn ground equations into a fresh predicate whose axioms become clauses,
-abstract atoms to signed ints in one negation-pushing walk
-(`to_propositional`), distribute to CNF (`prop_cnf`) and decide it with
-one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked against
-the sentence as a Herbrand model.  Everything else is decided by bounded
+abstract atoms to signed ints in one negation-pushing walk that reads
+each ground equation s = t as the atom E(s, t) of a fresh predicate E
+(`to_propositional`), emit the ground equality axioms of E as integer
+clauses built from that atom map (`equality_axioms`), distribute the
+tree to CNF and add the axiom clauses as they are (`prop_cnf`; a flat
+clause bypasses the distribution product), and decide it with one CDCL
+solver (`dpll_sat`), whose SAT assignment is re-checked against the
+sentence as a Herbrand model.  Everything else is decided by bounded
 model search against the best available small-model bound.  The search
 tries size 1 first, on the sentence as written: a one-element model is
 below every bound, so all size bounds, the BSR translation's included,
@@ -52,50 +55,6 @@ def skolemize_existential(sf: S.StandardForm) -> S.Formula:
 
 
 # ---------------------------------------------------------------------------
-# ground equality elimination
-
-
-def ground_equality_elim(g: S.Formula) -> S.Formula:
-    """Replace ground equations c = d with E(c, d) and append the ground
-    instances of `equality_axioms`, each as its conclusion alone or as
-    premises -> conclusion."""
-    if S.free_vars(g) or not S.is_quantifier_free(g):
-        raise NotGround("input must be ground")
-    replaced, ename = S.equality_as_predicate(g, S.infer_signature(g).predicates)
-    axioms = [S.Implies(S.conj(p), c) if p else c for p, c in equality_axioms(g, ename)]
-    return S.conj([replaced] + axioms)
-
-
-def equality_axioms(g: S.Formula, ename: str):
-    """Ground instances of reflexivity, symmetry and transitivity of the
-    predicate `ename` over the constants of g, then of congruence, as
-    (premises, conclusion) pairs of atoms.
-
-    Congruence instances are restricted to pairs of non-equational atoms
-    that actually occur in g, which keeps the output cubic in the length
-    of g."""
-    consts = sorted(S.constants_of(g))
-    e = {(c, d): S.Pred(ename, (S.Const(c), S.Const(d))) for c, d in product(consts, repeat=2)}
-    for c in consts:
-        yield (), e[c, c]
-    for c, d in product(consts, repeat=2):
-        if c != d:
-            yield (e[c, d],), e[d, c]
-    for c, d, f in product(consts, repeat=3):
-        if c != d or d != f:
-            yield (e[c, d], e[d, f]), e[c, f]
-    occurring: dict[str, dict] = {}
-    for a in S.atoms_iter(g):
-        if isinstance(a, S.Pred):
-            occurring.setdefault(a.name, {})[tuple(t.name for t in a.args)] = a
-    for _, atoms in sorted(occurring.items()):
-        for left, right in product(sorted(atoms), repeat=2):
-            if left != right:
-                prem = tuple(e[c, d] for c, d in zip(left, right))
-                yield prem + (atoms[left],), atoms[right]
-
-
-# ---------------------------------------------------------------------------
 # propositional abstraction
 
 
@@ -113,35 +72,112 @@ class PropCnf:
     clauses: tuple[tuple[int, ...], ...]  # nonzero ints; +v / -v encode polarity
 
 
-def to_propositional(g: S.Formula, axioms=()):
+def equality_axioms(amap: AtomMap, ename: str):
+    """Ground instances of reflexivity, symmetry and transitivity of the
+    predicate `ename` over the constants of the atoms of `amap`, then of
+    congruence, as clauses of signed ints: the negated premises, then the
+    conclusion.  Returns the atom map extended by the E atoms the
+    axioms add, and the clauses.
+
+    Each E(c, d) is numbered once, into a table over the sorted
+    constants: the atoms of `amap` keep their variables, and the others
+    are numbered in order of first use, reflexivity first, then symmetry.
+    Congruence instances are restricted to pairs of the atoms of `amap`
+    that are not E atoms, which keeps the output cubic in the length of
+    the formula."""
+    atoms = list(amap.atoms)
+    consts = sorted({t.name for a in atoms for t in a.args})
+    pos = {c: i for i, c in enumerate(consts)}
+    e = [[0] * len(consts) for _ in consts]
+    occurring: dict[str, dict] = {}
+    for v, a in enumerate(atoms, 1):
+        args = tuple(t.name for t in a.args)
+        if a.name == ename:
+            e[pos[args[0]]][pos[args[1]]] = v
+        else:
+            occurring.setdefault(a.name, {})[args] = v
+
+    def number(i: int, j: int) -> int:
+        if not e[i][j]:
+            atoms.append(S.Pred(ename, (S.Const(consts[i]), S.Const(consts[j]))))
+            e[i][j] = len(atoms)
+        return e[i][j]
+
+    k = range(len(consts))
+    clauses = [(number(i, i),) for i in k]
+    clauses += [(-number(i, j), number(j, i)) for i, j in product(k, repeat=2) if i != j]
+    for i, j in product(k, repeat=2):
+        ei, ej = e[i], e[j]
+        clauses += [(-ei[j], -ej[l], ei[l]) for l in k if i != j or j != l]
+    for _, table in sorted(occurring.items()):
+        for left, right in product(sorted(table), repeat=2):
+            if left != right:
+                prem = tuple(-e[pos[c]][pos[d]] for c, d in zip(left, right))
+                clauses.append(prem + (-table[left], table[right]))
+    return AtomMap(tuple(atoms)), clauses
+
+
+def to_propositional(g: S.Formula, ename: Optional[str] = None):
     """Abstract each distinct ground atom of g to a propositional variable
     and push negation down to the variables, in one walk
     (`syntax.nnf_tree`), so Horn stays Horn and Krom stays Krom.
-    Variables are numbered 1, 2, ... in first-occurrence order.  Each
-    (premises, conclusion) pair of ground atoms in `axioms` is added as
-    the clause ("|", [-p..., c]), its new atoms numbered after g's.
-    Returns the tree and the atom map."""
-    index: dict[S.Pred, int] = {}
+    Variables are numbered 1, 2, ... in first-occurrence order.  With
+    `ename`, a binary predicate name that g does not use, an equation
+    s = t is the atom E(s, t), and the integer clauses of
+    `equality_axioms` are built from the atom map; without it, an
+    equation raises NotGround.  Returns the tree, the atom map (axiom
+    atoms numbered after g's) and the axiom clauses."""
+    index: dict = {}
+    atoms: list[S.Pred] = []
 
     def var(a) -> int:
         v = index.get(a)
         if v is None:
-            if type(a) is not S.Pred or any(type(t) is not S.Const for t in a.args):
-                raise NotGround("expected ground atoms without equations")
-            v = index[a] = len(index) + 1
+            p = S.Pred(ename, (a.left, a.right)) if type(a) is S.Eq and ename else a
+            if type(p) is not S.Pred or any(type(t) is not S.Const for t in p.args):
+                raise NotGround("expected ground atoms, and equations only with ename")
+            atoms.append(p)
+            v = index[a] = len(atoms)
         return v
 
     tree = S.nnf_tree(g, var)
-    clauses = [("|", [-var(p) for p in prem] + [var(c)]) for prem, c in axioms]
-    return (("&", [tree, *clauses]) if clauses else tree), AtomMap(tuple(index))
+    amap = AtomMap(tuple(atoms))
+    if ename is None:
+        return tree, amap, []
+    return (tree, *equality_axioms(amap, ename))
 
 
-def prop_cnf(tree, amap: AtomMap) -> PropCnf:
-    """`syntax.distribute` of a `to_propositional` tree, with literals
-    ordered as `syntax.cnf_matrix` orders atoms q0, q1, ... named after
-    variables 1, 2, ..."""
-    clauses = S.distribute(tree, lambda v: (f"q{abs(v) - 1}", v < 0))
+def prop_cnf(tree, amap: AtomMap, axioms=()) -> PropCnf:
+    """`syntax.distribute` of a `to_propositional` tree, with the integer
+    clauses `axioms` added as they are, and literals ordered as
+    `syntax.cnf_matrix` orders atoms q0, q1, ... named after variables
+    1, 2, ..."""
+    clauses = S.distribute(tree, lambda v: (f"q{abs(v) - 1}", v < 0), flat=axioms)
     return PropCnf(len(amap.atoms), tuple(clauses))
+
+
+# ---------------------------------------------------------------------------
+# ground equality elimination
+
+
+def ground_equality_elim(g: S.Formula) -> S.Formula:
+    """Replace ground equations c = d with E(c, d) and append the clauses
+    of `equality_axioms`, each as its conclusion alone or as
+    premises -> conclusion."""
+    if S.free_vars(g) or not S.is_quantifier_free(g):
+        raise NotGround("input must be ground")
+    replaced, ename = S.equality_as_predicate(g, S.infer_signature(g).predicates)
+    _, amap, axioms = to_propositional(g, ename)
+    atom = amap.atoms
+    return S.conj(
+        [replaced]
+        + [
+            S.Implies(S.conj([atom[-p - 1] for p in cl[:-1]]), atom[cl[-1] - 1])
+            if len(cl) > 1
+            else atom[cl[0] - 1]
+            for cl in axioms
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +383,9 @@ def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
     # the predicate names, and None for an equation, in one walk
     names = {a.name if type(a) is S.Pred else None for a in S.atoms_iter(ground)}
     has_eq = None in names
-    g, eq_pred, axioms = ground, None, ()
-    if has_eq:
-        g, eq_pred = S.equality_as_predicate(ground, names)
-        axioms = equality_axioms(ground, eq_pred)
-    tree, amap = to_propositional(g, axioms)
-    cnf = prop_cnf(tree, amap)
+    eq_pred = S.equality_name(names) if has_eq else None
+    tree, amap, axioms = to_propositional(ground, eq_pred)
+    cnf = prop_cnf(tree, amap, axioms)
     verdict = dpll_sat(cnf)
     details = {
         **verdict.details,

@@ -37,7 +37,7 @@ from .errors import (
     SizeMismatch,
     WordTooLong,
 )
-from .semantics import Structure
+from .semantics import Structure, json_list
 from .syntax import (
     And,
     Const,
@@ -584,11 +584,11 @@ class DominoSystem:
         try:
             data = json.loads(text)
             system = DominoSystem(
-                tuple(data["tiles"]),
-                frozenset(tuple(e) for e in data["H"]),
-                frozenset(tuple(e) for e in data["V"]),
+                tuple(json_list(data["tiles"])),
+                frozenset(tuple(json_list(e)) for e in json_list(data["H"])),
+                frozenset(tuple(json_list(e)) for e in json_list(data["V"])),
             )
-            return system, tuple(data.get("word", ()))
+            return system, tuple(json_list(data.get("word", [])))
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise BadParams(f"malformed domino system JSON ({exc!r})") from None
 

@@ -53,15 +53,23 @@ class Structure:
         try:
             data = json.loads(text)
             return Structure(
-                tuple(data["universe"]),
+                tuple(json_list(data["universe"])),
                 dict(data.get("constants", {})),
                 {
-                    p: frozenset(tuple(t) for t in table)
+                    p: frozenset(tuple(json_list(t)) for t in json_list(table))
                     for p, table in data.get("predicates", {}).items()
                 },
             )
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             raise SignatureMismatch(f"malformed structure JSON ({exc!r})") from None
+
+
+def json_list(value) -> list:
+    """`value` if it is a JSON list; anything else, a string above all,
+    which would otherwise be split into characters, raises TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
 
 
 Assignment = dict  # variable name -> element label
@@ -97,7 +105,14 @@ def evaluate(structure: Structure, beta: Assignment, f: S.Formula) -> bool:
             table = structure.predicates.get(g.name)
             if table is None:
                 raise SignatureMismatch(f"predicate {g.name!r} not interpreted")
-            return tuple(_resolve(structure, env, t) for t in g.args) in table
+            key = tuple(_resolve(structure, env, t) for t in g.args)
+            if key in table:
+                return True
+            if table and len(next(iter(table))) != len(key):
+                raise SignatureMismatch(
+                    f"predicate {g.name!r} is used with {len(key)} arguments, unlike its table"
+                )
+            return False
         if isinstance(g, S.Eq):
             return _resolve(structure, env, g.left) == _resolve(structure, env, g.right)
         if isinstance(g, S.Not):

@@ -537,14 +537,21 @@ def substitute(f: Formula, binding: Mapping[str, Term]) -> Formula:
     return _rebind(f, binding, avoid_capture, prune=True)
 
 
-def equality_as_predicate(f: Formula, taken) -> tuple[Formula, str]:
-    """f with every equation s = t turned into E(s, t) for a fresh binary
-    predicate E: the first of E, E1, E2, ... not in `taken`.  Returns the
-    new formula and E; the caller adds whatever axioms E needs."""
+def equality_name(taken) -> str:
+    """The first of E, E1, E2, ... not in `taken`: the name of the binary
+    predicate that stands for equality once equations are eliminated."""
     name, i = "E", 0
     while name in taken:
         i += 1
         name = f"E{i}"
+    return name
+
+
+def equality_as_predicate(f: Formula, taken) -> tuple[Formula, str]:
+    """f with every equation s = t turned into E(s, t) for the binary
+    predicate E = `equality_name(taken)`.  Returns the new formula and E;
+    the caller adds whatever axioms E needs."""
+    name = equality_name(taken)
 
     def walk(g: Formula) -> Formula:
         if type(g) is Eq:
@@ -1105,13 +1112,19 @@ class CnfMatrix:
 DEFAULT_CLAUSE_BUDGET = 10**6
 
 
-def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tuple[int, ...]]:
-    """Distribution-based CNF of a tree as `nnf_tree` builds it.
+def distribute(
+    tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET, flat=()
+) -> list[tuple[int, ...]]:
+    """Distribution-based CNF of a tree as `nnf_tree` builds it, together
+    with the clauses of `flat`, each an iterable of literals.
 
+    A disjunction of literals is one clause as it stands; only a
+    disjunction with a conjunction below it goes through the product.
     Duplicate literals and clauses are removed; each clause's literals
     are sorted by `key`, which must give distinct literals distinct
     values, and the clauses by their literals' keys.  Exceeding
-    `max_clauses` at any node raises rather than truncating.
+    `max_clauses` at any node, or with the tree's and `flat`'s clauses
+    together, raises rather than truncating.
     """
 
     def check(n: int):
@@ -1130,7 +1143,10 @@ def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tupl
                 out.extend(clauses(p))
                 check(len(out))
             return out
-        # "|": distribute over the conjunctions of the parts, once every
+        if parts and all(type(p) is int for p in parts):
+            check(1)  # the product of the parts' single clauses
+            return [frozenset(parts)]
+        # distribute over the conjunctions of the parts, once every
         # running product of their clause counts is within budget
         pcls = [clauses(p) for p in parts]
         for n in itertools.accumulate(map(len, pcls), operator.mul):
@@ -1140,12 +1156,16 @@ def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tupl
             out = [a | b for a in out for b in pcl]
         return out
 
-    distinct = set(clauses(tree))
+    out = clauses(tree)
+    if flat:
+        out.extend(map(frozenset, flat))
+        check(len(out))
+    distinct = set(out)
     # sort by rank, so that `key` is called once per distinct literal
     lits = sorted({lit for cl in distinct for lit in cl}, key=key)
     rank = {lit: i for i, lit in enumerate(lits)}
     ranked = sorted(tuple(sorted(map(rank.__getitem__, cl))) for cl in distinct)
-    return [tuple(lits[r] for r in cl) for cl in ranked]
+    return [tuple(map(lits.__getitem__, cl)) for cl in ranked]
 
 
 def cnf_matrix(m: Formula, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> CnfMatrix:

@@ -195,6 +195,16 @@ def test_eval_command(tmp_path, capsys):
     assert json.loads(out)["value"] is True
 
 
+def test_eval_arity_mismatch_exits_3(tmp_path, capsys):
+    # P is interpreted as binary but used with one argument
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"universe": ["a", "b"], "predicates": {"P": [["a", "b"]]}}))
+    assert run(["eval", "--model", str(model), "exists x. P(x)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: predicate 'P' is used with 1 arguments")
+
+
 def test_expand_counting_command(capsys):
     code, out = run_capture(capsys, ["expand-counting", "exists>=2 y. P(y)"])
     assert code == 0
@@ -257,7 +267,15 @@ def test_file_option_reads_and_closes_the_file(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "text", ["{not json", "[1, 2]", '{"word": ["A"]}'], ids=["not-json", "list", "no-keys"]
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"word": ["A"]}',
+        '{"universe": "ab", "predicates": {"P": ["ab"]}}',
+        '{"tiles": "AB", "H": ["AB"], "V": ["AA"]}',
+    ],
+    ids=["not-json", "list", "no-keys", "string-structure", "string-domino"],
 )
 @pytest.mark.parametrize("command", ["eval", "gen-domino"])
 def test_malformed_json_file_is_an_input_error(tmp_path, capsys, command, text):

@@ -9,7 +9,6 @@ from sepfrag.decide import (
     PropCnf,
     decide_sat,
     dpll_sat,
-    equality_axioms,
     ground_equality_elim,
     horn_sat,
     krom_sat,
@@ -103,9 +102,8 @@ def test_elim_golden_output():
 
 def test_elim_unsat_by_congruence():
     f, _ = parse_formula("P(c) & c = d & ~P(d)")
-    g = ground_equality_elim(f)
-    tree, amap = to_propositional(g)
-    assert dpll_sat(prop_cnf(tree, amap)).status == "unsat"
+    assert dpll_sat(prop_cnf(*to_propositional(ground_equality_elim(f)))).status == "unsat"
+    assert dpll_sat(prop_cnf(*to_propositional(f, "E"))).status == "unsat"
 
 
 def test_elim_equisatisfiable_random():
@@ -125,16 +123,15 @@ def test_elim_equisatisfiable_random():
 
 def test_abstraction_tautology():
     f, _ = parse_formula("P(c) | ~P(c)")
-    tree, amap = to_propositional(f)
-    assert len(amap.atoms) == 1
+    tree, amap, axioms = to_propositional(f)
+    assert len(amap.atoms) == 1 and axioms == []
     cnf = prop_cnf(tree, amap)
     assert dpll_sat(cnf).status == "sat"
 
 
 def test_abstraction_preserves_horn_krom():
     f, _ = parse_formula("(~P(c) | Q(c)) & (~Q(c) | P(d))")
-    tree, amap = to_propositional(f)
-    cnf = prop_cnf(tree, amap)
+    cnf = prop_cnf(*to_propositional(f))
     assert all(sum(1 for l in cl if l > 0) <= 1 for cl in cnf.clauses)  # Horn
     assert all(len(cl) <= 2 for cl in cnf.clauses)  # Krom
 
@@ -146,9 +143,7 @@ def test_abstraction_round_trip_random():
         sig.constants = {"c", "d"}
         leaves = [random_atom(rng, sig, []) for _ in range(3)]
         f = random_boolean(rng, leaves, allow_imp=False)
-        tree, amap = to_propositional(f)
-        cnf = prop_cnf(tree, amap)
-        v = dpll_sat(cnf)
+        v = dpll_sat(prop_cnf(*to_propositional(f)))
         sat = find_model(f, max_size=2) is not None
         assert (v.status == "sat") == sat
 
@@ -181,14 +176,80 @@ def test_prop_cnf_matches_formula_route():
         f = random_boolean(rng, leaves + [S.TRUE, S.FALSE], max_depth=4)
         if any(isinstance(a, S.Eq) for a in S.atoms_iter(f)):
             with_eq += 1
-            replaced, ename = S.equality_as_predicate(f, S.infer_signature(f).predicates)
-            cnf = prop_cnf(*to_propositional(replaced, equality_axioms(f, ename)))
+            ename = S.equality_name(S.infer_signature(f).predicates)
+            cnf = prop_cnf(*to_propositional(f, ename))
             expected = formula_route_cnf(ground_equality_elim(f))
         else:
             cnf = prop_cnf(*to_propositional(f))
             expected = formula_route_cnf(f)
         assert (cnf.num_vars, cnf.clauses) == expected, print_formula(f)
     assert with_eq >= 50
+
+
+def random_equational(rng, k):
+    """Clauses of one to three literals over k constants, most literals
+    equations, the rest unary P and binary R atoms."""
+    consts = [S.Const(f"d{i}") for i in range(k)]
+
+    def literal():
+        roll = rng.random()
+        if roll < 0.6:
+            a = S.Eq(*rng.sample(consts, 2))
+        elif roll < 0.8:
+            a = S.Pred("P", (rng.choice(consts),))
+        else:
+            a = S.Pred("R", (rng.choice(consts), rng.choice(consts)))
+        return S.Not(a) if rng.random() < 0.4 else a
+
+    return S.conj([S.disj([literal() for _ in range(1 + i % 3)]) for i in range(3 * k)])
+
+
+def reference_equality_elim(f: S.Formula) -> S.Formula:
+    """f with equations as E atoms, conjoined with the equality axioms
+    written out as formulas over the constants and atoms of f, in the
+    order `equality_axioms` numbers and emits them."""
+    consts = sorted(S.constants_of(f))
+    e = {(c, d): S.Pred("E", (S.Const(c), S.Const(d))) for c in consts for d in consts}
+    axioms = [e[c, c] for c in consts]
+    axioms += [S.Implies(e[c, d], e[d, c]) for c, d in itertools.product(consts, repeat=2) if c != d]
+    axioms += [
+        S.Implies(S.And((e[c, d], e[d, b])), e[c, b])
+        for c, d, b in itertools.product(consts, repeat=3)
+        if c != d or d != b
+    ]
+    occurring = {}
+    for a in S.atoms_iter(f):
+        if isinstance(a, S.Pred):
+            occurring.setdefault(a.name, {})[tuple(t.name for t in a.args)] = a
+    for _, table in sorted(occurring.items()):
+        for left, right in itertools.product(sorted(table), repeat=2):
+            if left != right:
+                prem = [e[c, d] for c, d in zip(left, right)] + [table[left]]
+                axioms.append(S.Implies(S.conj(prem), table[right]))
+    replaced, _ = S.equality_as_predicate(f, ())
+    return S.conj([replaced] + axioms)
+
+
+def test_integer_axioms_match_formula_route():
+    rng = random.Random(31)
+    for k in [6, 7, 8, 9, 10, 11, 12] * 2:
+        f = random_equational(rng, k)
+        cnf = prop_cnf(*to_propositional(f, "E"))
+        assert ground_equality_elim(f) == reference_equality_elim(f)
+        assert (cnf.num_vars, cnf.clauses) == formula_route_cnf(reference_equality_elim(f))
+
+
+def test_equality_axioms_keep_atom_numbers():
+    # E(d, c) and P(c) are numbered by the sentence; the other E atoms
+    # follow in order of first use, reflexivity first, then symmetry
+    f, _ = parse_formula("d = c & P(c)")
+    tree, amap, axioms = to_propositional(f, "E")
+    assert tree == ("&", [1, 2])
+    assert [print_formula(a) for a in amap.atoms] == [
+        "E(d, c)", "P(c)", "E(c, c)", "E(d, d)", "E(c, d)"
+    ]
+    assert axioms[:4] == [(3,), (4,), (-5, 1), (-1, 5)]
+    assert len(axioms) == 2 + 2 + 6  # no congruence pair: P has one atom
 
 
 def test_decide_clause_budget():

@@ -367,6 +367,31 @@ def test_cnf_budget():
         cnf_matrix(f, max_clauses=10)
 
 
+def _by_var(v):
+    return (abs(v), v < 0)
+
+
+def test_distribute_flat_clause_is_one_sorted_clause():
+    assert S.distribute(("|", [3, -1, 3, 2]), _by_var) == [(-1, 2, 3)]  # repeated literal
+    assert S.distribute(("|", [2, -1, 1]), _by_var) == [(1, -1, 2)]  # tautology, kept
+    for perm in ([3, -1, 2], [2, 3, -1]):
+        assert S.distribute(("|", perm), _by_var) == [(-1, 2, 3)]
+    assert S.distribute(("&", [("|", [2, 1]), ("|", [1, 2, 1])]), _by_var) == [(1, 2)]
+
+
+def test_distribute_disjunction_over_conjunction():
+    tree = ("|", [-1, ("&", [3, ("|", [2, 4])]), 5])
+    assert S.distribute(tree, _by_var) == [(-1, 2, 4, 5), (-1, 3, 5)]
+
+
+def test_distribute_adds_flat_clauses_within_budget():
+    assert S.distribute(("|", [2, 1]), _by_var, flat=[(3, -1), (1, 2)]) == [(1, 2), (-1, 3)]
+    from sepfrag.errors import ClauseBudgetExceeded
+
+    with pytest.raises(ClauseBudgetExceeded):
+        S.distribute(("&", [1, 2]), _by_var, max_clauses=2, flat=[(3,)])
+
+
 def test_classify_cnf():
     m1 = cnf_matrix(parse_formula("(~P(c) | Q(c)) & ~Q(c)")[0])
     c1 = classify_cnf(m1)

@@ -16,6 +16,9 @@ tries size 1 first, on the sentence as written: a one-element model is
 below every bound, so all size bounds, the BSR translation's included,
 are computed only when size 1 has no model, and a size-1 sat verdict
 carries only "path" and "search_limit".  Larger sizes share one form.
+A size with more ground atoms than one packed chunk holds is one SAT
+call on the same solver (`search.ModelSearch`), and those sizes are
+listed in "sat_sizes", which is absent when there are none.
 """
 
 from __future__ import annotations
@@ -61,9 +64,12 @@ def skolemize_existential(sf: S.StandardForm) -> S.Formula:
 @dataclass(frozen=True)
 class AtomMap:
     """Bijection between the ground atoms of a formula and propositional
-    variables: atoms[v - 1] is variable v, in first-occurrence order."""
+    variables: atoms[v - 1] is variable v, in first-occurrence order.
+    `equality` names the predicate that stands for equality once its
+    axioms are added, and is None otherwise."""
 
     atoms: tuple[S.Pred, ...]
+    equality: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -114,37 +120,42 @@ def equality_axioms(amap: AtomMap, ename: str):
             if left != right:
                 prem = tuple(-e[pos[c]][pos[d]] for c, d in zip(left, right))
                 clauses.append(prem + (-table[left], table[right]))
-    return AtomMap(tuple(atoms)), clauses
+    return AtomMap(tuple(atoms), ename), clauses
 
 
 def to_propositional(g: S.Formula, ename: Optional[str] = None):
     """Abstract each distinct ground atom of g to a propositional variable
     and push negation down to the variables, in one walk
     (`syntax.nnf_tree`), so Horn stays Horn and Krom stays Krom.
-    Variables are numbered 1, 2, ... in first-occurrence order.  With
-    `ename`, a binary predicate name that g does not use, an equation
-    s = t is the atom E(s, t), and the integer clauses of
-    `equality_axioms` are built from the atom map; without it, an
-    equation raises NotGround.  Returns the tree, the atom map (axiom
-    atoms numbered after g's) and the axiom clauses."""
+    Variables are numbered 1, 2, ... in first-occurrence order.  An
+    equation s = t is the atom E(s, t) of a binary predicate E that g
+    does not use: `ename` when given, else `syntax.equality_name` of the
+    predicate names in the atom list, chosen once the walk is done.  The
+    integer clauses of `equality_axioms` are built from the atom map when
+    `ename` is given or an equation occurs.  Returns the tree, the atom
+    map (axiom atoms numbered after g's) and the axiom clauses."""
     index: dict = {}
     atoms: list[S.Pred] = []
 
     def var(a) -> int:
         v = index.get(a)
         if v is None:
-            p = S.Pred(ename, (a.left, a.right)) if type(a) is S.Eq and ename else a
+            # an equation's name stays None until E is chosen
+            p = S.Pred(ename, (a.left, a.right)) if type(a) is S.Eq else a
             if type(p) is not S.Pred or any(type(t) is not S.Const for t in p.args):
-                raise NotGround("expected ground atoms, and equations only with ename")
+                raise NotGround("expected ground atoms")
             atoms.append(p)
             v = index[a] = len(atoms)
         return v
 
     tree = S.nnf_tree(g, var)
-    amap = AtomMap(tuple(atoms))
     if ename is None:
-        return tree, amap, []
-    return (tree, *equality_axioms(amap, ename))
+        names = {a.name for a in atoms}
+        if None not in names:
+            return tree, AtomMap(tuple(atoms)), []
+        ename = S.equality_name(names)
+        atoms = [S.Pred(ename, a.args) if a.name is None else a for a in atoms]
+    return (tree, *equality_axioms(AtomMap(tuple(atoms)), ename))
 
 
 def prop_cnf(tree, amap: AtomMap, axioms=()) -> PropCnf:
@@ -333,9 +344,9 @@ class DecideConfig:
     max_model_size: int = 5
 
 
-def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
+def _herbrand_structure(assignment, amap: AtomMap) -> Structure:
     """Build a model of the ground sentence from a propositional
-    assignment, then quotient by the congruence predicate if equality was
+    assignment, then quotient by `amap.equality` if equality was
     eliminated.  The atoms of `amap` are every atom of the sentence, so
     they name all its constants and predicates; a sentence without
     constants gets the one-element universe {e1}."""
@@ -351,6 +362,7 @@ def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
         {c: c for c in consts},
         {p: frozenset(t) for p, t in tables.items()},
     )
+    eq_pred = amap.equality
     if eq_pred is None:
         return structure
     # quotient by the congruence classes of the eliminated equality;
@@ -380,23 +392,19 @@ def _herbrand_structure(assignment, amap: AtomMap, eq_pred) -> Structure:
 
 
 def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
-    # the predicate names, and None for an equation, in one walk
-    names = {a.name if type(a) is S.Pred else None for a in S.atoms_iter(ground)}
-    has_eq = None in names
-    eq_pred = S.equality_name(names) if has_eq else None
-    tree, amap, axioms = to_propositional(ground, eq_pred)
+    tree, amap, axioms = to_propositional(ground)
     cnf = prop_cnf(tree, amap, axioms)
     verdict = dpll_sat(cnf)
     details = {
         **verdict.details,
         "path": "propositional",
-        "equality_eliminated": has_eq,
+        "equality_eliminated": amap.equality is not None,
         "variables": cnf.num_vars,
         "clauses": len(cnf.clauses),
     }
     if verdict.status == "unsat":
         return SatVerdict("unsat", details=details)
-    witness = _herbrand_structure(verdict.assignment, amap, eq_pred)
+    witness = _herbrand_structure(verdict.assignment, amap)
     if not evaluate(witness, {}, sentence):
         raise RuntimeError("internal error: propositional witness fails re-evaluation")
     return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)
@@ -435,6 +443,8 @@ def _search_path(f: S.Formula, expanded: S.Formula, sf: S.StandardForm, max_size
         limit = max_size if bound is None else min(bound, max_size)
         details.update({"path": "model-search", "bound": bound, "search_limit": limit})
         witness = models.run(limit, min_size=2)
+    if models.sat_sizes:
+        details["sat_sizes"] = models.sat_sizes
     if witness is not None:
         # the search re-checked it against `expanded`, which is f unless f counts
         if expanded is not f and not evaluate(witness, {}, f):
@@ -455,7 +465,9 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     model are the size bounds computed; the search then goes on up to
     min(bound, cfg.max_model_size) on a form prepared once, returning an
     inconclusive verdict carrying the bound when the search space was not
-    exhausted.  A negative cfg.max_model_size raises BadParams.
+    exhausted.  Sizes decided by one SAT call, not the packed scan, are
+    listed in details["sat_sizes"].  A negative cfg.max_model_size raises
+    BadParams.
     """
     cfg = cfg or DecideConfig()
     if cfg.max_model_size < 0:

@@ -5,13 +5,18 @@ with bit codes: one bit per ground atom, ordered predicate-major.  The
 evaluator computes a formula's truth over 2^20 structures at a time as a
 packed uint64 vector, which makes the brute-force oracles cheap enough to
 back every other module's tests.  The evaluator enumerates each
-quantifier block as written.  `ModelSearch` is the one scan over
-structures: it evaluates size 1 on the sentence itself, where every
-block has one binding, and builds the `scope_minimized` form, whose
-blocks are as narrow as possible, once for all larger sizes; that
-changes cost, never truth values.  Every structure it returns is
-re-checked by the reference evaluator.  The equivalence oracle is a
-model search for `f <-> ~g`, which holds exactly where f and g disagree.
+quantifier block as written.  `ModelSearch` is the one model search: it
+evaluates size 1 on the sentence itself, where every block has one
+binding, and builds the `scope_minimized` form, whose blocks are as
+narrow as possible, once for all larger sizes; that changes cost, never
+truth values.  A size whose ground atoms exceed one chunk (more than
+`_CHUNK_BITS`) is not scanned: the scope-minimized form is encoded as
+one CNF over that size, MACE-style (`_SatEncoding`), and handed to the
+CDCL solver `decide.dpll_sat`.  Only the packed scan promises the first
+structure in canonical enumeration order; the SAT route returns any
+model.  Every structure `ModelSearch` returns is re-checked by the
+reference evaluator.  The equivalence oracle is a packed scan for
+`f <-> ~g`, which holds exactly where f and g disagree.
 
 `Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
 and quantifier loops fold, stopping at a dominating one; a bool becomes
@@ -33,6 +38,7 @@ import numpy as np
 
 from . import syntax as S
 from .errors import BadParams, BudgetExceeded, NotASentence
+from .generators import expand_counting
 from .semantics import Structure, evaluate
 
 _CHUNK_BITS = 20
@@ -404,6 +410,156 @@ def _block(quant, names, body: S.Formula, free) -> S.Formula:
 
 
 # ---------------------------------------------------------------------------
+# SAT encoding of one size (Claessen & Sörensson 2003, MACE-style)
+
+
+class _SatEncoding:
+    """Clauses whose models are the structures over `space` on which a
+    counting-free sentence is true, built by one memoized walk.
+
+    Variable bit + 1 is the ground atom `space.atoms[bit]`, so `decode`
+    reads the predicate tables off an assignment.  Each constant takes
+    one value through one-hot variables.  The i-th constant in sorted
+    order may only name e1..e(i+1), which keeps a structure of every
+    isomorphism class; a constant left with one value has no variable.
+    The walk carries polarity as `syntax.nnf_tree` does, so every gate
+    occurs positively and is defined in one direction only
+    (Plaisted-Greenbaum): a gate implies the conjunction or disjunction of
+    its inputs.  Gates are hash-consed by (op, inputs), and a subformula
+    is encoded once per polarity and values of its free variables.  A
+    value is a literal or a bool, and bools fold away.  An atom with
+    constant arguments is the disjunction, over the values its constants
+    can take, of those values and the ground atom; its negation is the
+    dual conjunction.
+    """
+
+    def __init__(self, space: GroundSpace, free: dict):
+        self.space = space
+        self.free = free  # id of a subformula -> its sorted free variables
+        self.n = space.n_bits
+        self.clauses: list[tuple[int, ...]] = []
+        self.gates: dict = {}
+        self.memo: dict = {}
+        self.values: dict[str, list] = {}  # constant -> literal per value it can take
+        for i, c in enumerate(space.const_names):
+            k = min(i + 1, space.size)
+            if k == 1:
+                self.values[c] = [True]
+                continue
+            lits = list(range(self.n + 1, self.n + k + 1))
+            self.n += k
+            self.clauses.append(tuple(lits))
+            self.clauses += [(-a, -b) for a, b in itertools.combinations(lits, 2)]
+            self.values[c] = lits
+
+    def gate(self, op: str, inputs):
+        """`op` ("&" or "|") of literals and bools as one literal or bool;
+        `inputs` is consumed only up to a dominating bool."""
+        neutral = op == "&"
+        lits = set()
+        for x in inputs:
+            if type(x) is not bool:
+                lits.add(x)
+            elif x is not neutral:
+                return x
+        if len(lits) < 2:
+            return lits.pop() if lits else neutral
+        key = (op, tuple(sorted(lits)))
+        v = self.gates.get(key)
+        if v is None:
+            self.n += 1
+            v = self.gates[key] = self.n
+            if neutral:
+                self.clauses += [(-v, x) for x in key[1]]
+            else:
+                self.clauses.append((-v, *key[1]))
+        return v
+
+    def walk(self, g: S.Formula, env: dict, positive: bool):
+        t = type(g)
+        if t is S.Not:
+            return self.walk(g.sub, env, not positive)
+        if t is S.Top or t is S.Bottom:
+            return (t is S.Top) == positive
+        if t is S.Pred or t is S.Eq:
+            terms = (g.left, g.right) if t is S.Eq else g.args
+            if all(type(u) is S.Var for u in terms):
+                args = tuple([env[u.name] for u in terms])
+                if t is S.Eq:
+                    return (args[0] == args[1]) == positive
+                lit = self.space.atom_index[(g.name, args)] + 1
+                return lit if positive else -lit
+        key = (id(g), positive, tuple([env[v] for v in self.free[id(g)]]))
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self._encode(g, t, env, positive)
+        return out
+
+    def _encode(self, g, t, env, positive):
+        walk = self.walk
+        if t is S.And or t is S.Or:
+            op = "&" if (t is S.And) == positive else "|"
+            return self.gate(op, (walk(p, env, positive) for p in g.parts))
+        if t is S.Forall or t is S.Exists:
+            op = "&" if (t is S.Forall) == positive else "|"
+            combos = itertools.product(range(self.space.size), repeat=len(g.vars))
+            return self.gate(
+                op, (walk(g.body, {**env, **dict(zip(g.vars, c))}, positive) for c in combos)
+            )
+        inner = "|" if positive else "&"
+        if t is S.Implies:
+            return self.gate(inner, (walk(g.left, env, not positive), walk(g.right, env, positive)))
+        if t is S.Iff:
+            left = self.gate(inner, (walk(g.left, env, not positive), walk(g.right, env, positive)))
+            right = self.gate(inner, (walk(g.left, env, positive), walk(g.right, env, not positive)))
+            return self.gate("&" if positive else "|", (left, right))
+        if t is S.Pred or t is S.Eq:
+            return self._atom(g, t is S.Eq, env, positive)
+        raise TypeError(f"not a counting-free formula: {g!r}")
+
+    def _atom(self, g, eq: bool, env, positive):
+        terms = (g.left, g.right) if eq else g.args
+        consts = [u.name for u in dict.fromkeys(terms) if type(u) is S.Const]
+        parts = []
+        for combo in itertools.product(*(enumerate(self.values[c]) for c in consts)):
+            value = dict(zip(consts, [e for e, _ in combo]))
+            args = [env[u.name] if type(u) is S.Var else value[u.name] for u in terms]
+            lit = args[0] == args[1] if eq else self.space.atom_index[(g.name, tuple(args))] + 1
+            lits = [l for _, l in combo] + [lit]
+            if positive:
+                parts.append(self.gate("&", lits))
+            else:
+                parts.append(self.gate("|", [(not l) if type(l) is bool else -l for l in lits]))
+        return self.gate("|" if positive else "&", parts)
+
+    def decode(self, assignment: dict) -> Structure:
+        code = sum(1 << bit for bit in range(self.space.n_bits) if assignment[bit + 1])
+        cmap = {
+            c: next(e for e, l in enumerate(lits) if l is True or assignment[l])
+            for c, lits in self.values.items()
+        }
+        return self.space.decode(cmap, code)
+
+
+def _free_by_node(f: S.Formula) -> dict[int, tuple[str, ...]]:
+    """id -> sorted free variables, for every subformula of f."""
+    out: dict[int, tuple[str, ...]] = {}
+
+    def walk(g) -> frozenset:
+        if id(g) in out:
+            return frozenset(out[id(g)])
+        kids = S.children(g)
+        fv = frozenset().union(*map(walk, kids)) if kids else S.free_vars(g)
+        if isinstance(g, _QUANTIFIERS):
+            fv -= frozenset(g.vars)
+        out[id(g)] = tuple(sorted(fv))
+        return fv
+
+    walk(f)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -426,7 +582,10 @@ class ModelSearch:
     sentence as written: every quantifier block has one binding there, so
     scope minimization and memoization save nothing.  The scope-minimized
     form and its memo plan are built on the first search at size 2 or
-    more and reused for every later size and call."""
+    more, or the first SAT call, and reused for every later size and call.
+    A size whose ground atoms exceed one packed chunk is decided by one
+    SAT call (`sat`), every other size by the packed scan (`scan`);
+    `sat_sizes` lists the sizes decided by SAT."""
 
     def __init__(self, f: S.Formula):
         if S.free_vars(f):
@@ -434,33 +593,74 @@ class ModelSearch:
         self.f = f
         self.sig = S.infer_signature(f)
         self._reduced = None  # (scope-minimized form, its memo plan)
+        self._encoded = None  # (counting-free reduced form, free variables by node)
+        self.sat_sizes: list[int] = []
+
+    def _prepared(self):
+        if self._reduced is None:
+            reduced = scope_minimized(self.f)
+            self._reduced = (reduced, _memo_plan(reduced))
+        return self._reduced
 
     def run(self, max_size: int, min_size: int = 1) -> Optional[Structure]:
         """`find_model` on the prepared sentence."""
         for size in range(min_size, max_size + 1):
-            if size > 1 and self._reduced is None:
-                reduced = scope_minimized(self.f)
-                self._reduced = (reduced, _memo_plan(reduced))
-            g, plan = (self.f, {}) if size == 1 else self._reduced
             space = GroundSpace(self.sig, size)
-            for cmap in space.const_maps(canonical=True):
-                for chunk in range(space.n_chunks):
-                    code = space.first_true(space.eval_chunk(g, cmap, chunk, plan), chunk)
-                    if code is not None:
-                        witness = space.decode(cmap, code)
-                        if not evaluate(witness, {}, self.f):
-                            raise RuntimeError(
-                                "internal error: packed evaluation disagrees with "
-                                "the reference evaluator on the returned witness"
-                            )
-                        return witness
+            if space.n_bits > _CHUNK_BITS:
+                self.sat_sizes.append(size)
+                witness = self.sat(space)
+            else:
+                witness = self.scan(space)
+            if witness is not None:
+                return self._checked(witness)
         return None
+
+    def _checked(self, witness: Structure) -> Structure:
+        if not evaluate(witness, {}, self.f):
+            raise RuntimeError(
+                "internal error: model search disagrees with "
+                "the reference evaluator on the returned witness"
+            )
+        return witness
+
+    def scan(self, space: GroundSpace) -> Optional[Structure]:
+        """First structure over `space`, in canonical enumeration order,
+        on which packed evaluation finds the sentence true; not
+        re-checked."""
+        g, plan = (self.f, {}) if space.size == 1 else self._prepared()
+        for cmap in space.const_maps(canonical=True):
+            for chunk in range(space.n_chunks):
+                code = space.first_true(space.eval_chunk(g, cmap, chunk, plan), chunk)
+                if code is not None:
+                    return space.decode(cmap, code)
+        return None
+
+    def sat(self, space: GroundSpace) -> Optional[Structure]:
+        """A structure over `space` satisfying the encoding of the
+        sentence (`_SatEncoding`), found by one call of the CDCL solver
+        `decide.dpll_sat`, or None; not re-checked."""
+        from . import decide  # imported here: decide imports this module
+
+        if self._encoded is None:
+            g = expand_counting(self._prepared()[0]).formula
+            self._encoded = (g, _free_by_node(g))
+        g, free = self._encoded
+        enc = _SatEncoding(space, free)
+        root = enc.walk(g, {}, True)
+        if root is False:
+            return None
+        if root is not True:
+            enc.clauses.append((root,))
+        verdict = decide.dpll_sat(decide.PropCnf(enc.n, tuple(enc.clauses)))
+        return enc.decode(verdict.assignment) if verdict.status == "sat" else None
 
 
 def find_model(f: S.Formula, max_size: int = 4, min_size: int = 1) -> Optional[Structure]:
-    """First structure (sizes min_size..max_size, canonical enumeration
-    order) satisfying the sentence, or None.  Constants are pinned to
-    canonical universe prefixes, which is complete up to isomorphism."""
+    """Smallest-size structure (sizes min_size..max_size) satisfying the
+    sentence, or None.  At a packed-scan size it is the first in
+    canonical enumeration order; at a size decided by SAT it is the
+    solver's model.  Constants are pinned to canonical universe prefixes,
+    which is complete up to isomorphism."""
     return ModelSearch(f).run(max_size, min_size)
 
 
@@ -488,9 +688,11 @@ def equivalent_upto(
 
     Free variables are handled by binding them to fresh constants, so the
     check covers all assignments as well.  The comparison is a model
-    search for `f <-> ~g`, which holds exactly where f and g disagree, so
-    its first model is the first disagreement a full enumeration would
-    meet, and it is re-checked by the reference evaluator.  Exceeding the
+    search for `f <-> ~g`, which holds exactly where f and g disagree.
+    It always takes the packed scan, never the SAT route, so the oracle
+    stays independent of the SAT encoding: its model is the first
+    disagreement a full enumeration would meet, and it is re-checked by
+    the reference evaluator.  Exceeding the
     structure budget, counted over all constant maps and checked before
     each size, raises.  A size below 1 compares nothing and raises
     BadParams.
@@ -515,8 +717,9 @@ def equivalent_upto(
                 needed=spent,
                 limit=budget,
             )
-        witness = differ.run(m, min_size=m)
+        witness = differ.scan(GroundSpace(differ.sig, m))
         if witness is not None:
+            differ._checked(witness)
             consts = {
                 c: e for c, e in witness.constants.items() if c not in var_consts.values()
             }

@@ -129,6 +129,17 @@ def test_abstraction_tautology():
     assert dpll_sat(cnf).status == "sat"
 
 
+def test_abstraction_names_equality_from_its_atoms():
+    # without ename, E avoids the predicate names the walk numbered
+    f, _ = parse_formula("E(c, d) & c = d & ~P(c)")
+    tree, amap, axioms = to_propositional(f)
+    assert amap.equality == "E1"
+    assert (tree, amap, axioms) == to_propositional(f, "E1")
+    g, _ = parse_formula("P(c) | ~P(d)")
+    _, amap, axioms = to_propositional(g)
+    assert amap.equality is None and axioms == []
+
+
 def test_abstraction_preserves_horn_krom():
     f, _ = parse_formula("(~P(c) | Q(c)) & (~Q(c) | P(d))")
     cnf = prop_cnf(*to_propositional(f))

@@ -16,7 +16,7 @@ tries size 1 first, on the sentence as written: a one-element model is
 below every bound, so all size bounds, the BSR translation's included,
 are computed only when size 1 has no model, and a size-1 sat verdict
 carries only "path" and "search_limit".  Larger sizes share one form.
-A size with more ground atoms than one packed chunk holds is one SAT
+A size with more than `search._SCAN_BITS` (30) ground atoms is one SAT
 call on the same solver (`search.ModelSearch`), and those sizes are
 listed in "sat_sizes", which is absent when there are none.
 """

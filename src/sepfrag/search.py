@@ -9,14 +9,14 @@ quantifier block as written.  `ModelSearch` is the one model search: it
 evaluates size 1 on the sentence itself, where every block has one
 binding, and builds the `scope_minimized` form, whose blocks are as
 narrow as possible, once for all larger sizes; that changes cost, never
-truth values.  A size whose ground atoms exceed one chunk (more than
-`_CHUNK_BITS`) is not scanned: the scope-minimized form is encoded as
-one CNF over that size, MACE-style (`_SatEncoding`), and handed to the
-CDCL solver `decide.dpll_sat`.  Only the packed scan promises the first
-structure in canonical enumeration order; the SAT route returns any
-model.  Every structure `ModelSearch` returns is re-checked by the
-reference evaluator.  The equivalence oracle is a packed scan for
-`f <-> ~g`, which holds exactly where f and g disagree.
+truth values.  A size with more than `_SCAN_BITS` ground atoms is not
+scanned: the scope-minimized form is encoded as one CNF over that size,
+MACE-style (`_SatEncoding`), and handed to the CDCL solver
+`decide.dpll_sat`.  Only the packed scan promises the first structure
+in canonical enumeration order; the SAT route returns any model.  Every
+structure `ModelSearch` returns is re-checked by the reference
+evaluator.  The equivalence oracle is a model search for `f <-> ~g`,
+which holds exactly where f and g disagree.
 
 `Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
 and quantifier loops fold, stopping at a dominating one; a bool becomes
@@ -42,6 +42,17 @@ from .generators import expand_counting
 from .semantics import Structure, evaluate
 
 _CHUNK_BITS = 20
+
+# Largest size, in ground atoms, that the model search scans; a larger
+# one is a single SAT call.  A scan costs 2^(n_bits - 20) chunk
+# evaluations per constant map, 7-180 ms each on the inputs measured:
+# predictable, and up to 30 bits at most minutes.  SAT can be far slower
+# on a size with no model: hard n=1 against its BSR form takes 0.03 s
+# scanned against 1.7 s by SAT at 16 bits, and 2.9 s against over 60 s
+# at 24 bits; sentences SAT refutes in milliseconds scan in 0.1-0.2 s at
+# 25 bits.  Beyond 30 bits a scan takes 15 s to 6 min per map, and the
+# lower-bound sentences at size 2 (52 and 88 bits) take SAT 25-50 ms.
+_SCAN_BITS = 30
 
 # word with bit j set iff bit k of j is set, for k < 6
 _WORD_PATTERNS = (
@@ -346,7 +357,10 @@ _QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 # reference evaluator in the test suite.
 
 
-def scope_minimized(f: S.Formula) -> S.Formula:
+def _free_vars_by_id():
+    """Free variables of a subformula, memoized by node id.  A node's
+    first call returns the frozenset that every later call returns, so
+    its iteration order is fixed too."""
     # id -> (free variables, node); holding the node keeps its id unique
     memo: dict[int, tuple[frozenset, S.Formula]] = {}
 
@@ -359,6 +373,12 @@ def scope_minimized(f: S.Formula) -> S.Formula:
                 fv -= frozenset(g.vars)
             hit = memo[id(g)] = (fv, g)
         return hit[0]
+
+    return free
+
+
+def scope_minimized(f: S.Formula) -> S.Formula:
+    free = _free_vars_by_id()
 
     def walk(g: S.Formula) -> S.Formula:
         if isinstance(g, (S.Forall, S.Exists)):
@@ -433,9 +453,9 @@ class _SatEncoding:
     dual conjunction.
     """
 
-    def __init__(self, space: GroundSpace, free: dict):
+    def __init__(self, space: GroundSpace, free):
         self.space = space
-        self.free = free  # id of a subformula -> its sorted free variables
+        self.free = free  # `_free_vars_by_id` over the encoded sentence
         self.n = space.n_bits
         self.clauses: list[tuple[int, ...]] = []
         self.gates: dict = {}
@@ -489,7 +509,7 @@ class _SatEncoding:
                     return (args[0] == args[1]) == positive
                 lit = self.space.atom_index[(g.name, args)] + 1
                 return lit if positive else -lit
-        key = (id(g), positive, tuple([env[v] for v in self.free[id(g)]]))
+        key = (id(g), positive, tuple([env[v] for v in self.free(g)]))
         out = self.memo.get(key)
         if out is None:
             out = self.memo[key] = self._encode(g, t, env, positive)
@@ -541,24 +561,6 @@ class _SatEncoding:
         return self.space.decode(cmap, code)
 
 
-def _free_by_node(f: S.Formula) -> dict[int, tuple[str, ...]]:
-    """id -> sorted free variables, for every subformula of f."""
-    out: dict[int, tuple[str, ...]] = {}
-
-    def walk(g) -> frozenset:
-        if id(g) in out:
-            return frozenset(out[id(g)])
-        kids = S.children(g)
-        fv = frozenset().union(*map(walk, kids)) if kids else S.free_vars(g)
-        if isinstance(g, _QUANTIFIERS):
-            fv -= frozenset(g.vars)
-        out[id(g)] = tuple(sorted(fv))
-        return fv
-
-    walk(f)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -581,10 +583,10 @@ class ModelSearch:
     """Model search on one sentence, prepared once.  Size 1 evaluates the
     sentence as written: every quantifier block has one binding there, so
     scope minimization and memoization save nothing.  The scope-minimized
-    form and its memo plan are built on the first search at size 2 or
-    more, or the first SAT call, and reused for every later size and call.
-    A size whose ground atoms exceed one packed chunk is decided by one
-    SAT call (`sat`), every other size by the packed scan (`scan`);
+    form is built on the first search at size 2 or more and reused for
+    every later size and call; its memo plan only when a size is scanned.
+    A size with more than `_SCAN_BITS` ground atoms is decided by one SAT
+    call (`sat`), every other size by the packed scan (`scan`);
     `sat_sizes` lists the sizes decided by SAT."""
 
     def __init__(self, f: S.Formula):
@@ -592,42 +594,45 @@ class ModelSearch:
             raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
         self.f = f
         self.sig = S.infer_signature(f)
-        self._reduced = None  # (scope-minimized form, its memo plan)
-        self._encoded = None  # (counting-free reduced form, free variables by node)
+        self._minimized = None  # scope-minimized form
+        self._plan = None  # its memo plan, for the scan
+        self._encoded = None  # (its counting-free form, free variables of its nodes)
         self.sat_sizes: list[int] = []
 
-    def _prepared(self):
-        if self._reduced is None:
-            reduced = scope_minimized(self.f)
-            self._reduced = (reduced, _memo_plan(reduced))
-        return self._reduced
+    def _reduced(self) -> S.Formula:
+        if self._minimized is None:
+            self._minimized = scope_minimized(self.f)
+        return self._minimized
 
     def run(self, max_size: int, min_size: int = 1) -> Optional[Structure]:
         """`find_model` on the prepared sentence."""
         for size in range(min_size, max_size + 1):
             space = GroundSpace(self.sig, size)
-            if space.n_bits > _CHUNK_BITS:
+            if space.n_bits > _SCAN_BITS:
                 self.sat_sizes.append(size)
                 witness = self.sat(space)
             else:
                 witness = self.scan(space)
             if witness is not None:
-                return self._checked(witness)
+                if not evaluate(witness, {}, self.f):
+                    raise RuntimeError(
+                        "internal error: model search disagrees with "
+                        "the reference evaluator on the returned witness"
+                    )
+                return witness
         return None
-
-    def _checked(self, witness: Structure) -> Structure:
-        if not evaluate(witness, {}, self.f):
-            raise RuntimeError(
-                "internal error: model search disagrees with "
-                "the reference evaluator on the returned witness"
-            )
-        return witness
 
     def scan(self, space: GroundSpace) -> Optional[Structure]:
         """First structure over `space`, in canonical enumeration order,
         on which packed evaluation finds the sentence true; not
         re-checked."""
-        g, plan = (self.f, {}) if space.size == 1 else self._prepared()
+        if space.size == 1:
+            g, plan = self.f, {}
+        else:
+            g = self._reduced()
+            if self._plan is None:
+                self._plan = _memo_plan(g)
+            plan = self._plan
         for cmap in space.const_maps(canonical=True):
             for chunk in range(space.n_chunks):
                 code = space.first_true(space.eval_chunk(g, cmap, chunk, plan), chunk)
@@ -642,8 +647,7 @@ class ModelSearch:
         from . import decide  # imported here: decide imports this module
 
         if self._encoded is None:
-            g = expand_counting(self._prepared()[0]).formula
-            self._encoded = (g, _free_by_node(g))
+            self._encoded = (expand_counting(self._reduced()).formula, _free_vars_by_id())
         g, free = self._encoded
         enc = _SatEncoding(space, free)
         root = enc.walk(g, {}, True)
@@ -688,14 +692,14 @@ def equivalent_upto(
 
     Free variables are handled by binding them to fresh constants, so the
     check covers all assignments as well.  The comparison is a model
-    search for `f <-> ~g`, which holds exactly where f and g disagree.
-    It always takes the packed scan, never the SAT route, so the oracle
-    stays independent of the SAT encoding: its model is the first
-    disagreement a full enumeration would meet, and it is re-checked by
-    the reference evaluator.  Exceeding the
+    search for `f <-> ~g`, which holds exactly where f and g disagree;
+    its model is re-checked by the reference evaluator.  Exceeding the
     structure budget, counted over all constant maps and checked before
-    each size, raises.  A size below 1 compares nothing and raises
-    BadParams.
+    each size, raises.  Within the default budget every size has at most
+    23 ground atoms, so it is scanned and the counterexample is the first
+    disagreement a full enumeration would meet; only a budget above
+    2^30 structures reaches sizes decided by SAT.  A size below 1
+    compares nothing and raises BadParams.
     """
     if size < 1:
         raise BadParams(f"equivalence check needs size >= 1, got {size}")
@@ -717,9 +721,8 @@ def equivalent_upto(
                 needed=spent,
                 limit=budget,
             )
-        witness = differ.scan(GroundSpace(differ.sig, m))
+        witness = differ.run(m, min_size=m)
         if witness is not None:
-            differ._checked(witness)
             consts = {
                 c: e for c, e in witness.constants.items() if c not in var_consts.values()
             }

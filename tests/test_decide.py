@@ -621,7 +621,7 @@ def test_decide_matches_bound_first_route(monkeypatch):
 
 def test_decide_prepares_the_search_once(monkeypatch):
     # size 1 is searched as written; sizes 2 and up share one
-    # scope-minimized form and one memo plan
+    # scope-minimized form, and the scanned ones one memo plan
     from sepfrag import search
 
     calls = {"scope_minimized": 0, "_memo_plan": 0}
@@ -647,7 +647,8 @@ def test_decide_prepares_the_search_once(monkeypatch):
         else:
             want = int(v.details["search_limit"] >= 2)
             kind = "searched past size 1" if want else None
-        assert calls == {"scope_minimized": want, "_memo_plan": want}, print_formula(f)
+        scanned = want and len(v.details.get("sat_sizes", ())) < v.details["search_limit"] - 1
+        assert calls == {"scope_minimized": want, "_memo_plan": int(scanned)}, print_formula(f)
         if kind:
             kinds[kind] += 1
     assert min(kinds.values()) >= 20, kinds

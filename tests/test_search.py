@@ -6,7 +6,7 @@ import pytest
 
 from sepfrag import syntax as S
 from sepfrag.decide import DecideConfig, decide_sat
-from sepfrag.search import _CHUNK_BITS, GroundSpace, ModelSearch
+from sepfrag.search import _SCAN_BITS, GroundSpace, ModelSearch
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
@@ -60,7 +60,7 @@ def test_sat_route_agrees_with_packed_scan():
 @pytest.mark.parametrize("name", ["hierarchy12", "domino1"])
 def test_lower_bound_sentences_at_size_two_go_to_sat(name):
     f, _ = parse_formula((DATA / f"{name}.txt").read_text())
-    assert GroundSpace(S.infer_signature(f), 2).n_bits > _CHUNK_BITS
+    assert GroundSpace(S.infer_signature(f), 2).n_bits > _SCAN_BITS
     start = time.perf_counter()
     v = decide_sat(f, DecideConfig(max_model_size=2))
     assert time.perf_counter() - start < 2.0
@@ -73,3 +73,16 @@ def test_packed_sizes_record_no_sat_size():
     f, _ = parse_formula("forall x. exists y. R(x, y) & ~R(x, x)")
     v = decide_sat(f, DecideConfig(max_model_size=3))
     assert v.status == "sat" and "sat_sizes" not in v.details
+
+
+def test_sizes_above_one_chunk_are_scanned_up_to_the_scan_bound():
+    # a strict order without a maximal element has no finite model; R has
+    # 25 ground atoms at size 5 and 36 at size 6
+    f, _ = parse_formula(
+        "(forall x. ~R(x, x)) & (forall x. exists y. R(x, y))"
+        " & (forall x y z. (R(x, y) & R(y, z)) -> R(x, z))"
+    )
+    models = ModelSearch(f)
+    assert GroundSpace(models.sig, 5).n_bits <= _SCAN_BITS < GroundSpace(models.sig, 6).n_bits
+    assert models.run(5, min_size=5) is None and models.sat_sizes == []
+    assert models.run(6, min_size=6) is None and models.sat_sizes == [6]

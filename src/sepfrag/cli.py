@@ -178,6 +178,9 @@ def _cmd_to_bsr(args) -> int:
     return 0
 
 
+_SCALARS = (str, int, bool, type(None))
+
+
 def _cmd_decide(args) -> int:
     f = _read_formula(args)
     cfg = decide.DecideConfig(max_model_size=args.max_size)
@@ -187,7 +190,9 @@ def _cmd_decide(args) -> int:
         "model": json.loads(verdict.structure.to_json()) if verdict.structure else None,
         "bound": verdict.bound.to_json() if verdict.bound is not None else None,
         "details": {
-            k: v for k, v in verdict.details.items() if isinstance(v, (str, int, bool, type(None)))
+            k: v
+            for k, v in verdict.details.items()
+            if all(isinstance(x, _SCALARS) for x in (v if type(v) is list else [v]))
         },
     }
     if args.emit_model and verdict.structure is not None:

@@ -6,16 +6,17 @@ the standard form, whose matrix is already quantifier-free and in NNF,
 abstract atoms to signed ints in one negation-pushing walk that reads
 each ground equation s = t as the atom E(s, t) of a fresh predicate E
 (`to_propositional`), emit the ground equality axioms of E as integer
-clauses built from that atom map (`equality_axioms`), distribute the
-tree to CNF and add the axiom clauses as they are (`prop_cnf`; a flat
-clause bypasses the distribution product), and decide it with one CDCL
-solver (`dpll_sat`), whose SAT assignment is re-checked against the
-sentence as a Herbrand model.  Everything else is decided by bounded
-model search against the best available small-model bound.  The search
-tries size 1 first, on the sentence as written: a one-element model is
-below every bound, so all size bounds, the BSR translation's included,
-are computed only when size 1 has no model, and a size-1 sat verdict
-carries only "path" and "search_limit".  Larger sizes share one form.
+clauses built from that atom map (`equality_axioms`), encode the tree
+with the Plaisted-Greenbaum gates of `syntax.Gates` and add the axiom
+clauses as they are (`prop_cnf`), and decide it with one CDCL solver
+(`dpll_sat`), whose SAT assignment, restricted to the atom variables,
+is re-checked against the sentence as a Herbrand model.  Everything
+else is decided by bounded model search against the best available
+small-model bound.  The search tries size 1 first, on the sentence as
+written: a one-element model is below every bound, so all size bounds,
+the BSR translation's included, are computed only when size 1 has no
+model, and a size-1 sat verdict carries only "path" and
+"search_limit".  Larger sizes share one form.
 A size with more than `search._SCAN_BITS` (30) ground atoms is one SAT
 call on the same solver (`search.ModelSearch`), and those sizes are
 listed in "sat_sizes", which is absent when there are none.
@@ -159,12 +160,15 @@ def to_propositional(g: S.Formula, ename: Optional[str] = None):
 
 
 def prop_cnf(tree, amap: AtomMap, axioms=()) -> PropCnf:
-    """`syntax.distribute` of a `to_propositional` tree, with the integer
-    clauses `axioms` added as they are, and literals ordered as
-    `syntax.cnf_matrix` orders atoms q0, q1, ... named after variables
-    1, 2, ..."""
-    clauses = S.distribute(tree, lambda v: (f"q{abs(v) - 1}", v < 0), flat=axioms)
-    return PropCnf(len(amap.atoms), tuple(clauses))
+    """The definitional CNF of a `to_propositional` tree (`syntax.Gates`,
+    whose gate variables follow the atoms of `amap`), with the integer
+    clauses `axioms` added as they are.  It is equisatisfiable with the
+    tree and the axioms, and each of its models, restricted to the atom
+    variables, satisfies both."""
+    enc = S.Gates(len(amap.atoms))
+    enc.require(tree)
+    enc.clauses += axioms
+    return PropCnf(enc.n, tuple(enc.clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +408,11 @@ def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
     }
     if verdict.status == "unsat":
         return SatVerdict("unsat", details=details)
-    witness = _herbrand_structure(verdict.assignment, amap)
+    assignment = {v: verdict.assignment[v] for v in range(1, len(amap.atoms) + 1)}
+    witness = _herbrand_structure(assignment, amap)
     if not evaluate(witness, {}, sentence):
         raise RuntimeError("internal error: propositional witness fails re-evaluation")
-    return SatVerdict("sat", structure=witness, assignment=verdict.assignment, details=details)
+    return SatVerdict("sat", structure=witness, assignment=assignment, details=details)
 
 
 def _bound(sf: S.StandardForm, details: dict):

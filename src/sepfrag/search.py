@@ -433,7 +433,7 @@ def _block(quant, names, body: S.Formula, free) -> S.Formula:
 # SAT encoding of one size (Claessen & Sörensson 2003, MACE-style)
 
 
-class _SatEncoding:
+class _SatEncoding(S.Gates):
     """Clauses whose models are the structures over `space` on which a
     counting-free sentence is true, built by one memoized walk.
 
@@ -443,22 +443,17 @@ class _SatEncoding:
     order may only name e1..e(i+1), which keeps a structure of every
     isomorphism class; a constant left with one value has no variable.
     The walk carries polarity as `syntax.nnf_tree` does, so every gate
-    occurs positively and is defined in one direction only
-    (Plaisted-Greenbaum): a gate implies the conjunction or disjunction of
-    its inputs.  Gates are hash-consed by (op, inputs), and a subformula
-    is encoded once per polarity and values of its free variables.  A
-    value is a literal or a bool, and bools fold away.  An atom with
-    constant arguments is the disjunction, over the values its constants
-    can take, of those values and the ground atom; its negation is the
-    dual conjunction.
+    occurs positively, as the Plaisted-Greenbaum gates of `syntax.Gates`
+    require, and a subformula is encoded once per polarity and values of
+    its free variables.  An atom with constant arguments is the
+    disjunction, over the values its constants can take, of those values
+    and the ground atom; its negation is the dual conjunction.
     """
 
     def __init__(self, space: GroundSpace, free):
+        super().__init__(space.n_bits)
         self.space = space
         self.free = free  # `_free_vars_by_id` over the encoded sentence
-        self.n = space.n_bits
-        self.clauses: list[tuple[int, ...]] = []
-        self.gates: dict = {}
         self.memo: dict = {}
         self.values: dict[str, list] = {}  # constant -> literal per value it can take
         for i, c in enumerate(space.const_names):
@@ -471,29 +466,6 @@ class _SatEncoding:
             self.clauses.append(tuple(lits))
             self.clauses += [(-a, -b) for a, b in itertools.combinations(lits, 2)]
             self.values[c] = lits
-
-    def gate(self, op: str, inputs):
-        """`op` ("&" or "|") of literals and bools as one literal or bool;
-        `inputs` is consumed only up to a dominating bool."""
-        neutral = op == "&"
-        lits = set()
-        for x in inputs:
-            if type(x) is not bool:
-                lits.add(x)
-            elif x is not neutral:
-                return x
-        if len(lits) < 2:
-            return lits.pop() if lits else neutral
-        key = (op, tuple(sorted(lits)))
-        v = self.gates.get(key)
-        if v is None:
-            self.n += 1
-            v = self.gates[key] = self.n
-            if neutral:
-                self.clauses += [(-v, x) for x in key[1]]
-            else:
-                self.clauses.append((-v, *key[1]))
-        return v
 
     def walk(self, g: S.Formula, env: dict, positive: bool):
         t = type(g)
@@ -650,11 +622,7 @@ class ModelSearch:
             self._encoded = (expand_counting(self._reduced()).formula, _free_vars_by_id())
         g, free = self._encoded
         enc = _SatEncoding(space, free)
-        root = enc.walk(g, {}, True)
-        if root is False:
-            return None
-        if root is not True:
-            enc.clauses.append((root,))
+        enc.require(enc.walk(g, {}, True))
         verdict = decide.dpll_sat(decide.PropCnf(enc.n, tuple(enc.clauses)))
         return enc.decode(verdict.assignment) if verdict.status == "sat" else None
 

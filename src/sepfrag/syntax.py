@@ -953,6 +953,60 @@ def _join(op: str, parts: list):
     return flat[0] if len(flat) == 1 else (op, flat)
 
 
+class Gates:
+    """Definitional CNF over variables 1..n (Plaisted & Greenbaum 1986).
+    Every gate occurs positively, so it is defined in one direction only:
+    a gate implies the conjunction or disjunction of its inputs.  Gates
+    are hash-consed by (op, inputs) and numbered after n.  A value is a
+    literal or a bool, and bools fold away."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.clauses: list[tuple[int, ...]] = []
+        self.gates: dict = {}
+
+    def gate(self, op: str, inputs):
+        """`op` ("&" or "|") of literals and bools as one literal or bool;
+        `inputs` is consumed only up to a dominating bool."""
+        neutral = op == "&"
+        lits = set()
+        for x in inputs:
+            if type(x) is not bool:
+                lits.add(x)
+            elif x is not neutral:
+                return x
+        if len(lits) < 2:
+            return lits.pop() if lits else neutral
+        key = (op, tuple(sorted(lits)))
+        v = self.gates.get(key)
+        if v is None:
+            self.n += 1
+            v = self.gates[key] = self.n
+            if neutral:
+                self.clauses += [(-v, x) for x in key[1]]
+            else:
+                self.clauses.append((-v, *key[1]))
+        return v
+
+    def literal(self, tree):
+        """A tree as `nnf_tree` builds it, as one literal or bool."""
+        return self.gate(tree[0], map(self.literal, tree[1])) if type(tree) is tuple else tree
+
+    def require(self, tree):
+        """Add the clauses that make a tree, a literal or a bool true.  A
+        top-level "&" is required part by part and a top-level "|" is one
+        clause over its parts' literals, so only nested subtrees get
+        gates."""
+        op, parts = tree if type(tree) is tuple else ("|", [tree])
+        if op == "&":
+            for p in parts:
+                self.require(p)
+        else:
+            lits = [self.literal(p) for p in parts]
+            if not any(x is True for x in lits):
+                self.clauses.append(tuple(x for x in lits if x is not False))
+
+
 # ---------------------------------------------------------------------------
 # prenexing and standard form
 
@@ -1112,19 +1166,15 @@ class CnfMatrix:
 DEFAULT_CLAUSE_BUDGET = 10**6
 
 
-def distribute(
-    tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET, flat=()
-) -> list[tuple[int, ...]]:
-    """Distribution-based CNF of a tree as `nnf_tree` builds it, together
-    with the clauses of `flat`, each an iterable of literals.
+def distribute(tree, key, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> list[tuple[int, ...]]:
+    """Distribution-based CNF of a tree as `nnf_tree` builds it.
 
     A disjunction of literals is one clause as it stands; only a
     disjunction with a conjunction below it goes through the product.
     Duplicate literals and clauses are removed; each clause's literals
     are sorted by `key`, which must give distinct literals distinct
     values, and the clauses by their literals' keys.  Exceeding
-    `max_clauses` at any node, or with the tree's and `flat`'s clauses
-    together, raises rather than truncating.
+    `max_clauses` at any node raises rather than truncating.
     """
 
     def check(n: int):
@@ -1156,11 +1206,7 @@ def distribute(
             out = [a | b for a in out for b in pcl]
         return out
 
-    out = clauses(tree)
-    if flat:
-        out.extend(map(frozenset, flat))
-        check(len(out))
-    distinct = set(out)
+    distinct = set(clauses(tree))
     # sort by rank, so that `key` is called once per distinct literal
     lits = sorted({lit for cl in distinct for lit in cl}, key=key)
     rank = {lit: i for i, lit in enumerate(lits)}

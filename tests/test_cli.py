@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -81,10 +82,18 @@ def test_decide_ground_equational_golden(capsys):
     }
 
 
-def test_decide_clause_budget_exit_65(capsys):
+def test_decide_wide_ground_exit_0(capsys):
+    # past the distribution budget, but two gates in definitional CNF
     wide = [" & ".join(f"{p}(a{i})" for i in range(1, 1002)) for p in "PQ"]
-    assert run(["decide", f"({wide[0]}) | ({wide[1]})"]) == 65
-    assert "budget" in capsys.readouterr().err
+    code, out = run_capture(capsys, ["decide", f"({wide[0]}) | ({wide[1]})"])
+    assert code == 0 and json.loads(out)["status"] == "sat"
+
+
+def test_decide_lists_sat_sizes(capsys):
+    data = str(Path(__file__).resolve().parent.parent / "bench" / "data" / "hierarchy12.txt")
+    code, out = run_capture(capsys, ["decide", "--file", data, "--max-size", "2"])
+    assert code == 2
+    assert json.loads(out)["details"]["sat_sizes"] == [2]
 
 
 def test_decide_emit_model(tmp_path, capsys):

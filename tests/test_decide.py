@@ -16,7 +16,7 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import ClauseBudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
+from sepfrag.errors import HasUniversals, NotGround, NotHorn, NotKrom
 from sepfrag.generators import expand_counting, generate_hard_family
 from sepfrag.search import find_model
 from sepfrag.semantics import evaluate
@@ -177,9 +177,41 @@ def formula_route_cnf(g: S.Formula):
     return len(index), clauses
 
 
+def clause_set(clauses):
+    return {frozenset(cl) for cl in clauses}
+
+
+def models_mask(n: int, clauses) -> int:
+    """The models of clauses over variables 1..n as one bit per
+    assignment: bit k is set when the assignment whose variable v is
+    bit v - 1 of k satisfies every clause."""
+    full = (1 << (1 << n)) - 1
+    true = [0]
+    for v in range(1, n + 1):
+        half = 1 << (v - 1)
+        true.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+    out = full
+    for cl in clauses:
+        clause = 0
+        for lit in cl:
+            clause |= true[lit] if lit > 0 else full ^ true[-lit]
+        out &= clause
+    return out
+
+
+def is_flat_cnf(tree) -> bool:
+    def clause(t):
+        return type(t) is int or t[0] == "|" and all(type(p) is int for p in t[1])
+
+    return clause(tree) or tree[0] == "&" and all(map(is_flat_cnf, tree[1]))
+
+
 def test_prop_cnf_matches_formula_route():
+    # the gates keep the reference's models: satisfiability agrees with
+    # the truth table, and a SAT assignment on the atoms satisfies the
+    # reference clauses; a flat CNF gets no gates and the same clause set
     rng = random.Random(29)
-    with_eq = 0
+    with_eq = flat = 0
     for i in range(200):
         sig = small_signature(rng, max_bits=9)
         sig.constants = {"c", "d", "e"}
@@ -188,13 +220,22 @@ def test_prop_cnf_matches_formula_route():
         if any(isinstance(a, S.Eq) for a in S.atoms_iter(f)):
             with_eq += 1
             ename = S.equality_name(S.infer_signature(f).predicates)
-            cnf = prop_cnf(*to_propositional(f, ename))
-            expected = formula_route_cnf(ground_equality_elim(f))
+            tree, amap, axioms = to_propositional(f, ename)
+            n, expected = formula_route_cnf(ground_equality_elim(f))
         else:
-            cnf = prop_cnf(*to_propositional(f))
-            expected = formula_route_cnf(f)
-        assert (cnf.num_vars, cnf.clauses) == expected, print_formula(f)
-    assert with_eq >= 50
+            tree, amap, axioms = to_propositional(f)
+            n, expected = formula_route_cnf(f)
+        cnf = prop_cnf(tree, amap, axioms)
+        assert n == len(amap.atoms) <= cnf.num_vars
+        if is_flat_cnf(tree):
+            flat += 1
+            assert cnf.num_vars == n and clause_set(cnf.clauses) == clause_set(expected)
+        v, models = dpll_sat(cnf), models_mask(n, expected)
+        assert (v.status == "sat") == (models != 0), print_formula(f)
+        if v.status == "sat":
+            code = sum(1 << (x - 1) for x in range(1, n + 1) if v.assignment[x])
+            assert models >> code & 1, print_formula(f)
+    assert with_eq >= 50 and flat >= 20
 
 
 def random_equational(rng, k):
@@ -247,7 +288,8 @@ def test_integer_axioms_match_formula_route():
         f = random_equational(rng, k)
         cnf = prop_cnf(*to_propositional(f, "E"))
         assert ground_equality_elim(f) == reference_equality_elim(f)
-        assert (cnf.num_vars, cnf.clauses) == formula_route_cnf(reference_equality_elim(f))
+        n, expected = formula_route_cnf(reference_equality_elim(f))
+        assert cnf.num_vars == n and clause_set(cnf.clauses) == clause_set(expected)
 
 
 def test_equality_axioms_keep_atom_numbers():
@@ -263,27 +305,32 @@ def test_equality_axioms_keep_atom_numbers():
     assert len(axioms) == 2 + 2 + 6  # no congruence pair: P has one atom
 
 
-def test_decide_clause_budget():
-    wide = [" & ".join(f"{p}(a{i})" for i in range(1, 1002)) for p in "PQ"]
-    f, _ = parse_formula(f"({wide[0]}) | ({wide[1]})")
-    with pytest.raises(ClauseBudgetExceeded):
-        decide_sat(f)
-
-
-def test_decide_clause_budget_checked_before_the_product():
-    # 21 two-clause disjuncts: 2^21 clauses; the budget is checked on the
-    # clause counts, before the product is built
+@pytest.mark.parametrize(
+    "text, atoms",
+    [
+        (" | ".join("(" + " & ".join(f"{p}(a{i})" for i in range(1, 1002)) + ")" for p in "PQ"), 2002),
+        (" | ".join(f"(P(a{i}) <-> Q(a{i}))" for i in range(21)), 42),
+    ],
+    ids=["conjunctions", "biconditionals"],
+)
+def test_decide_past_the_distribution_budget(text, atoms):
+    # distributed, these take 1001^2 and 2^21 clauses; the gates keep
+    # them linear, and the assignment leaves the gate variables out
+    import time
     import tracemalloc
 
-    f, _ = parse_formula(" | ".join(f"(P(a{i}) <-> Q(a{i}))" for i in range(21)))
+    f, _ = parse_formula(text)
     tracemalloc.start()
     try:
-        with pytest.raises(ClauseBudgetExceeded):
-            decide_sat(f)
+        start = time.perf_counter()
+        v = decide_sat(f)
+        elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50 * 2**20
+    assert v.status == "sat" and evaluate(v.structure, {}, f)
+    assert sorted(v.assignment) == list(range(1, atoms + 1)) and v.details["variables"] > atoms
+    assert elapsed < 2 and peak < 50 * 2**20
 
 
 # --- the SAT solver -----------------------------------------------------------

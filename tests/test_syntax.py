@@ -384,14 +384,6 @@ def test_distribute_disjunction_over_conjunction():
     assert S.distribute(tree, _by_var) == [(-1, 2, 4, 5), (-1, 3, 5)]
 
 
-def test_distribute_adds_flat_clauses_within_budget():
-    assert S.distribute(("|", [2, 1]), _by_var, flat=[(3, -1), (1, 2)]) == [(1, 2), (-1, 3)]
-    from sepfrag.errors import ClauseBudgetExceeded
-
-    with pytest.raises(ClauseBudgetExceeded):
-        S.distribute(("&", [1, 2]), _by_var, max_clauses=2, flat=[(3,)])
-
-
 def test_classify_cnf():
     m1 = cnf_matrix(parse_formula("(~P(c) | Q(c)) & ~Q(c)")[0])
     c1 = classify_cnf(m1)

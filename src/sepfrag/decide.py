@@ -3,7 +3,7 @@
 Sentences without universal quantifiers go through the propositional
 route: substitute fresh constants for the leading existential block of
 the standard form, whose matrix is already quantifier-free and in NNF,
-abstract atoms to signed ints in one negation-pushing walk that reads
+abstract its atoms to signed ints in one walk over that NNF, reading
 each ground equation s = t as the atom E(s, t) of a fresh predicate E
 (`to_propositional`), emit the ground equality axioms of E as integer
 clauses built from that atom map (`equality_axioms`), encode the tree
@@ -125,8 +125,8 @@ def equality_axioms(amap: AtomMap, ename: str):
 
 
 def to_propositional(g: S.Formula, ename: Optional[str] = None):
-    """Abstract each distinct ground atom of g to a propositional variable
-    and push negation down to the variables, in one walk
+    """Abstract each distinct ground atom of g, which must be in NNF
+    (`syntax.to_nnf`), to a propositional variable, in one walk
     (`syntax.nnf_tree`), so Horn stays Horn and Krom stays Krom.
     Variables are numbered 1, 2, ... in first-occurrence order.  An
     equation s = t is the atom E(s, t) of a binary predicate E that g
@@ -134,7 +134,9 @@ def to_propositional(g: S.Formula, ename: Optional[str] = None):
     predicate names in the atom list, chosen once the walk is done.  The
     integer clauses of `equality_axioms` are built from the atom map when
     `ename` is given or an equation occurs.  Returns the tree, the atom
-    map (axiom atoms numbered after g's) and the axiom clauses."""
+    map (axiom atoms numbered after g's) and the axiom clauses.  An
+    implication, a biconditional or a negation over a non-atom raises
+    NotNNF; a quantifier or a variable raises NotGround."""
     index: dict = {}
     atoms: list[S.Pred] = []
 
@@ -182,7 +184,7 @@ def ground_equality_elim(g: S.Formula) -> S.Formula:
     if S.free_vars(g) or not S.is_quantifier_free(g):
         raise NotGround("input must be ground")
     replaced, ename = S.equality_as_predicate(g, S.infer_signature(g).predicates)
-    _, amap, axioms = to_propositional(g, ename)
+    _, amap, axioms = to_propositional(S.to_nnf(g), ename)
     atom = amap.atoms
     return S.conj(
         [replaced]
@@ -350,49 +352,34 @@ class DecideConfig:
 
 def _herbrand_structure(assignment, amap: AtomMap) -> Structure:
     """Build a model of the ground sentence from a propositional
-    assignment, then quotient by `amap.equality` if equality was
-    eliminated.  The atoms of `amap` are every atom of the sentence, so
-    they name all its constants and predicates; a sentence without
-    constants gets the one-element universe {e1}."""
+    assignment, quotiented by `amap.equality` if equality was eliminated.
+    The atoms of `amap` are every atom of the sentence, so they name all
+    its constants and predicates; a sentence without constants gets the
+    one-element universe {e1}."""
     consts = sorted({t.name for atom in amap.atoms for t in atom.args})
-    tables: dict[str, set] = {}
-    for i, atom in enumerate(amap.atoms):
-        if assignment.get(i + 1, False):
-            tables.setdefault(atom.name, set()).add(tuple(t.name for t in atom.args))
-    for atom in amap.atoms:
-        tables.setdefault(atom.name, set())
-    structure = Structure(
-        tuple(consts) or ("e1",),
-        {c: c for c in consts},
-        {p: frozenset(t) for p, t in tables.items()},
-    )
+    rep = parent = {c: c for c in consts}
     eq_pred = amap.equality
-    if eq_pred is None:
-        return structure
-    # quotient by the congruence classes of the eliminated equality;
-    # mapping true tuples through class representatives realizes the
-    # congruence saturation and the quotient in one step
-    eq = structure.predicates.get(eq_pred, frozenset())
-    parent = {c: c for c in consts}
+    if eq_pred is not None:
+        # union the classes of the true E atoms, the least constant as root;
+        # mapping true tuples through the roots saturates and quotients at once
+        def find(c):
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
 
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for c, d in eq:
-        rc, rd = find(c), find(d)
-        if rc != rd:
-            parent[max(rc, rd)] = min(rc, rd)
-    rep = {c: find(c) for c in consts}
-    universe2 = tuple(sorted(set(rep.values())))
-    tables2 = {
-        p: frozenset(tuple(rep[e] for e in t) for t in table)
-        for p, table in structure.predicates.items()
-        if p != eq_pred
-    }
-    return Structure(universe2, {c: rep[c] for c in consts}, tables2)
+        for v, atom in enumerate(amap.atoms, 1):
+            if atom.name == eq_pred and assignment.get(v, False):
+                rc, rd = find(atom.args[0].name), find(atom.args[1].name)
+                if rc != rd:
+                    parent[max(rc, rd)] = min(rc, rd)
+        rep = {c: find(c) for c in consts}
+    tables: dict[str, set] = {a.name: set() for a in amap.atoms if a.name != eq_pred}
+    for v, atom in enumerate(amap.atoms, 1):
+        if atom.name != eq_pred and assignment.get(v, False):
+            tables[atom.name].add(tuple(rep[t.name] for t in atom.args))
+    universe = tuple(sorted(set(rep.values()))) or ("e1",)
+    return Structure(universe, rep, {p: frozenset(t) for p, t in tables.items()})
 
 
 def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:

@@ -83,7 +83,7 @@ class GroundSpace:
 
     def __init__(self, sig: S.Signature, size: int):
         if size < 1:
-            raise ValueError("universe size must be >= 1")
+            raise BadParams(f"universe size must be >= 1, got {size}")
         self.sig = sig
         self.size = size
         self.universe = tuple(f"e{i + 1}" for i in range(size))
@@ -442,12 +442,12 @@ class _SatEncoding(S.Gates):
     one value through one-hot variables.  The i-th constant in sorted
     order may only name e1..e(i+1), which keeps a structure of every
     isomorphism class; a constant left with one value has no variable.
-    The walk carries polarity as `syntax.nnf_tree` does, so every gate
-    occurs positively, as the Plaisted-Greenbaum gates of `syntax.Gates`
-    require, and a subformula is encoded once per polarity and values of
-    its free variables.  An atom with constant arguments is the
-    disjunction, over the values its constants can take, of those values
-    and the ground atom; its negation is the dual conjunction.
+    The sentence is in NNF (`syntax.to_nnf`), so every gate occurs
+    positively, as the Plaisted-Greenbaum gates of `syntax.Gates`
+    require, and a subformula is encoded once per values of its free
+    variables.  An atom with constant arguments is the disjunction, over
+    the values its constants can take, of those values and the ground
+    atom; its negation is the dual conjunction.
     """
 
     def __init__(self, space: GroundSpace, free):
@@ -467,50 +467,44 @@ class _SatEncoding(S.Gates):
             self.clauses += [(-a, -b) for a, b in itertools.combinations(lits, 2)]
             self.values[c] = lits
 
-    def walk(self, g: S.Formula, env: dict, positive: bool):
+    def walk(self, g: S.Formula, env: dict):
         t = type(g)
-        if t is S.Not:
-            return self.walk(g.sub, env, not positive)
         if t is S.Top or t is S.Bottom:
-            return (t is S.Top) == positive
-        if t is S.Pred or t is S.Eq:
-            terms = (g.left, g.right) if t is S.Eq else g.args
+            return t is S.Top
+        positive = t is not S.Not
+        a = g if positive else g.sub
+        ta = type(a)
+        if ta is S.Pred or ta is S.Eq:
+            terms = (a.left, a.right) if ta is S.Eq else a.args
             if all(type(u) is S.Var for u in terms):
                 args = tuple([env[u.name] for u in terms])
-                if t is S.Eq:
+                if ta is S.Eq:
                     return (args[0] == args[1]) == positive
-                lit = self.space.atom_index[(g.name, args)] + 1
+                lit = self.space.atom_index[(a.name, args)] + 1
                 return lit if positive else -lit
-        key = (id(g), positive, tuple([env[v] for v in self.free(g)]))
+        key = (id(g), tuple([env[v] for v in self.free(g)]))
         out = self.memo.get(key)
         if out is None:
-            out = self.memo[key] = self._encode(g, t, env, positive)
+            if ta is S.Pred or ta is S.Eq:
+                out = self._atom(a, terms, env, positive)
+            else:
+                out = self._encode(g, t, env)
+            self.memo[key] = out
         return out
 
-    def _encode(self, g, t, env, positive):
-        walk = self.walk
+    def _encode(self, g, t, env):
         if t is S.And or t is S.Or:
-            op = "&" if (t is S.And) == positive else "|"
-            return self.gate(op, (walk(p, env, positive) for p in g.parts))
+            return self.gate("&" if t is S.And else "|", (self.walk(p, env) for p in g.parts))
         if t is S.Forall or t is S.Exists:
-            op = "&" if (t is S.Forall) == positive else "|"
             combos = itertools.product(range(self.space.size), repeat=len(g.vars))
             return self.gate(
-                op, (walk(g.body, {**env, **dict(zip(g.vars, c))}, positive) for c in combos)
+                "&" if t is S.Forall else "|",
+                (self.walk(g.body, {**env, **dict(zip(g.vars, c))}) for c in combos),
             )
-        inner = "|" if positive else "&"
-        if t is S.Implies:
-            return self.gate(inner, (walk(g.left, env, not positive), walk(g.right, env, positive)))
-        if t is S.Iff:
-            left = self.gate(inner, (walk(g.left, env, not positive), walk(g.right, env, positive)))
-            right = self.gate(inner, (walk(g.left, env, positive), walk(g.right, env, not positive)))
-            return self.gate("&" if positive else "|", (left, right))
-        if t is S.Pred or t is S.Eq:
-            return self._atom(g, t is S.Eq, env, positive)
-        raise TypeError(f"not a counting-free formula: {g!r}")
+        raise TypeError(f"not a counting-free NNF formula: {g!r}")
 
-    def _atom(self, g, eq: bool, env, positive):
-        terms = (g.left, g.right) if eq else g.args
+    def _atom(self, g, terms, env, positive):
+        eq = type(g) is S.Eq
         consts = [u.name for u in dict.fromkeys(terms) if type(u) is S.Const]
         parts = []
         for combo in itertools.product(*(enumerate(self.values[c]) for c in consts)):
@@ -568,7 +562,7 @@ class ModelSearch:
         self.sig = S.infer_signature(f)
         self._minimized = None  # scope-minimized form
         self._plan = None  # its memo plan, for the scan
-        self._encoded = None  # (its counting-free form, free variables of its nodes)
+        self._encoded = None  # (its counting-free NNF, free variables of its nodes)
         self.sat_sizes: list[int] = []
 
     def _reduced(self) -> S.Formula:
@@ -619,10 +613,10 @@ class ModelSearch:
         from . import decide  # imported here: decide imports this module
 
         if self._encoded is None:
-            self._encoded = (expand_counting(self._reduced()).formula, _free_vars_by_id())
+            self._encoded = (S.to_nnf(expand_counting(self._reduced()).formula), _free_vars_by_id())
         g, free = self._encoded
         enc = _SatEncoding(space, free)
-        enc.require(enc.walk(g, {}, True))
+        enc.require(enc.walk(g, {}))
         verdict = decide.dpll_sat(decide.PropCnf(enc.n, tuple(enc.clauses)))
         return enc.decode(verdict.assignment) if verdict.status == "sat" else None
 
@@ -632,7 +626,8 @@ def find_model(f: S.Formula, max_size: int = 4, min_size: int = 1) -> Optional[S
     sentence, or None.  At a packed-scan size it is the first in
     canonical enumeration order; at a size decided by SAT it is the
     solver's model.  Constants are pinned to canonical universe prefixes,
-    which is complete up to isomorphism."""
+    which is complete up to isomorphism.  A size below 1 raises
+    BadParams."""
     return ModelSearch(f).run(max_size, min_size)
 
 

@@ -38,7 +38,9 @@ changes and passes every other node through
 pre-order over `children`, so a new node type is added in those two
 functions only.  Walkers that compute something different for each node
 type stay hand-written: the evaluators, the printer, `free_vars`,
-`formula_len`, prenexing, and both NNF walks, `to_nnf` and `nnf_tree`.
+`formula_len`, prenexing, `to_nnf` and `nnf_tree`.  `to_nnf` is the
+only code that rewrites -> and <-> and pushes ~ inward; `nnf_tree`,
+`cnf_matrix` and the model search's SAT encoding read its output.
 """
 
 from __future__ import annotations
@@ -872,7 +874,15 @@ def to_nnf(f: Formula) -> Formula:
     """Push negations down to atoms, eliminating -> and <-> by the
     length-preserving rewrites a -> b == ~a | b and
     a <-> b == (~a | b) & (a | ~b).  A counting quantifier raises
-    UnexpandedCounting."""
+    UnexpandedCounting.  Each operand of <-> is rewritten once per
+    polarity and shared, so nested biconditionals give a DAG linear in
+    the input, and a walk memoized by node id stays linear on it."""
+    both: dict[int, tuple] = {}  # id of an operand of <-> -> (pos, neg); f keeps it alive
+
+    def pair(g: Formula) -> tuple:
+        if id(g) not in both:
+            both[id(g)] = (pos(g), neg(g))
+        return both[id(g)]
 
     def pos(g: Formula) -> Formula:
         if isinstance(g, Not):
@@ -880,9 +890,8 @@ def to_nnf(f: Formula) -> Formula:
         if isinstance(g, Implies):
             return disj([neg(g.left), pos(g.right)])
         if isinstance(g, Iff):
-            return conj(
-                [disj([neg(g.left), pos(g.right)]), disj([pos(g.left), neg(g.right)])]
-            )
+            (pl, nl), (pr, nr) = pair(g.left), pair(g.right)
+            return conj([disj([nl, pr]), disj([pl, nr])])
         if isinstance(g, CountingExists):
             raise UnexpandedCounting("expand counting quantifiers before NNF")
         return rebuild(g, [pos(k) for k in children(g)])
@@ -904,9 +913,8 @@ def to_nnf(f: Formula) -> Formula:
             return conj([pos(g.left), neg(g.right)])
         if isinstance(g, Iff):
             # ~(a <-> b) == nnf of the rewritten biconditional, negated
-            return disj(
-                [conj([pos(g.left), neg(g.right)]), conj([neg(g.left), pos(g.right)])]
-            )
+            (pl, nl), (pr, nr) = pair(g.left), pair(g.right)
+            return disj([conj([pl, nr]), conj([nl, pr])])
         if isinstance(g, Forall):
             return Exists(g.vars, neg(g.body))
         if isinstance(g, CountingExists):
@@ -917,40 +925,25 @@ def to_nnf(f: Formula) -> Formula:
 
 
 def nnf_tree(f: Formula, number: Callable[[Formula], int]):
-    """`to_nnf` of a quantifier-free f over signed ints, in one walk: an
-    atom a becomes the literal number(a) and ~a becomes -number(a), and
-    every connective is nested and flattened as `to_nnf` does it.  The
-    tree is a literal or ("&" | "|", parts), with ("&", ()) for true and
-    ("|", ()) for false.  Any other node is passed to `number`."""
+    """A quantifier-free NNF formula (`to_nnf`) over signed ints: an atom
+    a becomes the literal number(a) and ~a becomes -number(a).  The tree
+    is a literal or ("&" | "|", parts), with ("&", ()) for true and
+    ("|", ()) for false.  ->, <-> and ~ over a non-atom raise NotNNF; any
+    other node is passed to `number`."""
 
-    def walk(g, positive: bool):
+    def walk(g):
         t = type(g)
-        if t is Not:
-            return walk(g.sub, not positive)
         if t is And or t is Or:
-            op = "&" if (t is And) == positive else "|"
-            parts = [walk(k, positive) for k in g.parts]
-            return (op, parts) if positive else _join(op, parts)
-        if t is Implies or t is Iff:
-            inner = "|" if positive else "&"
-            left = _join(inner, [walk(g.left, not positive), walk(g.right, positive)])
-            if t is Implies:
-                return left
-            right = _join(inner, [walk(g.left, positive), walk(g.right, not positive)])
-            return _join("&" if positive else "|", [left, right])
+            return ("&" if t is And else "|", [walk(k) for k in g.parts])
+        if t is Not and (type(g.sub) is Pred or type(g.sub) is Eq):
+            return -number(g.sub)
+        if t is Not or t is Implies or t is Iff:
+            raise NotNNF(f"expected a quantifier-free NNF formula, got: {print_formula(f)}")
         if t is Top or t is Bottom:
-            return ("&" if (t is Top) == positive else "|", ())
-        return number(g) if positive else -number(g)
+            return ("&" if t is Top else "|", ())
+        return number(g)
 
-    return walk(f, True)
-
-
-def _join(op: str, parts: list):
-    """`conj` (op "&") or `disj` (op "|") of int trees."""
-    flat = []
-    for p in parts:
-        flat.extend(p[1] if type(p) is tuple and p[0] == op else (p,))
-    return flat[0] if len(flat) == 1 else (op, flat)
+    return walk(f)
 
 
 class Gates:
@@ -1221,10 +1214,14 @@ def cnf_matrix(m: Formula, max_clauses: int = DEFAULT_CLAUSE_BUDGET) -> CnfMatri
     equisatisfiable.  Exceeding `max_clauses` raises rather than
     truncating.
     """
-    if not is_quantifier_free(m) or not is_nnf(m):
-        raise NotNNF(f"expected a quantifier-free NNF formula, got: {print_formula(m)}")
     index: dict[Atom, int] = {}
-    tree = nnf_tree(m, lambda a: index.setdefault(a, len(index) + 1))
+
+    def number(a) -> int:
+        if type(a) is not Pred and type(a) is not Eq:
+            raise NotNNF(f"expected a quantifier-free NNF formula, got: {print_formula(m)}")
+        return index.setdefault(a, len(index) + 1)
+
+    tree = nnf_tree(m, number)
     lit = {s * v: Literal(a, s > 0) for a, v in index.items() for s in (1, -1)}
     clauses = distribute(tree, lambda v: lit[v].key(), max_clauses)
     return CnfMatrix(tuple(tuple(lit[v] for v in cl) for cl in clauses))

@@ -16,7 +16,7 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import HasUniversals, NotGround, NotHorn, NotKrom
+from sepfrag.errors import HasUniversals, NotGround, NotHorn, NotKrom, NotNNF
 from sepfrag.generators import expand_counting, generate_hard_family
 from sepfrag.search import find_model
 from sepfrag.semantics import evaluate
@@ -102,7 +102,7 @@ def test_elim_golden_output():
 
 def test_elim_unsat_by_congruence():
     f, _ = parse_formula("P(c) & c = d & ~P(d)")
-    assert dpll_sat(prop_cnf(*to_propositional(ground_equality_elim(f)))).status == "unsat"
+    assert dpll_sat(prop_cnf(*to_propositional(S.to_nnf(ground_equality_elim(f))))).status == "unsat"
     assert dpll_sat(prop_cnf(*to_propositional(f, "E"))).status == "unsat"
 
 
@@ -140,6 +140,23 @@ def test_abstraction_names_equality_from_its_atoms():
     assert amap.equality is None and axioms == []
 
 
+@pytest.mark.parametrize("text", ["P(c) -> Q(c)", "P(c) <-> Q(c)", "~(P(c) & Q(c))"])
+def test_int_tree_walks_need_nnf(text):
+    # only `to_nnf` rewrites -> and <-> and pushes ~
+    f, _ = parse_formula(text)
+    with pytest.raises(NotNNF):
+        S.nnf_tree(f, lambda a: 1)
+    with pytest.raises(NotNNF):
+        S.cnf_matrix(f)
+    with pytest.raises(NotNNF):
+        to_propositional(f)
+
+
+def test_cnf_matrix_rejects_a_quantifier():
+    with pytest.raises(NotNNF):
+        S.cnf_matrix(parse_formula("forall x. P(x)")[0])
+
+
 def test_abstraction_preserves_horn_krom():
     f, _ = parse_formula("(~P(c) | Q(c)) & (~Q(c) | P(d))")
     cnf = prop_cnf(*to_propositional(f))
@@ -154,7 +171,7 @@ def test_abstraction_round_trip_random():
         sig.constants = {"c", "d"}
         leaves = [random_atom(rng, sig, []) for _ in range(3)]
         f = random_boolean(rng, leaves, allow_imp=False)
-        v = dpll_sat(prop_cnf(*to_propositional(f)))
+        v = dpll_sat(prop_cnf(*to_propositional(S.to_nnf(f))))
         sat = find_model(f, max_size=2) is not None
         assert (v.status == "sat") == sat
 
@@ -220,10 +237,10 @@ def test_prop_cnf_matches_formula_route():
         if any(isinstance(a, S.Eq) for a in S.atoms_iter(f)):
             with_eq += 1
             ename = S.equality_name(S.infer_signature(f).predicates)
-            tree, amap, axioms = to_propositional(f, ename)
+            tree, amap, axioms = to_propositional(S.to_nnf(f), ename)
             n, expected = formula_route_cnf(ground_equality_elim(f))
         else:
-            tree, amap, axioms = to_propositional(f)
+            tree, amap, axioms = to_propositional(S.to_nnf(f))
             n, expected = formula_route_cnf(f)
         cnf = prop_cnf(tree, amap, axioms)
         assert n == len(amap.atoms) <= cnf.num_vars

@@ -6,7 +6,8 @@ import pytest
 
 from sepfrag import syntax as S
 from sepfrag.decide import DecideConfig, decide_sat
-from sepfrag.search import _SCAN_BITS, GroundSpace, ModelSearch
+from sepfrag.errors import BadParams
+from sepfrag.search import _SCAN_BITS, GroundSpace, ModelSearch, enumerate_structures, find_model
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
@@ -37,24 +38,73 @@ def random_mace_sentence(rng, i):
     return f
 
 
+def random_nested_sentence(rng):
+    """A quantifier under ~, -> or <->, beside a boolean combination of
+    atoms of P, R, equality and three constants, up to two deep: `to_nnf`
+    turns the quantifiers it negates into their duals on the SAT route."""
+
+    def go(depth, scope):
+        leaves = [random_atom(rng, _SIG, scope, with_eq=True) for _ in range(2)]
+        body = random_boolean(rng, leaves, max_depth=1)
+        if depth == 2:
+            return body
+        v = ("x", "y")[depth]
+        q = rng.choice([S.Forall, S.Exists])((v,), go(depth + 1, scope + [v]))
+        return rng.choice(
+            [S.Not(q), S.Implies(q, body), S.Implies(body, q), S.Iff(q, body), S.Iff(body, q)]
+        )
+
+    return go(0, [])
+
+
+def check_sat_route(f, seen):
+    models = ModelSearch(f)
+    for size in (1, 2, 3):
+        space = GroundSpace(models.sig, size)
+        packed, sat = models.scan(space), models.sat(space)
+        assert (packed is None) == (sat is None), (print_formula(f), size)
+        if sat is None:
+            seen["unsat"] += 1
+            continue
+        assert evaluate(sat, {}, f), (print_formula(f), size)
+        seen["sat"] += 1
+        seen["counting"] += S.has_counting(f)
+        seen["distinct constants"] += len(set(sat.constants.values())) > 1
+
+
 def test_sat_route_agrees_with_packed_scan():
     rng = random.Random(18)
     seen = {"sat": 0, "unsat": 0, "counting": 0, "distinct constants": 0}
     for i in range(150):
-        f = random_mace_sentence(rng, i)
-        models = ModelSearch(f)
-        for size in (1, 2, 3):
-            space = GroundSpace(models.sig, size)
-            packed, sat = models.scan(space), models.sat(space)
-            assert (packed is None) == (sat is None), (print_formula(f), size)
-            if sat is None:
-                seen["unsat"] += 1
-                continue
-            assert evaluate(sat, {}, f), (print_formula(f), size)
-            seen["sat"] += 1
-            seen["counting"] += S.has_counting(f)
-            seen["distinct constants"] += len(set(sat.constants.values())) > 1
+        check_sat_route(random_mace_sentence(rng, i), seen)
     assert min(seen.values()) >= 20, seen
+    # quantifiers under ~, -> and <->, from their own draws
+    rng = random.Random(20)
+    seen = {"sat": 0, "unsat": 0, "counting": 0, "distinct constants": 0}
+    for _ in range(100):
+        check_sat_route(random_nested_sentence(rng), seen)
+    assert seen["sat"] >= 20 and seen["unsat"] >= 20 and seen["distinct constants"] >= 20, seen
+
+
+def test_sat_route_is_linear_in_nested_biconditionals():
+    # `to_nnf` shares each operand of <-> between its two polarities, and
+    # the encoder memoizes by node id, so 20 nested <-> are encoded once
+    text = " <-> ".join(f"(forall x. exists y. T(x, y, x, y, a{i}))" for i in range(20))
+    f, _ = parse_formula(text)
+    start = time.perf_counter()
+    models = ModelSearch(f)
+    assert models.run(2, min_size=2) is not None and models.sat_sizes == [2]
+    assert time.perf_counter() - start < 2.0
+
+
+def test_size_below_one_is_bad_params():
+    f, _ = parse_formula("exists x. P(x)")
+    with pytest.raises(BadParams):
+        find_model(f, 2, min_size=0)
+    with pytest.raises(BadParams):
+        ModelSearch(f).run(2, min_size=0)
+    with pytest.raises(BadParams):
+        next(enumerate_structures(S.infer_signature(f), 0))
 
 
 @pytest.mark.parametrize("name", ["hierarchy12", "domino1"])

@@ -1,21 +1,22 @@
 """Deciding satisfiability.
 
-Universal-free sentences reduce to propositional logic: Skolemize,
-eliminate ground equations via a fresh congruence predicate, abstract
-atoms, and decide the CNF with one CDCL solver.  Sentences with
+Universal-free sentences reduce to propositional logic: Skolemize
+their negation normal form in one walk, with no prenex form, eliminate
+ground equations via a fresh congruence predicate, abstract atoms, and
+decide the CNF with one CDCL solver.  Sentences with
 universals are searched up to the smallest applicable model-size bound;
 the search tries one element first, and the translation to BSR form,
 whose leading existentials give a bound, runs only when size 1 has no
 model.
 """
 
-from sepfrag import decide_sat, parse_formula, print_formula, to_standard_form
+from sepfrag import decide_sat, parse_formula, print_formula
 from sepfrag.decide import ground_equality_elim, skolemize_existential
 from sepfrag.generators import expand_counting
 
 print("Skolemization replaces existentials with fresh constants:")
 f, _ = parse_formula("exists x y. R(x, y) & x = y")
-ground = skolemize_existential(to_standard_form(f))
+ground = skolemize_existential(f)
 print(" ", print_formula(f), "  ->  ", print_formula(ground))
 print()
 

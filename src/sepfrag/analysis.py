@@ -36,59 +36,39 @@ class TetrationExpr:
     kind: str  # "nat" | "add" | "mul" | "pow" | "tower"
     args: tuple = ()
 
-    def evaluate(self, bit_cap: int = DEFAULT_EXACT_BITS) -> Optional[int]:
+    def saturated(self, bit_cap: int = DEFAULT_EXACT_BITS) -> tuple[int, bool]:
+        """(value, exact): the exact value while every step fits in
+        `bit_cap` bits, otherwise a lower bound saturated at 2^bit_cap."""
+        sat = 1 << bit_cap
         if self.kind == "nat":
-            return self.args[0]
-        if self.kind in ("add", "mul", "pow"):
-            a = self.args[0].evaluate(bit_cap)
-            b = self.args[1].evaluate(bit_cap)
-            if a is None or b is None:
-                return None
+            return self.args[0], True
+        if self.kind == "tower":
+            k, m = self.args
+            v, exact = m.saturated(bit_cap)
+            for _ in range(k):
+                if v > bit_cap:
+                    return sat, False
+                v = 1 << v
+        else:
+            (a, exact_a), (b, exact_b) = (e.saturated(bit_cap) for e in self.args)
             if self.kind == "add":
-                return a + b if max(a, b).bit_length() + 1 <= bit_cap else None
-            if self.kind == "mul":
-                if a.bit_length() + b.bit_length() > bit_cap:
-                    return None
-                return a * b
-            if b * max(1, a.bit_length()) > bit_cap:
-                return None
-            return a**b
-        k, m = self.args
-        v = m.evaluate(bit_cap)
-        if v is None:
-            return None
-        for _ in range(k):
-            if v > bit_cap:
-                return None
-            v = 1 << v
-        return v
+                v, fits = a + b, max(a, b).bit_length() + 1 <= bit_cap
+            elif self.kind == "mul":
+                v, fits = a * b, a.bit_length() + b.bit_length() <= bit_cap
+            else:
+                fits = b * max(1, a.bit_length()) <= bit_cap
+                # a^b >= 2^(b * (bits of a - 1)) once a >= 2
+                v = sat if a > 1 and b * (a.bit_length() - 1) >= bit_cap else a ** min(b, bit_cap)
+            exact = exact_a and exact_b and fits
+        return (v, True) if exact else (min(sat, v), False)
+
+    def evaluate(self, bit_cap: int = DEFAULT_EXACT_BITS) -> Optional[int]:
+        value, exact = self.saturated(bit_cap)
+        return value if exact else None
 
     def lower_bound(self, bit_cap: int = DEFAULT_EXACT_BITS) -> int:
         """Exact value when available, otherwise a saturated lower bound."""
-        exact = self.evaluate(bit_cap)
-        if exact is not None:
-            return exact
-        sat = 1 << bit_cap
-
-        def go(e):
-            if e.kind == "nat":
-                return e.args[0]
-            if e.kind == "add":
-                return min(sat, go(e.args[0]) + go(e.args[1]))
-            if e.kind == "mul":
-                return min(sat, go(e.args[0]) * go(e.args[1]))
-            if e.kind == "pow":
-                a, b = go(e.args[0]), min(go(e.args[1]), bit_cap)
-                return min(sat, a**b)
-            k, m = e.args
-            v = min(go(m), bit_cap)
-            for _ in range(k):
-                if v >= bit_cap:
-                    return sat
-                v = 1 << v
-            return min(sat, v)
-
-        return go(self)
+        return self.saturated(bit_cap)[0]
 
     def tower_height(self) -> int:
         if self.kind == "nat":
@@ -114,14 +94,14 @@ class TetrationExpr:
         return f"({s})" if e.kind in kinds else s
 
     def to_json(self):
-        exact = self.evaluate()
+        """Exact values past 14,284 bits (4,300 digits, str()'s limit) read as lower bounds."""
+        value, exact = self.saturated()
         out = {"expr": str(self), "exact": None, "lower_bound": None}
-        if exact is not None:
-            out["exact"] = exact if exact.bit_length() <= 64 else str(exact)
+        if exact and value.bit_length() <= 14_284:
+            out["exact"] = value if value.bit_length() <= 64 else str(value)
         else:
-            lo = self.lower_bound()
             out["lower_bound"] = (
-                str(lo) if lo.bit_length() <= 200 else f">=2^{lo.bit_length() - 1}"
+                str(value) if value.bit_length() <= 200 else f">=2^{value.bit_length() - 1}"
             )
             out["tower_height"] = self.tower_height()
         return out
@@ -234,11 +214,10 @@ class InteractionPartition:
     levels: dict[str, int]
 
 
-def interaction_partition(sf: S.StandardForm) -> InteractionPartition:
-    if not is_sf(sf):
-        raise NotSF("interaction partition is defined for separated sentences")
-    levels = sf.levels()
-    parent = {v: v for v in levels}
+def least_members(items, pairs) -> dict:
+    """Each item mapped to the least member of its class under the
+    equivalence closure of `pairs` (union-find)."""
+    parent = {v: v for v in items}
 
     def find(v):
         while parent[v] != v:
@@ -246,18 +225,22 @@ def interaction_partition(sf: S.StandardForm) -> InteractionPartition:
             v = parent[v]
         return v
 
-    def union(a, b):
+    for a, b in pairs:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+    return {v: find(v) for v in items}
 
-    for a in S.atoms_iter(sf.matrix):
-        joint = sorted(S.atom_vars(a) & set(levels))
-        for other in joint[1:]:
-            union(joint[0], other)
+
+def interaction_partition(sf: S.StandardForm) -> InteractionPartition:
+    if not is_sf(sf):
+        raise NotSF("interaction partition is defined for separated sentences")
+    levels = sf.levels()
+    joints = [sorted(S.atom_vars(a) & set(levels)) for a in S.atoms_iter(sf.matrix)]
+    pairs = [(joint[0], other) for joint in joints for other in joint[1:]]
     groups: dict[str, set] = {}
-    for v in levels:
-        groups.setdefault(find(v), set()).add(v)
+    for v, least in least_members(levels, pairs).items():
+        groups.setdefault(least, set()).add(v)
     components = tuple(
         (frozenset(g), frozenset(levels[v] for v in g))
         for g in sorted(groups.values(), key=lambda g: sorted(g))

@@ -1,37 +1,33 @@
 """Satisfiability decision.
 
 Sentences without universal quantifiers go through the propositional
-route: substitute fresh constants for the leading existential block of
-the standard form, whose matrix is already quantifier-free and in NNF,
-abstract its atoms to signed ints in one walk over that NNF, reading
-each ground equation s = t as the atom E(s, t) of a fresh predicate E
-(`to_propositional`), emit the ground equality axioms of E as integer
-clauses built from that atom map (`equality_axioms`), encode the tree
-with the Plaisted-Greenbaum gates of `syntax.Gates` and add the axiom
-clauses as they are (`prop_cnf`), and decide it with one CDCL solver
-(`dpll_sat`), whose SAT assignment, restricted to the atom variables,
-is re-checked against the sentence as a Herbrand model.  Everything
-else is decided by bounded model search against the best available
-small-model bound.  The search tries size 1 first, on the sentence as
-written: a one-element model is below every bound, so all size bounds,
-the BSR translation's included, are computed only when size 1 has no
-model, and a size-1 sat verdict carries only "path" and
-"search_limit".  Larger sizes share one form.
-A size with more than `search._SCAN_BITS` (30) ground atoms is one SAT
-call on the same solver (`search.ModelSearch`), and those sizes are
-listed in "sat_sizes", which is absent when there are none.
+route: Skolemize the NNF of the sentence in one walk, with no prenex
+form (`skolemize_existential`), abstract its atoms to signed ints,
+reading each ground equation s = t as the atom E(s, t) of a fresh
+predicate E (`to_propositional`), emit the ground equality axioms of E
+as integer clauses (`equality_axioms`), encode the tree with the
+Plaisted-Greenbaum gates of `syntax.Gates` (`prop_cnf`), and decide it
+with one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked
+against the sentence as a Herbrand model.  Everything else is searched
+for a model of the sentence as written (`search.ModelSearch`), size 1
+first: a one-element model is below every bound, so the standard form
+and all size bounds, the BSR translation's included, are built only
+when size 1 has no model, and a size-1 sat verdict carries only "path"
+and "search_limit".  A size with more than `search._SCAN_BITS` (30)
+ground atoms is one SAT call on the same solver, listed in "sat_sizes".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 from typing import Optional
 
 from . import analysis
 from . import syntax as S
 from . import translate
-from .errors import BadParams, BudgetExceeded, HasUniversals, NotGround, NotHorn, NotKrom
+from .errors import BadParams, BudgetExceeded, HasUniversals, NotASentence, NotGround
+from .errors import NotHorn, NotKrom
 from .search import ModelSearch, find_model  # noqa: F401  (bench/tracer.py wraps it)
 from .semantics import Structure, evaluate
 from .generators import expand_counting
@@ -43,19 +39,46 @@ SKOLEM_PREFIX = "sk"
 # Skolemization of purely existential sentences
 
 
-def skolemize_existential(sf: S.StandardForm) -> S.Formula:
-    """Replace each variable of the leading block of a universal-free
-    standard form with a fresh constant sk1, sk2, ... in block order; the
-    result is the ground, equisatisfiable matrix.  Each name avoids the
-    matrix's constants and the block's variables.  The standard form is
-    already a counting-free sentence in NNF, so nothing else is checked."""
-    if sf.blocks:
-        raise HasUniversals(f"universal variables {sorted(sf.universal_vars)}")
-    fresh = S.FreshNames(S.constants_of(sf.matrix) | set(sf.leading))
-    binding = {
-        v: S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{i}")) for i, v in enumerate(sf.leading, 1)
-    }
-    return S.substitute(sf.matrix, binding)
+def skolemize_existential(f: S.Formula) -> S.Formula:
+    """The ground, equisatisfiable NNF of a counting-free sentence
+    without universals.  One walk over `syntax.to_nnf(f)`, memoized by
+    node and binding, drops the quantifiers and names the i-th
+    existential variable, in binder pre-order, by a constant sk<i> fresh
+    against the constants and binder names of f.  A universal variable
+    that reaches an atom raises HasUniversals, a free one NotASentence."""
+    binders, free, consts = S.names_in(f)
+    if free:
+        raise NotASentence(f"free variables: {sorted(free)}")
+    fresh = S.FreshNames(consts | set(binders))
+    numbers = count(1)
+    memo: dict = {}  # (id of node, id of binding) -> (result, the binding, kept alive)
+
+    def walk(g, env):
+        t = type(g)
+        if t is S.Pred or t is S.Eq:
+            if not env:
+                return g
+            args = g.args if t is S.Pred else (g.left, g.right)
+            terms = [env[a.name] if type(a) is S.Var else a for a in args]
+            if any(a is None for a in terms):
+                raise HasUniversals(f"a universal variable occurs in {S.print_formula(g)}")
+            return S.Pred(g.name, tuple(terms)) if t is S.Pred else S.Eq(*terms)
+        key = id(g), id(env)
+        if key not in memo:
+            if t is S.Exists or t is S.Forall:
+                inner = {**env, **dict.fromkeys(g.vars)}  # None marks a universal
+                if t is S.Exists:
+                    for v in g.vars:
+                        inner[v] = S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{next(numbers)}"))
+                out = walk(g.body, inner)
+            else:
+                kids = S.children(g)
+                new = [walk(k, env) for k in kids]
+                out = g if all(a is b for a, b in zip(new, kids)) else S.rebuild(g, new)
+            memo[key] = out, env
+        return memo[key][0]
+
+    return walk(S.to_nnf(f), {}) if binders else S.to_nnf(f)
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +380,14 @@ def _herbrand_structure(assignment, amap: AtomMap) -> Structure:
     its constants and predicates; a sentence without constants gets the
     one-element universe {e1}."""
     consts = sorted({t.name for atom in amap.atoms for t in atom.args})
-    rep = parent = {c: c for c in consts}
     eq_pred = amap.equality
-    if eq_pred is not None:
-        # union the classes of the true E atoms, the least constant as root;
-        # mapping true tuples through the roots saturates and quotients at once
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for v, atom in enumerate(amap.atoms, 1):
-            if atom.name == eq_pred and assignment.get(v, False):
-                rc, rd = find(atom.args[0].name), find(atom.args[1].name)
-                if rc != rd:
-                    parent[max(rc, rd)] = min(rc, rd)
-        rep = {c: find(c) for c in consts}
+    true = [atom for v, atom in enumerate(amap.atoms, 1) if assignment.get(v, False)]
+    # mapping true tuples to the least members of the E classes saturates and quotients
+    eqs = [tuple(t.name for t in atom.args) for atom in true if atom.name == eq_pred]
+    rep = analysis.least_members(consts, eqs)
     tables: dict[str, set] = {a.name: set() for a in amap.atoms if a.name != eq_pred}
-    for v, atom in enumerate(amap.atoms, 1):
-        if atom.name != eq_pred and assignment.get(v, False):
+    for atom in true:
+        if atom.name != eq_pred:
             tables[atom.name].add(tuple(rep[t.name] for t in atom.args))
     universe = tuple(sorted(set(rep.values()))) or ("e1",)
     return Structure(universe, rep, {p: frozenset(t) for p, t in tables.items()})
@@ -424,23 +435,20 @@ def _bound(sf: S.StandardForm, details: dict):
     return min((b for b in exact if b is not None), default=None), rep.model_size
 
 
-def _search_path(f: S.Formula, expanded: S.Formula, sf: S.StandardForm, max_size: int):
-    models = ModelSearch(expanded)
+def _search_path(f: S.Formula, expanded: S.Formula, max_size: int):
+    models = ModelSearch(f)
     witness = models.run(min(1, max_size))
     bound = symbolic = None
     details = {"path": "model-search", "search_limit": 1}
     if witness is None:
         details = {}
-        bound, symbolic = _bound(sf, details)
+        bound, symbolic = _bound(S.to_standard_form(expanded), details)
         limit = max_size if bound is None else min(bound, max_size)
         details.update({"path": "model-search", "bound": bound, "search_limit": limit})
         witness = models.run(limit, min_size=2)
     if models.sat_sizes:
         details["sat_sizes"] = models.sat_sizes
     if witness is not None:
-        # the search re-checked it against `expanded`, which is f unless f counts
-        if expanded is not f and not evaluate(witness, {}, f):
-            raise RuntimeError("internal error: search witness fails re-evaluation")
         return SatVerdict("sat", structure=witness, details=details)
     if bound is not None and bound <= max_size:
         return SatVerdict("unsat", details=details)
@@ -450,22 +458,23 @@ def _search_path(f: S.Formula, expanded: S.Formula, sf: S.StandardForm, max_size
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     """Decide satisfiability of a function-free sentence.
 
-    Counting quantifiers are expanded first.  Universal-free sentences go
-    through the propositional route.  Everything else is searched at size
-    1 first, as written; a sat verdict there carries the details
+    A sentence without universals once counting is expanded is
+    Skolemized and decided on the propositional route.  Everything else
+    is searched at size 1 first, as written; a sat verdict there carries
     {"path": "model-search", "search_limit": 1}.  Only when size 1 has no
-    model are the size bounds computed; the search then goes on up to
-    min(bound, cfg.max_model_size) on a form prepared once, returning an
-    inconclusive verdict carrying the bound when the search space was not
-    exhausted.  Sizes decided by one SAT call, not the packed scan, are
-    listed in details["sat_sizes"].  A negative cfg.max_model_size raises
-    BadParams.
+    model are the standard form and the size bounds built; the search
+    then goes on up to min(bound, cfg.max_model_size) on a form prepared
+    once, returning an inconclusive verdict carrying the bound when the
+    search space was not exhausted.  Sizes decided by one SAT call, not
+    the packed scan, are listed in details["sat_sizes"].  A negative
+    cfg.max_model_size raises BadParams, and an open formula NotASentence.
     """
     cfg = cfg or DecideConfig()
     if cfg.max_model_size < 0:
         raise BadParams(f"model search needs max_model_size >= 0, got {cfg.max_model_size}")
     expanded = expand_counting(f).formula
-    sf = S.to_standard_form(expanded)
-    if not sf.universal_vars:
-        return _existential_path(f, skolemize_existential(sf))
-    return _search_path(f, expanded, sf, cfg.max_model_size)
+    try:
+        ground = skolemize_existential(expanded)
+    except HasUniversals:
+        return _search_path(f, expanded, cfg.max_model_size)
+    return _existential_path(f, ground)

@@ -301,7 +301,7 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    return frozenset(_names_in(f)[2])
+    return frozenset(names_in(f)[2])
 
 
 def bound_vars_by_kind(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
@@ -317,11 +317,11 @@ def bound_vars_by_kind(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
 
 def all_var_names(f: Formula) -> frozenset[str]:
     """Every variable name occurring in f, free or bound."""
-    binders, free, _ = _names_in(f)
+    binders, free, _ = names_in(f)
     return frozenset(binders).union(free)
 
 
-def _names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
+def names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
     """Binder names (one entry per binder, repeats included), free
     variables and constants of f, collected in one walk."""
     binders: list[str] = []
@@ -490,11 +490,11 @@ def rename_apart(f: Formula, reserved=()) -> Formula:
     in `reserved` are never chosen as binder names.  When no binder needs
     a new name, f itself is returned after one scan.
     """
-    return _apart(f, *_names_in(f), set(reserved))
+    return _apart(f, *names_in(f), set(reserved))
 
 
 def _apart(f: Formula, binders, free, consts, reserved: set) -> Formula:
-    """`rename_apart(f, reserved)` given `_names_in(f)`."""
+    """`rename_apart(f, reserved)` given `names_in(f)`."""
     taken = reserved | free | consts
     if len(set(binders)) == len(binders) and taken.isdisjoint(binders):
         return f
@@ -788,7 +788,7 @@ def _render(f: Formula, canonical: bool) -> str:
     with a constant, a free variable, a keyword or an earlier binder:
     `canonical` names binders v1, v2, ... by position; otherwise a binder
     keeps its own name where that is a legal identifier not yet used."""
-    _, free, consts = _names_in(f)
+    _, free, consts = names_in(f)
     used = free | consts | _KEYWORDS
     counter = 0
 
@@ -928,13 +928,17 @@ def nnf_tree(f: Formula, number: Callable[[Formula], int]):
     """A quantifier-free NNF formula (`to_nnf`) over signed ints: an atom
     a becomes the literal number(a) and ~a becomes -number(a).  The tree
     is a literal or ("&" | "|", parts), with ("&", ()) for true and
-    ("|", ()) for false.  ->, <-> and ~ over a non-atom raise NotNNF; any
-    other node is passed to `number`."""
+    ("|", ()) for false.  An & or | node is converted once per object, so
+    a subformula that `to_nnf` shares is one shared tuple.  ->, <-> and ~
+    over a non-atom raise NotNNF; any other node is passed to `number`."""
+    seen: dict[int, tuple] = {}  # id of an & or | node -> its tree; f keeps it alive
 
     def walk(g):
         t = type(g)
         if t is And or t is Or:
-            return ("&" if t is And else "|", [walk(k) for k in g.parts])
+            if id(g) not in seen:
+                seen[id(g)] = ("&" if t is And else "|", [walk(k) for k in g.parts])
+            return seen[id(g)]
         if t is Not and (type(g.sub) is Pred or type(g.sub) is Eq):
             return -number(g.sub)
         if t is Not or t is Implies or t is Iff:
@@ -950,13 +954,15 @@ class Gates:
     """Definitional CNF over variables 1..n (Plaisted & Greenbaum 1986).
     Every gate occurs positively, so it is defined in one direction only:
     a gate implies the conjunction or disjunction of its inputs.  Gates
-    are hash-consed by (op, inputs) and numbered after n.  A value is a
-    literal or a bool, and bools fold away."""
+    are hash-consed by (op, inputs) and numbered after n, and a tree is
+    encoded once per tuple object.  A value is a literal or a bool, and
+    bools fold away."""
 
     def __init__(self, n: int):
         self.n = n
         self.clauses: list[tuple[int, ...]] = []
         self.gates: dict = {}
+        self.trees: dict[int, tuple] = {}  # id of a tree -> (its value, the tree, kept alive)
 
     def gate(self, op: str, inputs):
         """`op` ("&" or "|") of literals and bools as one literal or bool;
@@ -983,7 +989,9 @@ class Gates:
 
     def literal(self, tree):
         """A tree as `nnf_tree` builds it, as one literal or bool."""
-        return self.gate(tree[0], map(self.literal, tree[1])) if type(tree) is tuple else tree
+        if type(tree) is tuple and id(tree) not in self.trees:
+            self.trees[id(tree)] = self.gate(tree[0], map(self.literal, tree[1])), tree
+        return self.trees[id(tree)][0] if type(tree) is tuple else tree
 
     def require(self, tree):
         """Add the clauses that make a tree, a literal or a bool true.  A
@@ -1097,7 +1105,7 @@ def _prenex(f: Formula):
 def to_standard_form(f: Formula) -> StandardForm:
     """Equivalence-preserving conversion of a sentence to standard form."""
     g = to_nnf(f)
-    binders, free, consts = _names_in(g)
+    binders, free, consts = names_in(g)
     if free:
         raise NotASentence(f"free variables: {sorted(free)}")
     prefix, matrix = _prenex(_apart(g, binders, free, consts, set()))

@@ -23,6 +23,19 @@ def test_check_sf_sentence(capsys):
     assert data["bounds"]["prop6"] == 4
 
 
+def test_check_reports_exact_bounds_too_long_to_print(capsys):
+    # the degree bound 17 + 34*2↑2(17)^2 is exact at 262,150 bits, past the
+    # 4,300 digits str() prints, so it reads as a lower bound
+    text = "forall x1. exists y1. forall x2. exists y2. R(y1, y2) & P(x1) & P(x2)"
+    code, out = run_capture(capsys, ["check", text])
+    assert code == 0
+    data = json.loads(out)
+    assert data["degree"] == 2
+    expr1 = data["bounds"]["expr1"]
+    assert expr1["exact"] is None and expr1["lower_bound"] == ">=2^262149"
+    assert data["bounds"]["lemma12"]["exact"] == 64
+
+
 def test_check_field_names(capsys):
     code, out = run_capture(capsys, ["check", "forall x. exists y. P(x) | Q(y)"])
     data = json.loads(out)

@@ -1,5 +1,8 @@
+import contextlib
 import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -16,9 +19,9 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import HasUniversals, NotGround, NotHorn, NotKrom, NotNNF
+from sepfrag.errors import HasUniversals, NotASentence, NotGround, NotHorn, NotKrom, NotNNF
 from sepfrag.generators import expand_counting, generate_hard_family
-from sepfrag.search import find_model
+from sepfrag.search import ModelSearch, find_model
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
@@ -29,29 +32,38 @@ from util import random_atom, random_boolean, random_sf_sentence, small_signatur
 
 def test_skolemize_single():
     f, _ = parse_formula("exists x. P(x)")
-    assert print_formula(skolemize_existential(S.to_standard_form(f))) == "P(sk1)"
+    assert print_formula(skolemize_existential(f)) == "P(sk1)"
 
 
 def test_skolemize_with_equation():
     f, _ = parse_formula("exists x y. R(x, y) & x = y")
-    g = skolemize_existential(S.to_standard_form(f))
+    g = skolemize_existential(f)
     assert print_formula(g) == "R(sk1, sk2) & sk1 = sk2"
 
 
 def test_skolemize_avoids_taken_names():
     # the constant sk1 and the variable sk2 are both reserved
     f, _ = parse_formula("exists sk2 x. P(sk2, sk1, x)")
-    g = skolemize_existential(S.to_standard_form(f))
+    g = skolemize_existential(f)
     assert print_formula(g) == "P(sk1#1, sk1, sk2#1)"
+
+
+def test_skolemize_numbers_binders_in_pre_order():
+    # a vacuous exists takes a number too, and a vacuous forall sibling
+    # does not move the exists beneath it behind its neighbour's
+    f, _ = parse_formula("exists w x. P(x)")
+    assert print_formula(skolemize_existential(f)) == "P(sk2)"
+    g, _ = parse_formula("(forall w. exists y. P(y)) & (exists x. Q(x))")
+    assert print_formula(skolemize_existential(g)) == "P(sk1) & Q(sk2)"
 
 
 def test_skolemize_rejects_universals():
     f, _ = parse_formula("forall x. P(x)")
     with pytest.raises(HasUniversals):
-        skolemize_existential(S.to_standard_form(f))
+        skolemize_existential(f)
     g, _ = parse_formula("~(exists x. P(x))")  # hidden universal
     with pytest.raises(HasUniversals):
-        skolemize_existential(S.to_standard_form(g))
+        skolemize_existential(g)
 
 
 def test_skolemize_equisatisfiable_random():
@@ -61,7 +73,7 @@ def test_skolemize_equisatisfiable_random():
         vars_ = ["v1", "v2"]
         leaves = [random_atom(rng, sig, vars_, with_eq=True) for _ in range(3)]
         f = S.Exists(tuple(vars_), random_boolean(rng, leaves, allow_imp=False))
-        g = skolemize_existential(S.to_standard_form(f))
+        g = skolemize_existential(f)
         n = len(S.constants_of(g)) or 1
         assert (find_model(f, max_size=n) is None) == (find_model(g, max_size=n) is None)
 
@@ -477,6 +489,88 @@ def test_krom_core_behind_free_pairs_unsat():
 
 
 # --- the pipeline --------------------------------------------------------------
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def iff_chain(n, leading=False):
+    """(P(a0) | Q(a0)) <-> ... <-> (P(a<n-1>) | Q(a<n-1>)); with `leading`,
+    under one `exists z` whose z replaces the a<i> in P of every even
+    operand.  `to_nnf` shares both polarities of each operand, so the
+    NNF is linear in n only as a DAG."""
+    parts = [f"(P({'z' if leading and i % 2 == 0 else f'a{i}'}) | Q(a{i}))" for i in range(n)]
+    return ("exists z. " if leading else "") + " <-> ".join(parts)
+
+
+@pytest.mark.parametrize("n, leading", [(40, False), (40, True), (100, False)])
+def test_decide_long_iff_chain(n, leading):
+    # the walks after to_nnf visit each shared node once per binding; as
+    # tree walks they took 1.8 s at 16 operands
+    f, _ = parse_formula(iff_chain(n, leading))
+    start = time.perf_counter()
+    with deadline(20):
+        v = decide_sat(f)
+    assert time.perf_counter() - start < 1.0
+    assert v.status == "sat" and v.details["path"] == "propositional"
+    assert evaluate(v.structure, {}, f)
+
+
+def test_decide_rejects_open_formulas():
+    x, y = S.Var("x"), S.Var("y")
+    with pytest.raises(NotASentence):
+        decide_sat(S.And((S.Pred("P", (x,)), S.Pred("Q", (S.Const("a"),)))))
+    with pytest.raises(NotASentence):
+        decide_sat(S.Forall(("y",), S.Pred("R", (x, y))))
+
+
+def test_decide_drops_a_vacuous_universal():
+    f, _ = parse_formula("forall w. P(a) & ~P(b)")
+    v = decide_sat(f)
+    assert v.status == "sat" and v.details["path"] == "propositional"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(exists>=2 y. P(y) | Q(y)) & (forall x. ~P(x) | Q(x))",
+        "(exists>=3 y. P(y)) & (forall x w. (Q(x) | ~P(x)) | x = w)",
+    ],
+)
+def test_decide_searches_counting_as_written(text):
+    # the shape of the benchmark's `counting` sentences: the search counts
+    # natively and finds what it finds on the expanded sentence
+    f, _ = parse_formula(text)
+    v = decide_sat(f, DecideConfig(max_model_size=4))
+    assert v.status == "sat"
+    assert v.structure == ModelSearch(expand_counting(f).formula).run(4)
+
+
+def test_standard_form_only_once_size_one_has_no_model(monkeypatch):
+    calls = []
+    real = S.to_standard_form
+    monkeypatch.setattr(S, "to_standard_form", lambda f: calls.append(f) or real(f))
+    for text, want in [
+        ("exists x y. R(x, y) & x = y", 0),  # universal-free
+        ("forall w. P(a) & ~P(b)", 0),  # a vacuous universal only
+        ("forall x. exists y. P(x) | Q(y)", 0),  # a model at size 1
+        ("forall x. exists y. R(x, y) & ~R(y, y)", 1),  # none at size 1
+    ]:
+        calls.clear()
+        decide_sat(parse_formula(text)[0])
+        assert len(calls) == want, text
 
 def test_decide_existential_contradiction():
     f, _ = parse_formula("exists z. P(z) & ~P(z)")

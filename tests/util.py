@@ -8,7 +8,8 @@ from sepfrag import syntax as S
 
 
 def random_term(rng, variables, constants):
-    pool = [S.Var(v) for v in variables] + [S.Const(c) for c in constants]
+    # sorted: the order of a set of strings depends on PYTHONHASHSEED
+    pool = [S.Var(v) for v in variables] + [S.Const(c) for c in sorted(constants)]
     return rng.choice(pool)
 
 

@@ -50,6 +50,11 @@ def _read_formula(args) -> S.Formula:
     return f
 
 
+def _read_expanded(args) -> S.Formula:
+    # for commands that need a sentence free of counting quantifiers
+    return generators.expand_counting(_read_formula(args)).formula
+
+
 def _read_formula_arg(value: str) -> S.Formula:
     # a positional that may name a file or carry an inline formula
     if value == "-":
@@ -144,7 +149,7 @@ def build_parser() -> _Parser:
 
 
 def _cmd_check(args) -> int:
-    f = _read_formula(args)
+    f = _read_expanded(args)
     sf = S.to_standard_form(f)
     report = analysis.analyze(sf).to_json()
     if report["is_sf"]:
@@ -160,7 +165,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_to_bsr(args) -> int:
-    f = _read_formula(args)
+    f = _read_expanded(args)
     started = time.monotonic()
     bsr = translate.to_bsr(S.to_standard_form(f))
     elapsed_ms = int((time.monotonic() - started) * 1000)
@@ -240,13 +245,13 @@ def _cmd_gen(args) -> int:
         model = generators.hard_family_model(args.n) if args.with_model else None
         return _gen_output(args, f, model)
     # smp
-    f = _read_formula(args)
+    f = _read_expanded(args)
     out = generators.smp_to_sf(S.to_nnf(f), args.bound)
     return _gen_output(args, out, None)
 
 
 def _cmd_eliminate_eq(args) -> int:
-    f = _read_formula(args)
+    f = _read_expanded(args)
     out = generators.sf_equality_elim(S.to_standard_form(f))
     _emit(args, {"formula": S.print_formula(out)}, S.print_formula(out))
     return 0

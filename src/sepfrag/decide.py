@@ -27,7 +27,7 @@ from . import analysis
 from . import syntax as S
 from . import translate
 from .errors import BadParams, BudgetExceeded, HasUniversals, NotASentence, NotGround
-from .errors import NotHorn, NotKrom
+from .errors import NotHorn, NotKrom, depth_guarded
 from .search import ModelSearch, find_model  # noqa: F401  (bench/tracer.py wraps it)
 from .semantics import Structure, evaluate
 from .generators import expand_counting
@@ -455,6 +455,7 @@ def _search_path(f: S.Formula, expanded: S.Formula, max_size: int):
     return SatVerdict("inconclusive", bound=symbolic if bound is None else None, details=details)
 
 
+@depth_guarded
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     """Decide satisfiability of a function-free sentence.
 

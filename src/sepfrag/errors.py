@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class SepfragError(Exception):
     pass
@@ -32,6 +34,23 @@ class NotASentence(SepfragError):
 
 class NotNNF(SepfragError):
     pass
+
+
+class TooDeep(SepfragError):
+    pass
+
+
+def depth_guarded(fn):
+    """fn, with a RecursionError from its recursive walks raised as TooDeep."""
+
+    @functools.wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise TooDeep(f"{fn.__name__}: the formula is nested too deeply") from None
+
+    return guarded
 
 
 # --- semantics ---

@@ -15,6 +15,11 @@ than position i is 1.  Level-l indices for l >= 1 are bit strings over
 the level-(l-1) chain, least significant position first; the admissible
 strings are those with most significant bit 0 plus the single string
 0...01, giving 2^^l(mu-1)+1 indices per level.
+
+The domino encoding states its torus axioms and adjacency rule once, as
+one schema instantiated for the horizontal (H) and vertical (V) axis.
+The tiler and the canonical models do not read that schema: they are
+independent oracles against which the tests check the encodings.
 """
 
 from __future__ import annotations
@@ -675,7 +680,13 @@ def generate_domino_encoding(
     system: DominoSystem, word, p: HierarchyParams
 ) -> S.Formula:
     """Torus axioms over the top hierarchy level plus the adjacency and
-    initial-condition constraints of the domino system."""
+    initial-condition constraints of the domino system.
+
+    Both axes come from one schema: typing, successor, neighbor
+    existence, wrap-around and the two wrap-consistency axioms, then the
+    adjacency rule, each stated once and instantiated for H and for V.
+    `brute_force_tiler` and `canonical_domino_model` are kept apart from
+    it, as oracles."""
     if not system.tiles or not system.horizontal or not system.vertical:
         raise EmptyDominoComponent("tiles and both adjacency relations must be nonempty")
     t_exact = p.torus_size().evaluate()
@@ -685,145 +696,47 @@ def generate_domino_encoding(
     fresh = S.FreshNames()
     x, y, xp, yp, i = Var("x"), Var("y"), Var("x2"), Var("y2"), Var("i")
 
-    def H(a, b, c, d):
-        return Pred("H", (a, b, c, d))
-
-    def V(a, b, c, d):
-        return Pred("V", (a, b, c, d))
-
     def tile_at(tile, a, b):
         return Pred(_tile_pred(tile), (a, b))
 
+    # One torus schema, instantiated per axis.  A row names the relation,
+    # the coordinate that steps and its primed copy, the fixed coordinate
+    # and its primed copy, the adjacency pairs, and to(a, b, s): where a
+    # step from (a, b) that lands on s arrives; step(row, ...) is the
+    # neighbor atom R(a, b, *to(a, b, s)).
+    axes = (
+        ("H", x, xp, y, yp, system.horizontal, lambda a, b, s: (s, b)),
+        ("V", y, yp, x, xp, system.vertical, lambda a, b, s: (a, s)),
+    )
+
+    def step(row, a, b, s):
+        return Pred(row[0], (a, b) + row[-1](a, b, s))
+
+    corners = ("x", "y", "x2", "y2")
     parts: list[S.Formula] = [generate_index_hierarchy(p)]
-    # horizontal neighbor typing and successor compatibility
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2"),
-            Implies(
-                H(x, y, xp, yp),
-                conj([_L(K, x), _L(K, y), _L(K, xp), _L(K, yp), Eq(y, yp)]),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2", "i"),
-            Implies(
-                conj([H(x, y, xp, yp), _max_idx(K - 1, i), _J(K, x, i, 0)]),
-                _succ(K, x, xp),
-            ),
-        )
-    )
-    # every non-edge point has a horizontal neighbor with the same tiles
-    tx, ty, txp = fresh.fresh("tx"), fresh.fresh("ty"), fresh.fresh("tx2")
-    parts.append(
-        Forall(
-            ("x", "y", "i"),
-            Implies(
-                conj([_L(K, x), _L(K, y), _max_idx(K - 1, i), _J(K, x, i, 0)]),
-                Exists(
-                    (tx, ty, txp),
-                    conj(
-                        [
-                            _index_equality(K, x, Var(tx), p.mu, fresh),
-                            _index_equality(K, y, Var(ty), p.mu, fresh),
-                        ]
-                        + [
-                            Iff(tile_at(d, x, y), tile_at(d, Var(tx), Var(ty)))
-                            for d in system.tiles
-                        ]
-                        + [H(Var(tx), Var(ty), Var(txp), Var(ty))]
-                    ),
-                ),
-            ),
-        )
-    )
-    # horizontal wrap-around; membership guards keep the typing axiom
-    # satisfiable on mixed domains
-    parts.append(
-        Forall(
-            ("x", "y", "x2"),
-            Implies(
-                conj([_L(K, y), _max_idx(K, x), _min_idx(K, xp)]),
-                H(x, y, xp, y),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2"),
-            Implies(And((H(x, y, xp, yp), _max_idx(K, x))), _min_idx(K, xp)),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2"),
-            Implies(And((H(x, y, xp, yp), _min_idx(K, xp))), _max_idx(K, x)),
-        )
-    )
-    # vertical versions
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2"),
-            Implies(
-                V(x, y, xp, yp),
-                conj([_L(K, x), _L(K, y), _L(K, xp), _L(K, yp), Eq(x, xp)]),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "x2", "y2", "i"),
-            Implies(
-                conj([V(x, y, xp, yp), _max_idx(K - 1, i), _J(K, y, i, 0)]),
-                _succ(K, y, yp),
-            ),
-        )
-    )
-    tx2, ty2, typ = fresh.fresh("tx"), fresh.fresh("ty"), fresh.fresh("ty2")
-    parts.append(
-        Forall(
-            ("x", "y", "i"),
-            Implies(
-                conj([_L(K, x), _L(K, y), _max_idx(K - 1, i), _J(K, y, i, 0)]),
-                Exists(
-                    (tx2, ty2, typ),
-                    conj(
-                        [
-                            _index_equality(K, x, Var(tx2), p.mu, fresh),
-                            _index_equality(K, y, Var(ty2), p.mu, fresh),
-                        ]
-                        + [
-                            Iff(tile_at(d, x, y), tile_at(d, Var(tx2), Var(ty2)))
-                            for d in system.tiles
-                        ]
-                        + [V(Var(tx2), Var(ty2), Var(tx2), Var(typ))]
-                    ),
-                ),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "y2"),
-            Implies(
-                conj([_L(K, x), _max_idx(K, y), _min_idx(K, yp)]),
-                V(x, y, x, yp),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "x2", "y", "y2"),
-            Implies(And((V(x, y, xp, yp), _max_idx(K, y))), _min_idx(K, yp)),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "x2", "y", "y2"),
-            Implies(And((V(x, y, xp, yp), _min_idx(K, yp))), _max_idx(K, y)),
-        )
-    )
+    for row in axes:
+        rel, s, sp, fix, fixp, _, _ = row
+        edge = Pred(rel, (x, y, xp, yp))
+        # neighbor typing and successor compatibility
+        typed = conj([_L(K, x), _L(K, y), _L(K, xp), _L(K, yp), Eq(fix, fixp)])
+        parts.append(Forall(corners, Implies(edge, typed)))
+        stepped = conj([edge, _max_idx(K - 1, i), _J(K, s, i, 0)])
+        parts.append(Forall(corners + ("i",), Implies(stepped, _succ(K, s, sp))))
+        # every non-edge point has a neighbor with the same tiles
+        tx, ty = Var(fresh.fresh("tx")), Var(fresh.fresh("ty"))
+        tsp = Var(fresh.fresh(f"t{s.name}2"))
+        same = [_index_equality(K, x, tx, p.mu, fresh), _index_equality(K, y, ty, p.mu, fresh)]
+        same += [Iff(tile_at(d, x, y), tile_at(d, tx, ty)) for d in system.tiles]
+        inside = conj([_L(K, x), _L(K, y), _max_idx(K - 1, i), _J(K, s, i, 0)])
+        neighbor = Exists((tx.name, ty.name, tsp.name), conj(same + [step(row, tx, ty, tsp)]))
+        parts.append(Forall(("x", "y", "i"), Implies(inside, neighbor)))
+        # wrap-around; membership guards keep the typing axiom
+        # satisfiable on mixed domains
+        wraps = conj([_L(K, fix), _max_idx(K, s), _min_idx(K, sp)])
+        parts.append(Forall(("x", "y", sp.name), Implies(wraps, step(row, x, y, sp))))
+        # wrap consistency, both ways
+        for a, b in ((_max_idx(K, s), _min_idx(K, sp)), (_min_idx(K, sp), _max_idx(K, s))):
+            parts.append(Forall(corners, Implies(And((edge, a)), b)))
     # tiles live on the torus, one per point
     for d in system.tiles:
         parts.append(
@@ -840,40 +753,17 @@ def generate_domino_encoding(
                 Forall(("x", "y"), Implies(tile_at(d, x, y), Not(tile_at(dp, x, y))))
             )
     # adjacency rules
-    parts.append(
-        Forall(
-            ("x", "x2", "y"),
-            Implies(
-                H(x, y, xp, y),
-                disj(
-                    [
-                        And((tile_at(d, x, y), tile_at(dp, xp, y)))
-                        for d, dp in sorted(system.horizontal)
-                    ]
-                ),
-            ),
-        )
-    )
-    parts.append(
-        Forall(
-            ("x", "y", "y2"),
-            Implies(
-                V(x, y, x, yp),
-                disj(
-                    [
-                        And((tile_at(d, x, y), tile_at(dp, x, yp)))
-                        for d, dp in sorted(system.vertical)
-                    ]
-                ),
-            ),
-        )
-    )
+    for row in axes:
+        _, _, sp, _, _, pairs, to = row
+        fits = [And((tile_at(d, x, y), tile_at(dp, *to(x, y, sp)))) for d, dp in sorted(pairs)]
+        binders = tuple(sorted(("x", "y", sp.name)))
+        parts.append(Forall(binders, Implies(step(row, x, y, sp), disj(fits))))
     # initial condition along the bottom row
     if word:
         z = Var("z")
         chain_links = [Eq(Const("f1"), z)]
         for k in range(1, len(word)):
-            chain_links.append(H(Const(f"f{k}"), z, Const(f"f{k + 1}"), z))
+            chain_links.append(step(axes[0], Const(f"f{k}"), z, Const(f"f{k + 1}")))
         parts.append(Forall(("z",), Implies(_min_idx(K, z), conj(chain_links))))
         parts.append(
             Forall(

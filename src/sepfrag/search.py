@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import syntax as S
-from .errors import BadParams, BudgetExceeded, NotASentence
+from .errors import BadParams, BudgetExceeded, NotASentence, depth_guarded
 from .generators import expand_counting
 from .semantics import Structure, evaluate
 
@@ -621,6 +621,7 @@ class ModelSearch:
         return enc.decode(verdict.assignment) if verdict.status == "sat" else None
 
 
+@depth_guarded
 def find_model(f: S.Formula, max_size: int = 4, min_size: int = 1) -> Optional[Structure]:
     """Smallest-size structure (sizes min_size..max_size) satisfying the
     sentence, or None.  At a packed-scan size it is the first in
@@ -644,6 +645,7 @@ class EquivVerdict:
     counterexample: Optional[Counterexample] = None
 
 
+@depth_guarded
 def equivalent_upto(
     f: S.Formula,
     g: S.Formula,

@@ -59,6 +59,7 @@ from .errors import (
     NotNNF,
     ParseError,
     UnexpandedCounting,
+    depth_guarded,
 )
 
 # ---------------------------------------------------------------------------
@@ -1102,6 +1103,7 @@ def _prenex(f: Formula):
     raise UnexpandedCounting("expand counting quantifiers before prenexing")
 
 
+@depth_guarded
 def to_standard_form(f: Formula) -> StandardForm:
     """Equivalence-preserving conversion of a sentence to standard form."""
     g = to_nnf(f)

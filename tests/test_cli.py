@@ -240,6 +240,17 @@ def test_eliminate_eq_command(capsys):
     assert "E(" in json.loads(out)["formula"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["check"], ["to-bsr"], ["eliminate-eq"], ["gen", "smp", "--bound", "2"]]
+)
+def test_commands_expand_counting_quantifiers(capsys, argv):
+    # each reported on the expansion; before, each exited 3 with
+    # "expand counting quantifiers before NNF"
+    code, out = run_capture(capsys, argv + ["forall x. P(x) | (exists>=2 y. Q(y))"])
+    assert code == 0
+    assert isinstance(json.loads(out), dict)
+
+
 def test_usage_error_exit_64():
     with pytest.raises(SystemExit) as e:
         run(["decide", "--max-size", "wat", "true"])

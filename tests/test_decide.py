@@ -19,9 +19,9 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import HasUniversals, NotASentence, NotGround, NotHorn, NotKrom, NotNNF
+from sepfrag.errors import HasUniversals, NotASentence, NotGround, NotHorn, NotKrom, NotNNF, TooDeep
 from sepfrag.generators import expand_counting, generate_hard_family
-from sepfrag.search import ModelSearch, find_model
+from sepfrag.search import ModelSearch, equivalent_upto, find_model
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
@@ -845,3 +845,26 @@ def test_decide_agreement_with_find_model():
         elif v.status == "unsat":
             assert raw is None
     assert agreements >= 20
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        decide_sat,
+        lambda f: find_model(f, 1),
+        lambda f: equivalent_upto(f, f, 1),
+        S.to_standard_form,
+    ],
+    ids=["decide_sat", "find_model", "equivalent_upto", "to_standard_form"],
+)
+def test_deep_api_input_raises_too_deep(entry):
+    # the parser caps nesting, but a chain built through the API is not
+    # parsed; its recursive walks overflow the stack at 900 operands
+    def operand(i):
+        return S.Or((S.Pred("P", (S.Const(f"a{i}"),)), S.Pred("Q", (S.Const(f"a{i}"),))))
+
+    f = operand(0)
+    for i in range(1, 900):
+        f = S.Iff(f, operand(i))
+    with deadline(20), pytest.raises(TooDeep):
+        entry(f)

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +32,7 @@ from sepfrag.generators import (
     valid_tiling,
 )
 from sepfrag.search import equivalent_upto, find_model
-from sepfrag.semantics import evaluate, substructure
+from sepfrag.semantics import Structure, evaluate, substructure
 from sepfrag.syntax import cnf_matrix, classify_cnf, parse_formula, to_nnf, to_standard_form
 
 from util import models_extend, random_sf_sentence
@@ -254,6 +256,61 @@ def test_canonical_domino_model_wrap_edges():
         if name.startswith("D"):
             covered |= set(table)
     assert sorted(covered) == sorted(cells)
+
+
+# tiles A and B: any horizontal neighbor, but each column keeps its tile
+COLUMNS = DominoSystem(
+    ("A", "B"),
+    frozenset({("A", "A"), ("A", "B"), ("B", "A"), ("B", "B")}),
+    frozenset({("A", "A"), ("B", "B")}),
+)
+
+
+def test_asymmetric_system_with_a_two_letter_word():
+    # the word chain links f1 to f2 through H, and H and V differ, so an
+    # axis fold that mixes up the relations or their pairs is caught
+    p, word = HierarchyParams(1, 2), ("A", "B")
+    tl = brute_force_tiler(COLUMNS, word, p.torus_size().evaluate())
+    m = canonical_domino_model(COLUMNS, word, p, tl)
+    assert evaluate(m, {}, generate_domino_encoding(COLUMNS, word, p))
+    swapped = dict(m.constants, f1=m.constants["f2"], f2=m.constants["f1"])
+    assert not evaluate(
+        Structure(m.universe, swapped, m.predicates), {}, generate_domino_encoding(COLUMNS, word, p)
+    )
+    transposed = DominoSystem(COLUMNS.tiles, COLUMNS.vertical, COLUMNS.horizontal)
+    assert not evaluate(m, {}, generate_domino_encoding(transposed, word, p))
+
+
+DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
+
+
+@pytest.mark.parametrize(
+    "name, formula",
+    [
+        ("hierarchy12", lambda: generate_index_hierarchy(HierarchyParams(1, 2))),
+        ("hard1", lambda: generate_hard_family(1)),
+    ],
+)
+def test_generators_print_the_frozen_benchmark_text(name, formula):
+    assert S.print_formula(formula()) + "\n" == (DATA / f"{name}.txt").read_text()
+
+
+# SHA-1 of canonical_key of the domino encodings at (kappa, mu) = (1, 2).
+# bench/data/domino1.txt is the one-tile encoding with the binders of the
+# two V wrap-consistency axioms in the order x x2 y y2.
+DOMINO_KEYS = {
+    "one-tile": (ONE_TILE, ("A",), "31678f95232e786dc3bf71e6d0c337b6de14644e"),
+    "columns": (COLUMNS, ("A", "B"), "b1772a452ba9c44f6b56385f2c45f74c46ff13e2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOMINO_KEYS))
+def test_domino_encoding_is_pinned(name):
+    # the two-letter word pins the word chain to H, which no model check
+    # above tells apart from V
+    system, word, digest = DOMINO_KEYS[name]
+    f = generate_domino_encoding(system, word, HierarchyParams(1, 2))
+    assert hashlib.sha1(S.canonical_key(f).encode()).hexdigest() == digest
 
 
 def test_canonical_domino_model_validates_tiling():

@@ -2,30 +2,33 @@
 
 Structures over a finite signature and universe {e1..em} are identified
 with bit codes: one bit per ground atom, ordered predicate-major.  The
-evaluator computes a formula's truth over 2^20 structures at a time as a
-packed uint64 vector, which makes the brute-force oracles cheap enough to
-back every other module's tests.  The evaluator enumerates each
-quantifier block as written.  `ModelSearch` is the one model search: it
-evaluates size 1 on the sentence itself, where every block has one
-binding, and builds the `scope_minimized` form, whose blocks are as
-narrow as possible, once for all larger sizes; that changes cost, never
-truth values.  A size with more than `_SCAN_BITS` ground atoms is not
-scanned: the scope-minimized form is encoded as one CNF over that size,
-MACE-style (`_SatEncoding`), and handed to the CDCL solver
-`decide.dpll_sat`.  Only the packed scan promises the first structure
-in canonical enumeration order; the SAT route returns any model.  Every
-structure `ModelSearch` returns is re-checked by the reference
-evaluator.  The equivalence oracle is a model search for `f <-> ~g`,
-which holds exactly where f and g disagree.
+evaluator computes a formula's truth over a chunk of 2^18 structures at
+a time as a Python int with one bit per structure, which makes the
+brute-force oracles cheap enough to back every other module's tests.
+The evaluator enumerates each quantifier block as written.
+`ModelSearch` is the one model search: it evaluates size 1 on the
+sentence itself, where every block has one binding, and builds the
+`scope_minimized` form, whose blocks are as narrow as possible, once for
+all larger sizes; that changes cost, never truth values.  A size with
+more than `_SCAN_BITS` ground atoms is not scanned: the scope-minimized
+form is encoded as one CNF over that size, MACE-style (`_SatEncoding`),
+and handed to the CDCL solver `decide.dpll_sat`.  Only the packed scan
+promises the first structure in canonical enumeration order; the SAT
+route returns any model.  Every structure `ModelSearch` returns is
+re-checked by the reference evaluator.  The equivalence oracle is a
+model search for `f <-> ~g`, which holds exactly where f and g disagree.
 
-`Eq`, `Top` and `Bottom` evaluate to Python bools, which connectives
-and quantifier loops fold, stopping at a dominating one; a bool becomes
-a vector only at the root.  A subformula whose free variables are a
-strict subset of those its parent varies is memoized under their
-values, so it is evaluated once per binding of its free variables, not
-once per binding of every enclosing quantifier.  Which subformulas
-qualify is computed once per formula and search; the memo holds at most
-`_MEMO_WORDS` words per chunk evaluation and, once full, is only read.
+`Eq`, `Top`, `Bottom` and atoms whose bit lies above the chunk, which
+are constant on it, evaluate to Python bools.  Connectives and
+quantifier loops fold them, stopping at a dominating one; a vector with
+no bit (every bit) set stops a conjunction (disjunction) the same way,
+and a bool becomes a vector only at the root.  A subformula whose free
+variables are a strict subset of those its parent varies is memoized
+under their values, so it is evaluated once per binding of its free
+variables, not once per binding of every enclosing quantifier.  Which
+subformulas qualify is computed once per formula and search; the memo
+holds at most `_MEMO_WORDS` words per chunk evaluation and, once full,
+is only read.
 """
 
 from __future__ import annotations
@@ -34,41 +37,34 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import syntax as S
 from .errors import BadParams, BudgetExceeded, NotASentence, depth_guarded
 from .generators import expand_counting
 from .semantics import Structure, evaluate
 
-_CHUNK_BITS = 20
+_CHUNK_BITS = 18
 
 # Largest size, in ground atoms, that the model search scans; a larger
-# one is a single SAT call.  A scan costs 2^(n_bits - 20) chunk
-# evaluations per constant map, 7-180 ms each on the inputs measured:
-# predictable, and up to 30 bits at most minutes.  SAT can be far slower
-# on a size with no model: hard n=1 against its BSR form takes 0.03 s
-# scanned against 1.7 s by SAT at 16 bits, and 2.9 s against over 60 s
-# at 24 bits; sentences SAT refutes in milliseconds scan in 0.1-0.2 s at
-# 25 bits.  Beyond 30 bits a scan takes 15 s to 6 min per map, and the
-# lower-bound sentences at size 2 (52 and 88 bits) take SAT 25-50 ms.
+# one is a single SAT call.  A scan costs 2^(n_bits - 18) chunk
+# evaluations per constant map, up to 24 ms each on the decide-fo
+# benchmark inputs: predictable, and up to 30 bits at most minutes.  SAT
+# can be far slower on a size with no model: hard n=1 against its BSR
+# form takes 0.05 s scanned against 1.7 s by SAT at 16 bits, and 1.1 s
+# against over 60 s at 24 bits.  Beyond 30 bits a scan is 2^13 or more
+# chunk evaluations per map, and the lower-bound sentences at size 2 (52
+# and 88 bits) take SAT 25-50 ms.
 _SCAN_BITS = 30
 
-# word with bit j set iff bit k of j is set, for k < 6
-_WORD_PATTERNS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
+# byte with bit j set iff bit k of j is set, for k < 3
+_BYTE_PATTERNS = (0xAA, 0xCC, 0xF0)
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
+# (chunk_bits, bit) -> vector with bit j set iff bit `bit` of j is set;
+# at most 18 entries of 32 KB each at 18 chunk bits
+_PATTERNS: dict[tuple[int, int], int] = {}
 
-# Memo budget of one chunk evaluation, in uint64 words (2 MB).  An entry
-# is also charged _ENTRY_WORDS for its key, dict slot and array header
-# (about 350 bytes under tracemalloc), which dominate one-word vectors.
+# Memo budget of one chunk evaluation, in 64-bit words of vector (2 MB).
+# An entry is also charged _ENTRY_WORDS for its key, dict slot and int
+# header, which dominate one-word vectors.
 _MEMO_WORDS = 1 << 18
 _ENTRY_WORDS = 40
 
@@ -98,10 +94,9 @@ class GroundSpace:
         self.chunk_bits = min(self.n_bits, _CHUNK_BITS)
         self.n_chunks = 1 << max(0, self.n_bits - self.chunk_bits)
         self.n_words = 1 << max(0, self.chunk_bits - 6)
-        if self.chunk_bits < 6:
-            self.valid_mask = np.uint64((1 << (1 << self.chunk_bits)) - 1)
-        else:
-            self.valid_mask = _ALL_ONES
+        self.valid_mask = (1 << (1 << self.chunk_bits)) - 1
+        # vector of each atom whose bit varies within a chunk
+        self.patterns = [_pattern(self.chunk_bits, bit) for bit in range(self.chunk_bits)]
 
     def const_maps(self, canonical: bool = False) -> Iterator[dict[str, int]]:
         """Constant interpretations in lexicographic order.  With
@@ -127,55 +122,56 @@ class GroundSpace:
 
     # -- packed evaluation ------------------------------------------------
 
-    def _atom_vec(self, bit: int, chunk: int, cache: dict) -> np.ndarray:
-        vec = cache.get(bit)
-        if vec is not None:
-            return vec
-        if bit >= self.chunk_bits:
-            on = (chunk >> (bit - self.chunk_bits)) & 1
-            vec = np.full(self.n_words, _ALL_ONES if on else 0, dtype=np.uint64)
-        elif bit < 6:
-            vec = np.full(self.n_words, np.uint64(_WORD_PATTERNS[bit]), dtype=np.uint64)
-        else:
-            run = 1 << (bit - 6)
-            pattern = np.concatenate(
-                [np.zeros(run, dtype=np.uint64), np.full(run, _ALL_ONES, dtype=np.uint64)]
-            )
-            vec = np.tile(pattern, self.n_words // (2 * run))
-        cache[bit] = vec
-        return vec
+    def _atom_vec(self, bit: int, chunk: int):
+        """An atom's vector, or its bool where it is constant on the chunk."""
+        if bit < self.chunk_bits:
+            return self.patterns[bit]
+        return bool((chunk >> (bit - self.chunk_bits)) & 1)
 
     def eval_chunk(
         self, f: S.Formula, cmap: dict[str, int], chunk: int, plan: Optional[dict] = None
-    ) -> np.ndarray:
-        """Truth of sentence f on every structure in the chunk, one bit
-        per structure code.  `plan` is f's `_memo_plan`, built here when
-        not given."""
+    ) -> int:
+        """Truth of sentence f on every structure in the chunk: bit j is
+        set iff f holds on structure code (chunk << chunk_bits) + j.
+        `plan` is f's `_memo_plan`, built here when not given."""
         out = _VecEval(self, cmap, chunk, _memo_plan(f) if plan is None else plan).eval(f, {})
         if type(out) is bool:
-            return np.full(self.n_words, self.valid_mask if out else 0, dtype=np.uint64)
-        return out & self.valid_mask
+            return self.valid_mask if out else 0
+        return out
 
-    def first_true(self, vec: np.ndarray, chunk: int) -> Optional[int]:
-        nz = np.nonzero(vec)[0]
-        if len(nz) == 0:
+    def first_true(self, vec: int, chunk: int) -> Optional[int]:
+        if not vec:
             return None
-        w = int(nz[0])
-        word = int(vec[w])
-        bit = (word & -word).bit_length() - 1
-        return (chunk << self.chunk_bits) + w * 64 + bit
+        return (chunk << self.chunk_bits) + (vec & -vec).bit_length() - 1
+
+
+def _pattern(chunk_bits: int, bit: int) -> int:
+    """Vector of 2^chunk_bits bits with bit j set iff bit `bit` of j is
+    set, built from a repeated byte pattern and cached."""
+    vec = _PATTERNS.get((chunk_bits, bit))
+    if vec is None:
+        if bit < 3:
+            unit = bytes([_BYTE_PATTERNS[bit]])
+        else:
+            run = 1 << (bit - 3)
+            unit = bytes(run) + b"\xff" * run
+        n_units = max(1, (1 << chunk_bits) >> 3) // len(unit)
+        vec = int.from_bytes(unit * n_units, "little") & ((1 << (1 << chunk_bits)) - 1)
+        _PATTERNS[(chunk_bits, bit)] = vec
+    return vec
 
 
 class _VecEval:
     """Packed evaluation of one formula on one chunk.
 
     A value is a bool where the predicate tables do not matter (folded
-    `Eq`, `Top`, `Bottom`) and a packed vector otherwise.  Subformulas in
+    `Eq`, `Top`, `Bottom`, atoms constant on the chunk, and connectives
+    that met a dominating value) and otherwise an int vector with one bit
+    per structure of the chunk and no bit above them.  Subformulas in
     `plan` (see `_memo_plan`) are memoized under the values of their free
-    variables; an entry is charged its vector's words plus `_ENTRY_WORDS`,
-    and once `_MEMO_WORDS` are charged the memo is only read.  Returned
-    vectors may be shared with the atom cache or the memo and are never
-    written to.  Quantifier blocks are enumerated as written;
+    variables; an entry is charged the chunk's `n_words` plus
+    `_ENTRY_WORDS`, and once `_MEMO_WORDS` are charged the memo is only
+    read.  Quantifier blocks are enumerated as written;
     `scope_minimized` fixes how they nest.
     """
 
@@ -184,7 +180,7 @@ class _VecEval:
         self.cmap = cmap
         self.chunk = chunk
         self.plan = plan
-        self.cache: dict[int, np.ndarray] = {}
+        self.mask = space.valid_mask
         self.memo: dict = {}
         self.room = _MEMO_WORDS
 
@@ -209,7 +205,7 @@ class _VecEval:
         out = self.memo.get(key)
         if out is None:
             out = self._eval(g, env)
-            cost = _ENTRY_WORDS if type(out) is bool else _ENTRY_WORDS + len(out)
+            cost = _ENTRY_WORDS if type(out) is bool else _ENTRY_WORDS + self.space.n_words
             if cost <= self.room:
                 self.room -= cost
                 self.memo[key] = out
@@ -223,22 +219,22 @@ class _VecEval:
 
     def _pred(self, g: S.Pred, env):
         bit = self.space.atom_index[(g.name, tuple(self._resolve(t, env) for t in g.args))]
-        return self.space._atom_vec(bit, self.chunk, self.cache)
+        return self.space._atom_vec(bit, self.chunk)
 
     def _implies(self, g: S.Implies, env):
         left = self.eval(g.left, env)
         if left is False:
             return True
-        return _or(_not(left), self.eval(g.right, env))
+        return _or(_not(left, self.mask), self.eval(g.right, env))
 
     def _iff(self, g: S.Iff, env):
         left = self.eval(g.left, env)
         right = self.eval(g.right, env)
         if type(left) is bool:
-            return right if left else _not(right)
+            return right if left else _not(right, self.mask)
         if type(right) is bool:
-            return left if right else ~left
-        return ~(left ^ right)
+            return left if right else left ^ self.mask
+        return left ^ right ^ self.mask
 
     def _count(self, g: S.CountingExists, env):
         # levels[i]: at least i witness tuples so far
@@ -259,19 +255,19 @@ _RULES = {
     S.Eq: lambda ev, g, env: ev._resolve(g.left, env) == ev._resolve(g.right, env),
     S.Top: lambda ev, g, env: True,
     S.Bottom: lambda ev, g, env: False,
-    S.Not: lambda ev, g, env: _not(ev.eval(g.sub, env)),
-    S.And: lambda ev, g, env: _combine(True, (ev.eval(p, env) for p in g.parts)),
-    S.Or: lambda ev, g, env: _combine(False, (ev.eval(p, env) for p in g.parts)),
+    S.Not: lambda ev, g, env: _not(ev.eval(g.sub, env), ev.mask),
+    S.And: lambda ev, g, env: _combine(True, (ev.eval(p, env) for p in g.parts), ev.mask),
+    S.Or: lambda ev, g, env: _combine(False, (ev.eval(p, env) for p in g.parts), ev.mask),
     S.Implies: _VecEval._implies,
     S.Iff: _VecEval._iff,
-    S.Forall: lambda ev, g, env: _combine(True, ev._instances(g, env)),
-    S.Exists: lambda ev, g, env: _combine(False, ev._instances(g, env)),
+    S.Forall: lambda ev, g, env: _combine(True, ev._instances(g, env), ev.mask),
+    S.Exists: lambda ev, g, env: _combine(False, ev._instances(g, env), ev.mask),
     S.CountingExists: _VecEval._count,
 }
 
 
-def _not(a):
-    return (not a) if type(a) is bool else ~a
+def _not(a, mask):
+    return (not a) if type(a) is bool else a ^ mask
 
 
 def _and(a, b):
@@ -290,22 +286,20 @@ def _or(a, b):
     return a | b
 
 
-def _combine(is_and, values):
+def _combine(is_and, values, mask):
     """Conjunction (disjunction) of values, stopping at the first
-    dominating bool; allocates only once two vectors meet."""
+    dominating one: a bool, or a vector with no bit (every bit) set,
+    which becomes that bool."""
+    stop = 0 if is_and else mask
     acc = is_and
-    owned = False
     for v in values:
         if type(v) is bool:
             if v is not is_and:
                 return v
-        elif type(acc) is bool:
-            acc = v
-        elif owned:
-            (np.bitwise_and if is_and else np.bitwise_or)(acc, v, out=acc)
-        else:
-            acc = acc & v if is_and else acc | v
-            owned = True
+            continue
+        acc = v if type(acc) is bool else (acc & v if is_and else acc | v)
+        if acc == stop:
+            return not is_and
     return acc
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -399,3 +402,13 @@ def test_budget_exit_65(capsys):
     err = capsys.readouterr().err
     assert code == 65
     assert "budget" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    # sepfrag needs no third-party package at run time
+    code = "import sys, sepfrag.cli; sys.exit('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr or "numpy was imported"

@@ -136,3 +136,95 @@ def test_sizes_above_one_chunk_are_scanned_up_to_the_scan_bound():
     assert GroundSpace(models.sig, 5).n_bits <= _SCAN_BITS < GroundSpace(models.sig, 6).n_bits
     assert models.run(5, min_size=5) is None and models.sat_sizes == []
     assert models.run(6, min_size=6) is None and models.sat_sizes == [6]
+
+
+# --- the packed scan's atom vectors and chunking -------------------------------
+
+
+@pytest.mark.parametrize("chunk_bits", [*range(9), 18])
+def test_atom_patterns_set_bit_j_iff_the_atom_bit_of_j_is_set(chunk_bits):
+    from sepfrag.search import _pattern
+
+    n = 1 << chunk_bits
+    for bit in range(chunk_bits):
+        got = format(_pattern(chunk_bits, bit), f"0{n}b")[::-1]
+        assert got == "".join(["01"[(j >> bit) & 1] for j in range(n)]), bit
+
+
+def test_atoms_above_the_chunk_are_constant_bools():
+    space = GroundSpace(S.Signature({"R": 2}, set()), 5)
+    assert space.n_bits == 25 and space.chunk_bits == 18
+    for chunk in (0, 5, 127):
+        for bit in range(18, 25):
+            assert space._atom_vec(bit, chunk) is bool((chunk >> (bit - 18)) & 1)
+
+
+def _chunking_corpus():
+    """Pairs of sentences over P, R, equality and one constant, under the
+    same prefix `forall x. exists y. Q z.`, that agree on every
+    one-element structure; every fifth sentence also counts witnesses."""
+    from sepfrag.search import equivalent_upto
+
+    rng = random.Random(29)
+    sig = S.Signature({"P": 1, "R": 2}, {"a"})
+
+    def sentence(i, quants):
+        leaves = [random_atom(rng, sig, ["x", "y", "z"], with_eq=True) for _ in range(4)]
+        f = random_boolean(rng, leaves)
+        for v, q in zip("zyx", reversed(quants)):
+            f = q((v,), f)
+        if i % 5 == 0:
+            leaves = [random_atom(rng, sig, ["w"], with_eq=True) for _ in range(2)]
+            body = random_boolean(rng, leaves)
+            f = S.And((f, S.CountingExists(2, ("w",), body)))
+        return f
+
+    out = []
+    while len(out) < 30:
+        quants = [S.Forall, S.Exists, rng.choice((S.Forall, S.Exists))]
+        f, g = sentence(len(out), quants), sentence(len(out) + 1, quants)
+        if equivalent_upto(f, g, 1).equal:
+            out.append((f, g))
+    return out
+
+
+def test_chunk_size_does_not_change_witnesses_or_counterexamples(monkeypatch):
+    # P and R have 6 ground atoms at size 2 and 12 at size 3: with 3-bit
+    # chunks those sizes are scanned in 8 and 512 chunks, against one by
+    # default
+    from sepfrag import search
+
+    corpus = _chunking_corpus()
+
+    def answers():
+        out = []
+        for f, g in corpus:
+            ce = search.equivalent_upto(f, g, 3).counterexample
+            out.append((find_model(f, max_size=3), ce and (ce.structure, ce.assignment, ce.which)))
+        return out
+
+    default = answers()
+    monkeypatch.setattr(search, "_CHUNK_BITS", 3)
+    assert GroundSpace(S.Signature({"P": 1, "R": 2}, {"a"}), 3).n_chunks == 512
+    assert answers() == default
+    # each answer occurs both ways, and some lie past the first 3-bit chunk
+    assert 3 <= sum(m is None for m, _ in default) <= 27
+    assert 3 <= sum(ce is None for _, ce in default) <= 27
+    past_first = 0
+    for (f, g), (m, ce) in zip(corpus, default):
+        sig = S.infer_signature(f)
+        past_first += m is not None and _code(m, sig) >= 8
+        past_first += ce is not None and _code(ce[0], S.infer_signature(g, sig)) >= 8
+    assert past_first >= 5
+
+
+def _code(m, sig):
+    """Structure code of m over sig: bit i is the i-th ground atom in
+    canonical order."""
+    space = GroundSpace(sig, len(m.universe))
+    index = {e: i for i, e in enumerate(m.universe)}
+    return sum(
+        1 << space.atom_index[(name, tuple(index[e] for e in t))]
+        for name, table in m.predicates.items()
+        for t in table
+    )

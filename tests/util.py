@@ -166,27 +166,28 @@ def random_sf_sentence(
 
 
 def bool_truth_vector(f, sig, size, cmap):
-    """Unpacked truth vector of sentence f over all predicate tables of a
-    single-chunk ground space (n_bits <= 20) at one constant map."""
-    import numpy as np
-
+    """Truth vector of sentence f over all predicate tables of a
+    single-chunk ground space at one constant map: an int whose bit j is
+    set iff f holds on structure code j."""
     from sepfrag.search import GroundSpace, scope_minimized
 
     space = GroundSpace(sig, size)
     assert space.n_chunks == 1, "helper requires a single-chunk space"
-    vec = space.eval_chunk(scope_minimized(f), cmap, 0)
-    bits = np.unpackbits(vec.view(np.uint8), bitorder="little")
-    return space, bits[: 1 << space.n_bits].astype(bool)
+    return space, space.eval_chunk(scope_minimized(f), cmap, 0)
 
 
-def or_project_bit(vec, k):
-    """OR the two half-spaces of structure-code bit k (projection onto
-    "exists a value for this atom")."""
-    import numpy as np
-
-    a = vec.reshape(-1, 2, 1 << k)
-    o = a.any(axis=1)
-    return np.repeat(o[:, np.newaxis, :], 2, axis=1).reshape(vec.shape)
+def or_project_bit(vec, k, n_bits):
+    """OR the two half-spaces of structure-code bit k of an n_bits-code
+    truth vector (projection onto "exists a value for this atom")."""
+    run = 1 << k
+    # grows to the set of codes below 2^n_bits whose bit k is clear
+    low = (1 << run) - 1
+    width = 2 * run
+    while width < 1 << n_bits:
+        low |= low << width
+        width *= 2
+    half = (vec | (vec >> run)) & low
+    return half | (half << run)
 
 
 def models_extend(base_sentence, extended_sentence, extra_preds, size):
@@ -207,9 +208,9 @@ def models_extend(base_sentence, extended_sentence, extra_preds, size):
         acc = ext_vec
         for bit, (pname, _) in enumerate(space.atoms):
             if pname in extra_preds:
-                acc = or_project_bit(acc, bit)
-        total += int(base_vec.sum())
-        if (base_vec & ~acc).any():
+                acc = or_project_bit(acc, bit, space.n_bits)
+        total += base_vec.bit_count()
+        if base_vec & ~acc:
             ok_all = False
     return ok_all, total
 
@@ -238,6 +239,6 @@ def first_disagreement(f, g, size):
                 code = space.first_true(va ^ space.eval_chunk(g, cmap, chunk), chunk)
                 if code is not None:
                     local = code - (chunk << space.chunk_bits)
-                    left = (int(va[local >> 6]) >> (local & 63)) & 1
+                    left = (va >> local) & 1
                     return space.decode(cmap, code), "left" if left else "right"
     return None

@@ -38,29 +38,36 @@ class TetrationExpr:
 
     def saturated(self, bit_cap: int = DEFAULT_EXACT_BITS) -> tuple[int, bool]:
         """(value, exact): the exact value while every step fits in
-        `bit_cap` bits, otherwise a lower bound saturated at 2^bit_cap."""
+        `bit_cap` bits, otherwise a lower bound saturated at 2^bit_cap,
+        built once and passed up without arithmetic where it saturates."""
         sat = 1 << bit_cap
-        if self.kind == "nat":
-            return self.args[0], True
-        if self.kind == "tower":
-            k, m = self.args
-            v, exact = m.saturated(bit_cap)
-            for _ in range(k):
-                if v > bit_cap:
-                    return sat, False
-                v = 1 << v
-        else:
-            (a, exact_a), (b, exact_b) = (e.saturated(bit_cap) for e in self.args)
-            if self.kind == "add":
-                v, fits = a + b, max(a, b).bit_length() + 1 <= bit_cap
-            elif self.kind == "mul":
-                v, fits = a * b, a.bit_length() + b.bit_length() <= bit_cap
+
+        def walk(e: TetrationExpr) -> tuple[int, bool]:
+            if e.kind == "nat":
+                return e.args[0], True
+            if e.kind == "tower":
+                k, m = e.args
+                v, exact = walk(m)
+                for _ in range(k):
+                    if v > bit_cap:
+                        return sat, False
+                    v = 1 << v
             else:
-                fits = b * max(1, a.bit_length()) <= bit_cap
-                # a^b >= 2^(b * (bits of a - 1)) once a >= 2
-                v = sat if a > 1 and b * (a.bit_length() - 1) >= bit_cap else a ** min(b, bit_cap)
-            exact = exact_a and exact_b and fits
-        return (v, True) if exact else (min(sat, v), False)
+                (a, exact_a), (b, exact_b) = ab = [walk(x) for x in e.args]
+                saturates = e.kind == "add" or a and b and (e.kind == "mul" or a > 1)
+                if saturates and (sat, False) in ab:
+                    return sat, False
+                if e.kind == "add":
+                    v, fits = a + b, max(a, b).bit_length() + 1 <= bit_cap
+                elif e.kind == "mul":
+                    v, fits = a * b, a.bit_length() + b.bit_length() <= bit_cap
+                else:
+                    fits = b * max(1, a.bit_length()) <= bit_cap
+                    # a^b >= 2^(b * (bits of a - 1)) once a >= 2
+                    v = sat if a > 1 and b * (a.bit_length() - 1) >= bit_cap else a ** min(b, bit_cap)
+                exact = exact_a and exact_b and fits
+            return (v, True) if exact else (min(sat, v), False)
+        return walk(self)
 
     def evaluate(self, bit_cap: int = DEFAULT_EXACT_BITS) -> Optional[int]:
         value, exact = self.saturated(bit_cap)

@@ -9,12 +9,12 @@ as integer clauses (`equality_axioms`), encode the tree with the
 Plaisted-Greenbaum gates of `syntax.Gates` (`prop_cnf`), and decide it
 with one CDCL solver (`dpll_sat`), whose SAT assignment is re-checked
 against the sentence as a Herbrand model.  Everything else is searched
-for a model of the sentence as written (`search.ModelSearch`), size 1
-first: a one-element model is below every bound, so the standard form
-and all size bounds, the BSR translation's included, are built only
-when size 1 has no model, and a size-1 sat verdict carries only "path"
-and "search_limit".  A size with more than `search._SCAN_BITS` (30)
-ground atoms is one SAT call on the same solver, listed in "sat_sizes".
+for a model of the sentence as written (`search.ModelSearch`), sizes 1
+and 2 first: the standard form and all size bounds, the BSR
+translation's included, are built only when neither size has a model,
+and a sat verdict at size 1 or 2 carries only "path" and
+"search_limit".  A size with more than `search._SCAN_BITS` (30) ground
+atoms is one SAT call on the same solver, listed in "sat_sizes".
 """
 
 from __future__ import annotations
@@ -436,16 +436,18 @@ def _bound(sf: S.StandardForm, details: dict):
 
 
 def _search_path(f: S.Formula, expanded: S.Formula, max_size: int):
+    """Sizes 1 and 2, then the bound only if neither has a model."""
     models = ModelSearch(f)
-    witness = models.run(min(1, max_size))
+    witness = models.run(min(2, max_size))
     bound = symbolic = None
-    details = {"path": "model-search", "search_limit": 1}
-    if witness is None:
+    if witness is not None:
+        details = {"path": "model-search", "search_limit": len(witness.universe)}
+    else:
         details = {}
         bound, symbolic = _bound(S.to_standard_form(expanded), details)
-        limit = max_size if bound is None else min(bound, max_size)
+        limit = max_size if bound is None else min(max(bound, 2), max_size)
         details.update({"path": "model-search", "bound": bound, "search_limit": limit})
-        witness = models.run(limit, min_size=2)
+        witness = models.run(limit, min_size=3)
     if models.sat_sizes:
         details["sat_sizes"] = models.sat_sizes
     if witness is not None:
@@ -461,11 +463,12 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
 
     A sentence without universals once counting is expanded is
     Skolemized and decided on the propositional route.  Everything else
-    is searched at size 1 first, as written; a sat verdict there carries
-    {"path": "model-search", "search_limit": 1}.  Only when size 1 has no
-    model are the standard form and the size bounds built; the search
-    then goes on up to min(bound, cfg.max_model_size) on a form prepared
-    once, returning an inconclusive verdict carrying the bound when the
+    is searched for a model of size 1 or 2 first; a model of size s
+    there carries {"path": "model-search", "search_limit": s}.  Only when
+    neither has a model are the standard form and the size bounds built;
+    the search goes on, on a form prepared once, up to "search_limit":
+    min(bound, cfg.max_model_size), or 2 where that is 1 and size 2 was
+    searched.  The verdict is inconclusive, carrying the bound, when the
     search space was not exhausted.  Sizes decided by one SAT call, not
     the packed scan, are listed in details["sat_sizes"].  A negative
     cfg.max_model_size raises BadParams, and an open formula NotASentence.

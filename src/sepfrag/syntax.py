@@ -877,7 +877,8 @@ def to_nnf(f: Formula) -> Formula:
     a <-> b == (~a | b) & (a | ~b).  A counting quantifier raises
     UnexpandedCounting.  Each operand of <-> is rewritten once per
     polarity and shared, so nested biconditionals give a DAG linear in
-    the input, and a walk memoized by node id stays linear on it."""
+    the input, and a walk memoized by node id stays linear on it.  A
+    subformula already in NNF comes back as the same object."""
     both: dict[int, tuple] = {}  # id of an operand of <-> -> (pos, neg); f keeps it alive
 
     def pair(g: Formula) -> tuple:
@@ -886,7 +887,10 @@ def to_nnf(f: Formula) -> Formula:
         return both[id(g)]
 
     def pos(g: Formula) -> Formula:
-        if isinstance(g, Not):
+        t = type(g)
+        if t is Pred or t is Eq or t is Not and type(g.sub) in (Pred, Eq):
+            return g
+        if t is Not:
             return neg(g.sub)
         if isinstance(g, Implies):
             return disj([neg(g.left), pos(g.right)])
@@ -895,7 +899,8 @@ def to_nnf(f: Formula) -> Formula:
             return conj([disj([nl, pr]), disj([pl, nr])])
         if isinstance(g, CountingExists):
             raise UnexpandedCounting("expand counting quantifiers before NNF")
-        return rebuild(g, [pos(k) for k in children(g)])
+        new = list(map(pos, kids := children(g)))
+        return g if all(map(operator.is_, new, kids)) else rebuild(g, new)
 
     def neg(g: Formula) -> Formula:
         if isinstance(g, Top):

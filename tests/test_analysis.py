@@ -15,7 +15,11 @@ from sepfrag.analysis import (
     is_separated,
     is_sf,
     is_ssf,
+    DEFAULT_EXACT_BITS,
+    add,
+    mul,
     nat,
+    power,
     twoup,
 )
 from sepfrag.errors import NotSF, OverlappingSets
@@ -66,6 +70,59 @@ def test_expr_arithmetic():
     assert expr.evaluate() == 16
     j = expr.to_json()
     assert j["exact"] == 16
+
+
+def _rebuilding_saturated(e, bit_cap):
+    """`TetrationExpr.saturated` building 2^bit_cap at every node and
+    doing the arithmetic on saturated operands too: the reference of the
+    test below."""
+    sat = 1 << bit_cap
+    if e.kind == "nat":
+        return e.args[0], True
+    if e.kind == "tower":
+        k, m = e.args
+        v, exact = _rebuilding_saturated(m, bit_cap)
+        for _ in range(k):
+            if v > bit_cap:
+                return sat, False
+            v = 1 << v
+    else:
+        (a, exact_a), (b, exact_b) = (_rebuilding_saturated(x, bit_cap) for x in e.args)
+        if e.kind == "add":
+            v, fits = a + b, max(a, b).bit_length() + 1 <= bit_cap
+        elif e.kind == "mul":
+            v, fits = a * b, a.bit_length() + b.bit_length() <= bit_cap
+        else:
+            fits = b * max(1, a.bit_length()) <= bit_cap
+            v = sat if a > 1 and b * (a.bit_length() - 1) >= bit_cap else a ** min(b, bit_cap)
+        exact = exact_a and exact_b and fits
+    return (v, True) if exact else (min(sat, v), False)
+
+
+def _random_expr(rng, bit_cap, depth=0):
+    """Zeros, ones, small numbers and numbers around bit_cap, so towers
+    land on both sides of the cap, under add, mul, pow and tower."""
+    if depth >= 4 or rng.random() < 0.3:
+        return nat(rng.choice([0, 1, 2, 3, rng.randint(0, 40), bit_cap - 1, bit_cap, bit_cap + 1]))
+    kind = rng.choice(["add", "mul", "pow", "tower"])
+    if kind == "tower":
+        return twoup(rng.randint(0, 3), _random_expr(rng, bit_cap, depth + 1))
+    build = {"add": add, "mul": mul, "pow": power}[kind]
+    return build(_random_expr(rng, bit_cap, depth + 1), _random_expr(rng, bit_cap, depth + 1))
+
+
+@pytest.mark.parametrize("bit_cap", [64, 1000, DEFAULT_EXACT_BITS])
+def test_saturated_matches_the_rebuilding_reference(bit_cap):
+    rng = random.Random(bit_cap)
+    saturated = exact = 0
+    for _ in range(300):
+        e = _random_expr(rng, bit_cap)
+        got = e.saturated(bit_cap)
+        assert got == _rebuilding_saturated(e, bit_cap), str(e)
+        saturated += got == (1 << bit_cap, False)
+        exact += got[1]
+    # both sides of the cap are reached
+    assert saturated >= 30 and exact >= 30, (saturated, exact)
 
 
 # --- separation --------------------------------------------------------------

@@ -39,6 +39,69 @@ def test_check_reports_exact_bounds_too_long_to_print(capsys):
     assert data["bounds"]["lemma12"]["exact"] == 64
 
 
+@pytest.mark.parametrize(
+    "text, degree, bounds",
+    [
+        (
+            "forall x. exists y. P(x) | Q(y)",
+            1,
+            {
+                "lemma12": {"expr": "0 + 1*2↑1(1)^1", "exact": 2, "lower_bound": None},
+                "expr1": {"expr": "9 + 9*2↑1(9)^1", "exact": 4617, "lower_bound": None},
+                "prop9": {"expr": "9 + 9*2↑1(9)^1", "exact": 4617, "lower_bound": None},
+                "prop5": None,
+                "prop6": 4,
+            },
+        ),
+        (
+            "forall x1. exists y1. forall x2. exists y2. "
+            "(P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))",
+            2,
+            {
+                "lemma12": {"expr": "0 + 4*2↑2(3)^2", "exact": 262144, "lower_bound": None},
+                "expr1": {
+                    "expr": "22 + 44*2↑2(22)^2", "exact": None,
+                    "lower_bound": ">=2^1048576", "tower_height": 2,
+                },
+                "prop9": {
+                    "expr": "22 + 44*2↑2(22)^2", "exact": None,
+                    "lower_bound": ">=2^1048576", "tower_height": 2,
+                },
+                "prop5": None,
+                "prop6": None,
+            },
+        ),
+        (
+            "forall x1. exists y1. forall x2. exists y2. forall x3. exists y3. "
+            "(P(x1) | R(y1, y2)) & (Q(x2) | R(y2, y3)) & (P(x3) | ~R(y3, y1))",
+            3,
+            {
+                "lemma12": {
+                    "expr": "0 + 9*2↑3(4)^3", "exact": None,
+                    "lower_bound": ">=2^196611", "tower_height": 3,
+                },
+                "expr1": {
+                    "expr": "33 + 99*2↑3(33)^3", "exact": None,
+                    "lower_bound": ">=2^1048576", "tower_height": 3,
+                },
+                "prop9": {
+                    "expr": "33 + 99*2↑3(33)^3", "exact": None,
+                    "lower_bound": ">=2^1048576", "tower_height": 3,
+                },
+                "prop5": None,
+                "prop6": None,
+            },
+        ),
+    ],
+)
+def test_check_bounds_by_degree(capsys, text, degree, bounds):
+    # exact, too long to print, and saturated tower bounds
+    code, out = run_capture(capsys, ["check", text])
+    assert code == 0
+    data = json.loads(out)
+    assert data["degree"] == degree and data["bounds"] == bounds
+
+
 def test_check_field_names(capsys):
     code, out = run_capture(capsys, ["check", "forall x. exists y. P(x) | Q(y)"])
     data = json.loads(out)

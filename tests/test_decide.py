@@ -3,6 +3,7 @@ import itertools
 import random
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -566,7 +567,8 @@ def test_standard_form_only_once_size_one_has_no_model(monkeypatch):
         ("exists x y. R(x, y) & x = y", 0),  # universal-free
         ("forall w. P(a) & ~P(b)", 0),  # a vacuous universal only
         ("forall x. exists y. P(x) | Q(y)", 0),  # a model at size 1
-        ("forall x. exists y. R(x, y) & ~R(y, y)", 1),  # none at size 1
+        ("forall x. exists y. R(x, y) & ~R(y, y)", 0),  # a model at size 2
+        ("(exists x y z. ~x = y & ~y = z & ~x = z) & (forall w. P(w))", 1),  # none below 3
     ]:
         calls.clear()
         decide_sat(parse_formula(text)[0])
@@ -654,32 +656,65 @@ def test_decide_analyses_each_form_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(analysis, name, counted)
-    # no one-element model, so the translation runs
+    # no model at size 1 or 2, so the translation runs
     f, _ = parse_formula("forall x11 x12. exists y11. (~P(y11) & Q(x12)) & P(x11)")
     v = decide_sat(f, DecideConfig(max_model_size=2))
     assert v.status == "unsat"
-    assert v.details["translation_bound"] == 1
-    assert v.details["bound"] == v.details["search_limit"] == 1
+    assert v.details["translation_bound"] == v.details["bound"] == 1
+    assert v.details["search_limit"] == 2  # sizes 1 and 2 are searched before the bound
     assert calls == {"degree": 1, "is_separated": 1}
+
+
+@pytest.mark.parametrize("size, limit", [(1, 1), (2, 2), (3, 2)])
+def test_decide_bound_one_reports_the_sizes_searched(size, limit):
+    # the bound is 1, but size 2 is searched before it is known
+    f, _ = parse_formula("forall x11 x12. exists y11. (~P(y11) & Q(x12)) & P(x11)")
+    v = decide_sat(f, DecideConfig(max_model_size=size))
+    assert v.status == "unsat"
+    assert v.details["bound"] == 1 and v.details["search_limit"] == limit
 
 
 def test_decide_one_element_model_skips_translation(monkeypatch):
     from sepfrag import analysis, translate
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a size bound computed although size 1 has a model")
+        raise AssertionError("a size bound computed although size 1 or 2 has a model")
 
     for owner, name in [
         (translate, "to_bsr"), (translate, "bsr_leading_count"), (analysis, "bounds"),
     ]:
         monkeypatch.setattr(owner, name, refuse)
-    f, _ = parse_formula(
-        "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
-    )
-    v = decide_sat(f, DecideConfig(max_model_size=2))
-    assert v.status == "sat"
+    for text, size in [
+        (
+            "forall x1. exists y1. forall x2. exists y2. "
+            "(P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))",
+            1,
+        ),
+        ("forall x. exists y. R(x, y) & ~R(y, y)", 2),
+    ]:
+        f, _ = parse_formula(text)
+        v = decide_sat(f, DecideConfig(max_model_size=3))
+        assert v.status == "sat"
+        assert v.structure == find_model(f, max_size=3)
+        assert len(v.structure.universe) == size
+        assert v.details == {"path": "model-search", "search_limit": size}
+
+
+def test_decide_two_element_model_builds_no_bound(monkeypatch):
+    from sepfrag import analysis, translate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound built although size 2 has a model")
+
+    for owner, name in [
+        (S, "to_standard_form"), (analysis, "bounds"), (translate, "bsr_leading_count"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    f, _ = parse_formula("(exists y1 y2. P(y1) & ~P(y2)) & (forall x. Q(x))")
+    v = decide_sat(f)
+    assert v.status == "sat" and len(v.structure.universe) == 2
     assert v.structure == find_model(f, max_size=2)
-    assert v.details == {"path": "model-search", "search_limit": 1}
+    assert v.details == {"path": "model-search", "search_limit": 2}
 
 
 def test_decide_max_model_size_zero_searches_nothing():
@@ -735,8 +770,8 @@ def _bound_first(f, max_size):
 
 
 def test_decide_matches_bound_first_route(monkeypatch):
-    # the size-1 probe changes when the translation runs, not what is
-    # searched or answered
+    # searching sizes 1 and 2 before the bound changes when the
+    # translation runs, not what is searched or answered
     from sepfrag import translate
     from sepfrag.search import ModelSearch
 
@@ -753,7 +788,7 @@ def test_decide_matches_bound_first_route(monkeypatch):
         return real_pushed(*args, **kwargs)
 
     rng = random.Random(41)
-    kinds = {"size 1": 0, "size 2+": 0, "unsat": 0, "inconclusive": 0}
+    kinds = Counter()
     for _ in range(200):
         f, _ = random_sf_sentence(rng, with_eq=True)
         if not S.to_standard_form(f).universal_vars:
@@ -766,15 +801,18 @@ def test_decide_matches_bound_first_route(monkeypatch):
             m.setattr(translate, "_pushed", pushed)
             v = decide_sat(f, DecideConfig(max_model_size=3))
         assert (v.status, v.structure) == (status, witness), print_formula(f)
-        if status == "sat" and len(witness.universe) == 1:
-            kinds["size 1"] += 1
-            assert searched == [1]
-            assert translations[0] == 0 and "translation_bound" not in v.details
+        size = len(witness.universe) if status == "sat" else None
+        kinds[f"size {size}" if size else status] += 1
+        if size is not None and size <= 2:
+            assert searched == [1, 2]
+            assert translations[0] == 0
+            assert v.details == {"path": "model-search", "search_limit": size}
         else:
-            kinds["size 2+" if status == "sat" else status] += 1
+            # a bound of 1 is known only after size 2 has been searched
             assert sorted(searched) == list(range(1, v.details["search_limit"] + 1))
-            assert v.details == details, print_formula(f)
-    assert min(kinds.values()) >= 5, kinds
+            limit = max(details["search_limit"], 2)
+            assert v.details == {**details, "search_limit": limit}, print_formula(f)
+    assert min(kinds[k] for k in ("size 1", "size 2", "unsat", "inconclusive")) >= 5, kinds
 
 
 def test_decide_prepares_the_search_once(monkeypatch):

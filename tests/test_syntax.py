@@ -280,6 +280,80 @@ def test_nnf_equivalent_on_random_formulas():
         assert v.equal
 
 
+def _rebuilding_nnf(f):
+    """`to_nnf` rebuilding every node it passes, the rewrite before NNF
+    input came back unchanged: the reference of the tests below."""
+    both = {}
+
+    def pair(g):
+        if id(g) not in both:
+            both[id(g)] = (pos(g), neg(g))
+        return both[id(g)]
+
+    def pos(g):
+        if isinstance(g, S.Not):
+            return neg(g.sub)
+        if isinstance(g, S.Implies):
+            return S.disj([neg(g.left), pos(g.right)])
+        if isinstance(g, S.Iff):
+            (pl, nl), (pr, nr) = pair(g.left), pair(g.right)
+            return S.conj([S.disj([nl, pr]), S.disj([pl, nr])])
+        return S.rebuild(g, [pos(k) for k in S.children(g)])
+
+    def neg(g):
+        if isinstance(g, S.Top):
+            return S.FALSE
+        if isinstance(g, S.Bottom):
+            return S.TRUE
+        if isinstance(g, (S.Pred, S.Eq)):
+            return S.Not(g)
+        if isinstance(g, S.Not):
+            return pos(g.sub)
+        if isinstance(g, S.And):
+            return S.disj([neg(p) for p in g.parts])
+        if isinstance(g, S.Or):
+            return S.conj([neg(p) for p in g.parts])
+        if isinstance(g, S.Implies):
+            return S.conj([pos(g.left), neg(g.right)])
+        if isinstance(g, S.Iff):
+            (pl, nl), (pr, nr) = pair(g.left), pair(g.right)
+            return S.disj([S.conj([pl, nr]), S.conj([nl, pr])])
+        if isinstance(g, S.Forall):
+            return S.Exists(g.vars, neg(g.body))
+        return S.Forall(g.vars, neg(g.body))
+
+    return pos(f)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(P(c) | ~Q(d) | c = d) & (~P(c) | R(c, e)) & ~(d = e) & Q(e)",
+        "forall x. exists y. forall z. (~P(x) | R(y, z)) & (x = z | ~Q(y) | true)",
+    ],
+)
+def test_nnf_returns_nnf_input_itself(text):
+    f, _ = parse_formula(text)
+    assert to_nnf(f) is f
+
+
+def test_nnf_matches_the_rebuilding_rewrite():
+    # each result is == to the reference, and a second rewrite returns it
+    # unchanged; random_boolean shares its leaves, so inputs are DAGs too
+    rng = random.Random(29)
+    fixed = [parse_formula(t)[0] for t in ("~true | ~~P(c)", "forall x. ~false & ~(x = c)")]
+    for i in range(300):
+        if i < len(fixed):
+            f = fixed[i]
+        elif rng.random() < 0.5:
+            f, _ = random_sentence(rng, with_eq=True)
+        else:
+            f, _ = random_sf_sentence(rng, with_eq=True)
+        g = to_nnf(f)
+        assert g == _rebuilding_nnf(f), print_formula(f)
+        assert to_nnf(g) is g
+
+
 # --- standard form ---------------------------------------------------------
 
 def test_standard_form_hoists_existential_first():

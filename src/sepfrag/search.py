@@ -316,20 +316,13 @@ def _memo_plan(f: S.Formula) -> dict[int, tuple[int, tuple[str, ...]]]:
     """
     plan: dict[int, tuple[int, tuple[str, ...]]] = {}
     slots: dict[S.Formula, int] = {}
-
-    def walk(g) -> frozenset:
-        if isinstance(g, _ATOMS):
-            return S.free_vars(g)
-        kids = S.children(g)
-        bound = frozenset(g.vars) if isinstance(g, _QUANTIFIERS) else frozenset()
-        kid_vars = [walk(k) for k in kids]
-        varied = bound.union(*kid_vars)
-        for k, kv in zip(kids, kid_vars):
-            if kv < varied and not isinstance(k, _ATOMS):
-                plan[id(k)] = (slots.setdefault(k, len(slots)), tuple(sorted(kv)))
-        return varied - bound
-
-    walk(f)
+    memo: dict = {}  # `syntax.free_vars` of every non-atom node of f
+    S.free_vars(f, memo)
+    for fv, g in memo.values():
+        varied = fv.union(g.vars) if isinstance(g, _QUANTIFIERS) else fv
+        for k in S.children(g):
+            if not isinstance(k, _ATOMS) and memo[id(k)][0] < varied:
+                plan[id(k)] = (slots.setdefault(k, len(slots)), tuple(sorted(memo[id(k)][0])))
     return plan
 
 
@@ -351,54 +344,36 @@ _QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 # reference evaluator in the test suite.
 
 
-def _free_vars_by_id():
-    """Free variables of a subformula, memoized by node id.  A node's
-    first call returns the frozenset that every later call returns, so
-    its iteration order is fixed too."""
-    # id -> (free variables, node); holding the node keeps its id unique
-    memo: dict[int, tuple[frozenset, S.Formula]] = {}
-
-    def free(g: S.Formula) -> frozenset:
-        hit = memo.get(id(g))
-        if hit is None:
-            kids = S.children(g)
-            fv = frozenset().union(*map(free, kids)) if kids else S.free_vars(g)
-            if isinstance(g, _QUANTIFIERS):
-                fv -= frozenset(g.vars)
-            hit = memo[id(g)] = (fv, g)
-        return hit[0]
-
-    return free
-
-
 def scope_minimized(f: S.Formula) -> S.Formula:
-    free = _free_vars_by_id()
+    memo: dict = {}  # `syntax.free_vars` of the nodes met
 
     def walk(g: S.Formula) -> S.Formula:
         if isinstance(g, (S.Forall, S.Exists)):
-            return _block(type(g), g.vars, walk(g.body), free)
+            return _block(type(g), g.vars, walk(g.body), memo)
         return S.rebuild(g, [walk(k) for k in S.children(g)])
 
     return walk(f)
 
 
-def _block(quant, names, body: S.Formula, free) -> S.Formula:
-    """Minimized form of `quant names. body` for an already minimized body."""
-    names = tuple(v for v in names if v in free(body))
+def _block(quant, names, body: S.Formula, memo: dict) -> S.Formula:
+    """Minimized form of `quant names. body` for an already minimized
+    body; `memo` is the `syntax.free_vars` memo of the whole walk."""
+    free = S.free_vars(body, memo)
+    names = tuple(v for v in names if v in free)
     if not names:
         return body
     if type(body) is quant and not set(names) & set(body.vars):
-        return _block(quant, names + body.vars, body.body, free)
+        return _block(quant, names + body.vars, body.body, memo)
     if not isinstance(body, (S.And, S.Or)):
         return quant(names, body)
     conn = type(body)
     if (quant is S.Forall) == (conn is S.And):
-        return conn(tuple(_block(quant, names, p, free) for p in body.parts))
+        return conn(tuple(_block(quant, names, p, memo) for p in body.parts))
     groups: list[tuple[set, list]] = []
     free_parts = []
     nameset = set(names)
     for p in body.parts:
-        pv = free(p) & nameset
+        pv = S.free_vars(p, memo) & nameset
         if not pv:
             free_parts.append(p)
             continue
@@ -415,11 +390,11 @@ def _block(quant, names, body: S.Formula, free) -> S.Formula:
         for gvars, gparts in groups:
             gparts.sort(key=lambda p: order[id(p)])
             sub = gparts[0] if len(gparts) == 1 else conn(tuple(gparts))
-            pieces.append(_block(quant, tuple(v for v in names if v in gvars), sub, free))
+            pieces.append(_block(quant, tuple(v for v in names if v in gvars), sub, memo))
         pieces.extend(free_parts)
         return conn(tuple(pieces))
     if len(names) > 1:
-        return quant(names[:1], _block(quant, names[1:], body, free))
+        return quant(names[:1], _block(quant, names[1:], body, memo))
     return quant(names, body)
 
 
@@ -444,10 +419,10 @@ class _SatEncoding(S.Gates):
     atom; its negation is the dual conjunction.
     """
 
-    def __init__(self, space: GroundSpace, free):
+    def __init__(self, space: GroundSpace, free_memo: dict):
         super().__init__(space.n_bits)
         self.space = space
-        self.free = free  # `_free_vars_by_id` over the encoded sentence
+        self.free_memo = free_memo  # `syntax.free_vars` memo over the encoded sentence
         self.memo: dict = {}
         self.values: dict[str, list] = {}  # constant -> literal per value it can take
         for i, c in enumerate(space.const_names):
@@ -476,7 +451,7 @@ class _SatEncoding(S.Gates):
                     return (args[0] == args[1]) == positive
                 lit = self.space.atom_index[(a.name, args)] + 1
                 return lit if positive else -lit
-        key = (id(g), tuple([env[v] for v in self.free(g)]))
+        key = (id(g), tuple([env[v] for v in S.free_vars(g, self.free_memo)]))
         out = self.memo.get(key)
         if out is None:
             if ta is S.Pred or ta is S.Eq:
@@ -556,7 +531,7 @@ class ModelSearch:
         self.sig = S.infer_signature(f)
         self._minimized = None  # scope-minimized form
         self._plan = None  # its memo plan, for the scan
-        self._encoded = None  # (its counting-free NNF, free variables of its nodes)
+        self._encoded = None  # (its counting-free NNF, `syntax.free_vars` memo over it)
         self.sat_sizes: list[int] = []
 
     def _reduced(self) -> S.Formula:
@@ -607,9 +582,9 @@ class ModelSearch:
         from . import decide  # imported here: decide imports this module
 
         if self._encoded is None:
-            self._encoded = (S.to_nnf(expand_counting(self._reduced()).formula), _free_vars_by_id())
-        g, free = self._encoded
-        enc = _SatEncoding(space, free)
+            self._encoded = (S.to_nnf(expand_counting(self._reduced()).formula), {})
+        g, free_memo = self._encoded
+        enc = _SatEncoding(space, free_memo)
         enc.require(enc.walk(g, {}))
         verdict = decide.dpll_sat(decide.PropCnf(enc.n, tuple(enc.clauses)))
         return enc.decode(verdict.assignment) if verdict.status == "sat" else None

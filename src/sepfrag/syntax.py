@@ -38,9 +38,17 @@ changes and passes every other node through
 pre-order over `children`, so a new node type is added in those two
 functions only.  Walkers that compute something different for each node
 type stay hand-written: the evaluators, the printer, `free_vars`,
-`formula_len`, prenexing, `to_nnf` and `nnf_tree`.  `to_nnf` is the
-only code that rewrites -> and <-> and pushes ~ inward; `nnf_tree`,
-`cnf_matrix` and the model search's SAT encoding read its output.
+`names_in`, `formula_len`, prenexing, `to_nnf` and `nnf_tree`.  `to_nnf`
+is the only code that rewrites -> and <-> and pushes ~ inward;
+`nnf_tree`, `cnf_matrix` and the model search's SAT encoding read its
+output.
+
+Sharing: `to_nnf` shares the operands of <->, so a formula may be a DAG.
+A walk that computes a function of a node visits each node object once:
+`subformulas` yields it at its first occurrence, and `free_vars`,
+`names_in`, `formula_len`, prenexing, `to_nnf` and `nnf_tree` memoize by
+node id.  The printer and the substitution walk visit every occurrence,
+as each quantifier occurrence gets its own names.
 """
 
 from __future__ import annotations
@@ -256,12 +264,17 @@ def rebuild(f: Formula, kids) -> Formula:
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Every subformula of f in pre-order, f first."""
+    """Every node object of f once, f first, in the pre-order of first
+    occurrences: a node that occurs at several positions, as `to_nnf`
+    shares the operands of <->, is yielded and walked at the first."""
+    seen = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        yield g
-        stack.extend(reversed(children(g)))
+        if id(g) not in seen:
+            seen.add(id(g))
+            yield g
+            stack.extend(reversed(children(g)))
 
 
 def atoms_iter(f: Formula) -> Iterator[Atom]:
@@ -270,35 +283,28 @@ def atoms_iter(f: Formula) -> Iterator[Atom]:
             yield g
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    return frozenset((t.name,)) if isinstance(t, Var) else frozenset()
-
-
 def atom_vars(a: Atom) -> frozenset[str]:
-    if isinstance(a, Eq):
-        return term_vars(a.left) | term_vars(a.right)
-    out = set()
-    for t in a.args:
-        if isinstance(t, Var):
-            out.add(t.name)
-    return frozenset(out)
+    args = a.args if type(a) is Pred else (a.left, a.right)
+    return frozenset([t.name for t in args if type(t) is Var])
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Top, Bottom)):
-        return frozenset()
-    if isinstance(f, (Pred, Eq)):
+def free_vars(f: Formula, memo: Optional[dict] = None) -> frozenset[str]:
+    """Free variables of f, computed once per node object.  A caller that
+    asks for many parts of one formula passes one dict as `memo`: id of a
+    non-atom node -> (its free variables, the node, kept alive), so a
+    node's first answer, iteration order included, is every later one."""
+    t = type(f)
+    if t is Pred or t is Eq:
         return atom_vars(f)
-    if isinstance(f, Not):
-        return free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(f, (Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    return free_vars(f.body) - frozenset(f.vars)
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(f))
+    if hit is None:
+        fv = frozenset().union(*[free_vars(k, memo) for k in children(f)])
+        if t is Forall or t is Exists or t is CountingExists:
+            fv = fv.difference(f.vars)
+        hit = memo[id(f)] = fv, f
+    return hit[0]
 
 
 def constants_of(f: Formula) -> frozenset[str]:
@@ -323,11 +329,14 @@ def all_var_names(f: Formula) -> frozenset[str]:
 
 
 def names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
-    """Binder names (one entry per binder, repeats included), free
-    variables and constants of f, collected in one walk."""
+    """Binder names (one entry per binder occurrence, in pre-order,
+    repeats included), free variables and constants of f, collected in
+    one walk that visits each node object once per quantifier scope it
+    occurs in: a node met again in a scope repeats its binders."""
     binders: list[str] = []
     free: set[str] = set()
     consts: set[str] = set()
+    spans: dict[int, tuple] = {}  # id of a node -> (bound, span of its binders in `binders`)
 
     def walk(g, bound):
         t = type(g)
@@ -338,11 +347,18 @@ def names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
                 elif a.name not in bound:
                     free.add(a.name)
             return
+        hit = spans.get(id(g))
+        if hit is not None and hit[0] is bound:
+            binders.extend(binders[hit[1] : hit[2]])
+            return
+        start = len(binders)
         if t is Forall or t is Exists or t is CountingExists:
             binders.extend(g.vars)
-            bound = bound.union(g.vars)
-        for k in children(g):
-            walk(k, bound)
+            walk(g.body, bound.union(g.vars))
+        else:
+            for k in children(g):
+                walk(k, bound)
+        spans[id(g)] = bound, start, len(binders)
 
     walk(f, frozenset())
     return binders, free, consts
@@ -788,13 +804,17 @@ def _render(f: Formula, canonical: bool) -> str:
     one node object occurs at several positions.  A name never clashes
     with a constant, a free variable, a keyword or an earlier binder:
     `canonical` names binders v1, v2, ... by position; otherwise a binder
-    keeps its own name where that is a legal identifier not yet used."""
-    _, free, consts = names_in(f)
-    used = free | consts | _KEYWORDS
+    keeps its own name where that is a legal identifier not yet used.
+    The names of f are collected at the first binder, so a
+    quantifier-free formula is printed in one walk."""
+    used = None
     counter = 0
 
     def pick(name: str) -> str:
-        nonlocal counter
+        nonlocal counter, used
+        if used is None:
+            _, free, consts = names_in(f)
+            used = free | consts | _KEYWORDS
         if not canonical:
             cand = name if _IDENT_RE.match(name) else name.replace("#", "")
             if _IDENT_RE.match(cand) and cand not in used:
@@ -1079,33 +1099,41 @@ class StandardForm:
 
 
 def _prenex(f: Formula):
-    """NNF formula -> (prefix blocks, quantifier-free matrix).
+    """NNF formula -> (prefix blocks, quantifier-free matrix), prenexing
+    each node object once; a quantifier-free node is its own matrix, so
+    the matrix keeps the sharing of f.
 
     Sibling prefixes merge existential-first: at each round all leading
     existential blocks are hoisted before any universal one, keeping the
     topmost exists-block intact whenever possible.
     """
-    if isinstance(f, (Top, Bottom, Pred, Eq, Not)):
-        return [], f
-    if isinstance(f, (Forall, Exists)):
-        pre, mat = _prenex(f.body)
-        kind = "forall" if isinstance(f, Forall) else "exists"
-        return [(kind, list(f.vars))] + pre, mat
-    if isinstance(f, (And, Or)):
-        parts = [_prenex(p) for p in f.parts]
-        prefixes = [pre for pre, _ in parts]
-        merged = []
-        while any(prefixes):
-            for kind in ("exists", "forall"):
-                block = []
-                for pre in prefixes:
-                    while pre and pre[0][0] == kind:
-                        block.extend(pre.pop(0)[1])
-                if block:
-                    merged.append((kind, block))
-        matrix = type(f)(tuple(mat for _, mat in parts))
-        return merged, matrix
-    raise UnexpandedCounting("expand counting quantifiers before prenexing")
+    memo: dict[int, tuple] = {}  # id of an And or Or node -> its result
+
+    def walk(g):
+        t = type(g)
+        if t is Forall or t is Exists:
+            pre, mat = walk(g.body)
+            return (("forall" if t is Forall else "exists", g.vars),) + pre, mat
+        if t is not And and t is not Or:
+            return (), g
+        if id(g) not in memo:
+            parts = [walk(p) for p in g.parts]
+            prefixes = [list(pre) for pre, _ in parts]
+            merged = []
+            while any(prefixes):
+                for kind in ("exists", "forall"):
+                    block = []
+                    for pre in prefixes:
+                        while pre and pre[0][0] == kind:
+                            block.extend(pre.pop(0)[1])
+                    if block:
+                        merged.append((kind, block))
+            mats = [mat for _, mat in parts]
+            matrix = g if all(map(operator.is_, mats, g.parts)) else t(tuple(mats))
+            memo[id(g)] = tuple(merged), matrix
+        return memo[id(g)]
+
+    return walk(f)
 
 
 @depth_guarded
@@ -1262,22 +1290,31 @@ def classify_cnf(m: CnfMatrix) -> CnfClassification:
 
 def formula_len(f: Formula) -> int:
     """Symbol-occurrence count after rewriting -> and <-> as in NNF, so
-    len(a -> b) = len(~a | b) and the biconditional identity hold by
-    construction."""
-    if isinstance(f, (Top, Bottom)):
-        return 1
-    if isinstance(f, Pred):
-        return 1 + len(f.args)
-    if isinstance(f, Eq):
-        return 3
-    if isinstance(f, Not):
-        return 1 + formula_len(f.sub)
-    if isinstance(f, (And, Or)):
-        return (len(f.parts) - 1) + sum(formula_len(p) for p in f.parts)
-    if isinstance(f, Implies):
-        return formula_len(Or((Not(f.left), f.right)))
-    if isinstance(f, Iff):
-        return formula_len(
-            And((Or((Not(f.left), f.right)), Or((f.left, Not(f.right)))))
-        )
-    return 1 + len(f.vars) + formula_len(f.body)
+    len(a -> b) = len(~a | b) = 2 + len(a) + len(b) and
+    len(a <-> b) = len((~a | b) & (a | ~b)) = 5 + 2 (len(a) + len(b)).
+    Each node object is measured once."""
+    memo: dict[int, int] = {}  # id of a connective or quantifier node -> its length
+
+    def walk(g) -> int:
+        t = type(g)
+        if t is Pred:
+            return 1 + len(g.args)
+        if t is Eq:
+            return 3
+        if t is Top or t is Bottom:
+            return 1
+        if id(g) not in memo:
+            if t is Not:
+                n = 1 + walk(g.sub)
+            elif t is And or t is Or:
+                n = len(g.parts) - 1 + sum(map(walk, g.parts))
+            elif t is Implies:
+                n = 2 + walk(g.left) + walk(g.right)
+            elif t is Iff:
+                n = 5 + 2 * (walk(g.left) + walk(g.right))
+            else:
+                n = 1 + len(g.vars) + walk(g.body)
+            memo[id(g)] = n
+        return memo[id(g)]
+
+    return walk(f)

@@ -356,20 +356,7 @@ def _plan(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_te
     quantified variable: the factored strategy shares one prefix among the
     terms, the direct one gives every unit occurrence its own."""
     conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
-    memo: dict[int, int] = {}  # id -> slots; `units` keeps every node alive
-
-    def slots(g) -> int:
-        n = memo.get(id(g))
-        if n is None:
-            t = type(g)
-            if t is S.Forall or t is S.Exists:
-                n = len(g.vars) + slots(g.body)
-            else:
-                n = sum(map(slots, g.parts)) if t is S.And or t is S.Or else 0
-            memo[id(g)] = n
-        return n
-
-    own = {k: slots(u) for k, u in units.by_key.items() if isinstance(u, S.Exists)}
+    own = {k: len(S.names_in(u)[0]) for k, u in units.by_key.items() if isinstance(u, S.Exists)}
     terms = _distribute(conjs, dnf_term_cap)
     if terms is None:
         n_exi = sum(own.get(k, 0) for c in conjs for k in c)

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from sepfrag import syntax as S
+from sepfrag import analysis, syntax as S
 from sepfrag.decide import (
     DecideConfig,
     PropCnf,
@@ -527,6 +527,28 @@ def test_decide_long_iff_chain(n, leading):
     assert time.perf_counter() - start < 1.0
     assert v.status == "sat" and v.details["path"] == "propositional"
     assert evaluate(v.structure, {}, f)
+
+
+@pytest.mark.parametrize("leading", [False, True])
+def test_long_iff_chain_standard_form_and_bounds(leading):
+    # standard form, analysis and bounds visit each shared node once; as
+    # tree walks `sepfrag check` took 13 s at 18 operands
+    f, _ = parse_formula(iff_chain(40, leading))
+    with deadline(10):
+        sf = S.to_standard_form(f)
+        report, sizes = analysis.analyze(sf).to_json(), analysis.bounds(sf).to_json()
+    assert report == {
+        "is_sf": True, "is_ssf": True, "is_mfo": True, "is_bsr": True, "degree": 0,
+        "alternations": 0, "irregular_prefix": False, "components": [], "levels": {},
+    }
+    n = 11544872091633 + 2 * leading  # formula_len of the standard form
+    assert sizes == {
+        "lemma12": {"expr": str(int(leading)), "exact": int(leading), "lower_bound": None},
+        "expr1": {"expr": str(n), "exact": n, "lower_bound": None},
+        "prop9": {"expr": str(n), "exact": n, "lower_bound": None},
+        "prop5": 40 + leading,
+        "prop6": 4,
+    }
 
 
 def test_decide_rejects_open_formulas():

@@ -497,7 +497,8 @@ QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 
 
 def _binders(f):
-    return [v for g in S.subformulas(f) if isinstance(g, QUANTIFIERS) for v in g.vars]
+    """One entry per binder occurrence: `_preorder` visits every position."""
+    return [v for g in _preorder(f) if isinstance(g, QUANTIFIERS) for v in g.vars]
 
 
 def test_substitute_agrees_with_shifted_assignment():
@@ -655,11 +656,170 @@ def test_children_and_rebuild_invert_each_other():
 
 
 def test_subformulas_is_preorder():
+    # the reference pre-order with repeated node objects dropped
     rng = random.Random(73)
-    for _ in range(500):
-        f, _ = random_sentence(rng, with_eq=True)
-        h = _with_every_node_type(f)
-        assert [id(g) for g in S.subformulas(h)] == [id(g) for g in _preorder(h)]
+    x, c = S.Var("x"), S.Const("c")
+    q, a = S.Exists(("x",), S.Pred("P", (x,))), S.Pred("Q", (c,))
+    shared = S.And((S.Or((a, q)), S.Not(a), q))
+    drawn = [random_sentence(rng, with_eq=True)[0] for _ in range(500)]
+    inputs = [shared] + [_with_every_node_type(f) for f in drawn]
+    for h in inputs:
+        expected = list({id(g): None for g in _preorder(h)})
+        assert [id(g) for g in S.subformulas(h)] == expected
+    assert len(list(S.subformulas(shared))) == 6 < len(_preorder(shared))
+
+
+# Reference walkers that visit every occurrence of a node, as a tree walk
+# does: the walkers that memoize by node must agree with them.
+
+
+def _tree_free_vars(f):
+    if isinstance(f, (S.Top, S.Bottom)):
+        return frozenset()
+    if isinstance(f, (S.Pred, S.Eq)):
+        args = f.args if isinstance(f, S.Pred) else (f.left, f.right)
+        return frozenset(t.name for t in args if isinstance(t, S.Var))
+    if isinstance(f, S.Not):
+        return _tree_free_vars(f.sub)
+    if isinstance(f, (S.And, S.Or)):
+        out = frozenset()
+        for p in f.parts:
+            out |= _tree_free_vars(p)
+        return out
+    if isinstance(f, (S.Implies, S.Iff)):
+        return _tree_free_vars(f.left) | _tree_free_vars(f.right)
+    return _tree_free_vars(f.body) - frozenset(f.vars)
+
+
+def _tree_names_in(f):
+    binders, free, consts = [], set(), set()
+
+    def walk(g, bound):
+        if isinstance(g, (S.Pred, S.Eq)):
+            for a in g.args if isinstance(g, S.Pred) else (g.left, g.right):
+                if isinstance(a, S.Const):
+                    consts.add(a.name)
+                elif a.name not in bound:
+                    free.add(a.name)
+            return
+        if isinstance(g, QUANTIFIERS):
+            binders.extend(g.vars)
+            bound = bound.union(g.vars)
+        for k in S.children(g):
+            walk(k, bound)
+
+    walk(f, frozenset())
+    return binders, free, consts
+
+
+def _tree_formula_len(f):
+    if isinstance(f, (S.Top, S.Bottom)):
+        return 1
+    if isinstance(f, S.Pred):
+        return 1 + len(f.args)
+    if isinstance(f, S.Eq):
+        return 3
+    if isinstance(f, S.Not):
+        return 1 + _tree_formula_len(f.sub)
+    if isinstance(f, (S.And, S.Or)):
+        return (len(f.parts) - 1) + sum(_tree_formula_len(p) for p in f.parts)
+    if isinstance(f, S.Implies):
+        return _tree_formula_len(S.Or((S.Not(f.left), f.right)))
+    if isinstance(f, S.Iff):
+        return _tree_formula_len(
+            S.And((S.Or((S.Not(f.left), f.right)), S.Or((f.left, S.Not(f.right)))))
+        )
+    return 1 + len(f.vars) + _tree_formula_len(f.body)
+
+
+def _tree_prenex(f):
+    if isinstance(f, (S.Top, S.Bottom, S.Pred, S.Eq, S.Not)):
+        return [], f
+    if isinstance(f, (S.Forall, S.Exists)):
+        pre, mat = _tree_prenex(f.body)
+        kind = "forall" if isinstance(f, S.Forall) else "exists"
+        return [(kind, list(f.vars))] + pre, mat
+    parts = [_tree_prenex(p) for p in f.parts]
+    prefixes = [pre for pre, _ in parts]
+    merged = []
+    while any(prefixes):
+        for kind in ("exists", "forall"):
+            block = []
+            for pre in prefixes:
+                while pre and pre[0][0] == kind:
+                    block.extend(pre.pop(0)[1])
+            if block:
+                merged.append((kind, block))
+    return merged, type(f)(tuple(mat for _, mat in parts))
+
+
+def _tree_standard_form(f):
+    g = to_nnf(f)
+    binders, free, consts = _tree_names_in(g)
+    prefix, matrix = _tree_prenex(S._apart(g, binders, free, consts, set()))
+    fv = _tree_free_vars(matrix) if prefix else frozenset()
+    cleaned = []
+    for kind, names in prefix:
+        kept = [v for v in names if v in fv]
+        if not kept:
+            continue
+        if cleaned and cleaned[-1][0] == kind:
+            cleaned[-1][1].extend(kept)
+        else:
+            cleaned.append((kind, kept))
+    leading = tuple(cleaned.pop(0)[1]) if cleaned and cleaned[0][0] == "exists" else ()
+    names = [tuple(v) for _, v in cleaned] + [()]
+    return S.StandardForm(leading, tuple(zip(names[0::2], names[1::2])), matrix)
+
+
+def _iff_nest(rng):
+    """A random sentence and closed parts of others nested under <->, so
+    that `to_nnf` shares each operand between its two polarities."""
+    f = random_sentence(rng, with_eq=True)[0]
+    for _ in range(rng.randint(1, 4)):
+        g = rng.choice(_preorder(random_sentence(rng, with_eq=True)[0]))
+        free = tuple(sorted(_tree_free_vars(g)))
+        g = S.Forall(free, g) if free else g  # a part, closed
+        f = S.Iff(f, g) if rng.random() < 0.5 else S.Iff(g, f)
+    return f
+
+
+def _assert_walks_agree(g):
+    assert S.free_vars(g) == _tree_free_vars(g)
+    assert S.names_in(g) == _tree_names_in(g)
+    assert formula_len(g) == _tree_formula_len(g)
+    if not S.is_nnf(g):
+        return
+    pre, mat = S._prenex(g)
+    ref_pre, ref_mat = _tree_prenex(g)
+    assert [(k, list(v)) for k, v in pre] == ref_pre and mat == ref_mat
+    if not pre:
+        assert mat is g  # a quantifier-free node is its own matrix
+
+
+def test_walks_agree_with_the_tree_walks():
+    rng = random.Random(79)
+    for i in range(300):
+        f = random_sentence(rng, with_eq=True)[0] if i % 2 else random_sf_sentence(rng)[0]
+        _assert_walks_agree(f)
+        _assert_walks_agree(to_nnf(f))
+        assert to_standard_form(f) == _tree_standard_form(f)
+
+
+def test_walks_on_shared_nnf_agree_with_the_tree_walks():
+    rng = random.Random(83)
+    shared = 0
+    for _ in range(150):
+        f = _iff_nest(rng)
+        g = to_nnf(f)
+        shared += len(list(S.subformulas(g))) < len(_preorder(g))
+        assert formula_len(f) == _tree_formula_len(f)
+        _assert_walks_agree(g)
+        assert S.constants_of(g) == _tree_names_in(g)[2]
+        sf = to_standard_form(f)
+        assert sf == _tree_standard_form(f)
+        assert print_formula(sf.to_formula()) == print_formula(_tree_standard_form(f).to_formula())
+    assert shared == 150
 
 
 def test_equality_as_predicate_picks_first_free_name():

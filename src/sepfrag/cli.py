@@ -252,8 +252,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_eliminate_eq(args) -> int:
     f = _read_expanded(args)
-    out = generators.sf_equality_elim(S.to_standard_form(f))
-    _emit(args, {"formula": S.print_formula(out)}, S.print_formula(out))
+    text = S.print_formula(generators.sf_equality_elim(S.to_standard_form(f)))
+    _emit(args, {"formula": text}, text)
     return 0
 
 

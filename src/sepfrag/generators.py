@@ -16,10 +16,19 @@ the level-(l-1) chain, least significant position first; the admissible
 strings are those with most significant bit 0 plus the single string
 0...01, giving 2^^l(mu-1)+1 indices per level.
 
-The domino encoding states its torus axioms and adjacency rule once, as
-one schema instantiated for the horizontal (H) and vertical (V) axis.
-The tiler and the canonical models do not read that schema: they are
-independent oracles against which the tests check the encodings.
+Each axiom family of the lower-bound constructions is stated once.  The
+minimal- and maximal-index axioms are one schema with a MinIdx row and a
+MaxIdx row; the four binary-increment implications are one truth table
+(below a run of ones the bit flips, so the new bit is b xor s); the
+domino encoding's torus axioms and adjacency rule are one schema
+instantiated for the horizontal (H) and vertical (V) axis.  Every axiom
+forall x. p1 & ... & pn -> c of the hierarchy, the domino encoding and
+the equality axioms is built by `_rule`.  The tiler and the canonical
+models do not read these schemas: they are independent oracles against
+which the tests check the encodings.
+
+`smp_to_sf` and `sf_equality_elim` rewrite each node object of a shared
+NNF once, so their output keeps the sharing of `to_nnf`'s DAG.
 """
 
 from __future__ import annotations
@@ -157,19 +166,25 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
     def eq_hat(s: S.Term, t: S.Term) -> S.Formula:
         return conj([Iff(Pred(q, (s,)), Pred(q, (t,))) for q in qnames])
 
+    memo: dict[int, S.Formula] = {}  # id of a node of the input -> its rewrite
+
     def walk(g):
+        if id(g) in memo:
+            return memo[id(g)]
         if isinstance(g, S.CountingExists):
             raise NotNNF("input must be in negation normal form")
         if isinstance(g, S.Exists):
-            if len(g.vars) > 1:
-                inner = walk(Exists(g.vars[1:], g.body))
-            else:
-                inner = walk(g.body)
-            y = g.vars[0]
-            v = fresh.fresh("v")
-            guarded = Implies(eq_hat(Var(y), Var(v)), S.substitute(inner, {y: Var(v)}))
-            return Exists((y,), Forall((v,), guarded))
-        return S.rebuild(g, [walk(k) for k in S.children(g)])
+            out = walk(g.body)
+            for y in reversed(g.vars):
+                v = fresh.fresh("v")
+                guarded = Implies(eq_hat(Var(y), Var(v)), S.substitute(out, {y: Var(v)}))
+                out = Exists((y,), Forall((v,), guarded))
+        else:
+            kids = S.children(g)
+            new = [walk(k) for k in kids]
+            out = g if all(a is b for a, b in zip(new, kids)) else S.rebuild(g, new)
+        memo[id(g)] = out
+        return out
 
     ax_fin = Forall(("x", "y"), Implies(eq_hat(Var("x"), Var("y")), Eq(Var("x"), Var("y"))))
     return And((ax_fin, walk(S.rename_apart(f, reserved={"x", "y"}))))
@@ -223,13 +238,10 @@ def _Jstar(l, j, i, b):
     return Pred("Jstar", (_lvl(l), j, i, _BIT[b]))
 
 
-def _min_const(l) -> S.Term:
-    # the level-0 chain starts at c1; higher levels have their own d/e
-    return Const("c1") if l == 0 else Const(f"d{l}")
-
-
-def _max_const(p: HierarchyParams, l) -> S.Term:
-    return Const(f"c{p.mu}") if l == 0 else Const(f"e{l}")
+def _rule(binders, premises, conclusion) -> S.Formula:
+    """forall binders. p1 & ... & pn -> conclusion: the shape of every
+    axiom below that has a premise; with no binders, the implication."""
+    return S.forall(binders, Implies(conj(premises), conclusion))
 
 
 def _index_equality(
@@ -238,29 +250,14 @@ def _index_equality(
     """Bitwise agreement of two level-l indices, inlined recursively:
     positions are matched through level-(l-1) index equality."""
     if l == 1:
-        parts = [_L(1, j), _L(1, tj)]
-        for i in range(1, mu + 1):
-            ci = Const(f"c{i}")
-            parts.append(Iff(_J(1, j, ci, 0), _J(1, tj, ci, 0)))
-            parts.append(Iff(_J(1, j, ci, 1), _J(1, tj, ci, 1)))
-        return conj(parts)
-    i = Var(fresh.fresh("i"))
-    ti = Var(fresh.fresh("ti"))
-    inner = conj(
-        [
-            _L(l - 1, ti),
-            _index_equality(l - 1, i, ti, mu, fresh),
-            Iff(_J(l, j, i, 0), _J(l, tj, ti, 0)),
-            Iff(_J(l, j, i, 1), _J(l, tj, ti, 1)),
-        ]
-    )
-    return conj(
-        [
-            _L(l, j),
-            _L(l, tj),
-            Forall((i.name,), Implies(_L(l - 1, i), Exists((ti.name,), inner))),
-        ]
-    )
+        cs = [Const(f"c{k}") for k in range(1, mu + 1)]
+        bits = [Iff(_J(1, j, c, b), _J(1, tj, c, b)) for c in cs for b in (0, 1)]
+        return conj([_L(1, j), _L(1, tj)] + bits)
+    i, ti = Var(fresh.fresh("i")), Var(fresh.fresh("ti"))
+    bits = [Iff(_J(l, j, i, b), _J(l, tj, ti, b)) for b in (0, 1)]
+    inner = conj([_L(l - 1, ti), _index_equality(l - 1, i, ti, mu, fresh)] + bits)
+    positions = _rule((i.name,), [_L(l - 1, i)], Exists((ti.name,), inner))
+    return conj([_L(l, j), _L(l, tj), positions])
 
 
 def generate_index_hierarchy(p: HierarchyParams) -> S.Formula:
@@ -277,191 +274,85 @@ def generate_index_hierarchy(p: HierarchyParams) -> S.Formula:
     for l in range(K + 1):
         for lp in range(K + 1):
             if lp != l:
-                parts.append(Forall(("j",), Implies(_L(l, j), Not(_L(lp, j)))))
-    # minimal indices: membership, no predecessor, uniqueness via d-constants
-    for l in range(K + 1):
-        parts.append(Forall(("j",), Implies(_min_idx(l, j), _L(l, j))))
-        parts.append(
-            Forall(("j", "j2"), Implies(_min_idx(l, j), Not(_succ(l, jp, j))))
-        )
-        parts.append(_min_idx(l, _min_const(l)))
-        parts.append(Forall(("j",), Implies(_min_idx(l, j), Eq(j, _min_const(l)))))
-    # maximal indices, dually
-    for l in range(K + 1):
-        parts.append(Forall(("j",), Implies(_max_idx(l, j), _L(l, j))))
-        parts.append(
-            Forall(("j", "j2"), Implies(_max_idx(l, j), Not(_succ(l, j, jp))))
-        )
-        parts.append(_max_idx(l, _max_const(p, l)))
-        parts.append(Forall(("j",), Implies(_max_idx(l, j), Eq(j, _max_const(p, l)))))
+                parts.append(_rule(("j",), [_L(l, j)], Not(_L(lp, j))))
+    # One schema for the minimal and the maximal indices: membership, no
+    # predecessor (successor), the pinned constant and uniqueness through
+    # it.  A row names the predicate, its level-0 constant, the prefix of
+    # its constants on higher levels, and the Succ edge it has none of.
+    ends = (("MinIdx", "c1", "d", (jp, j)), ("MaxIdx", f"c{p.mu}", "e", (j, jp)))
+    for name, first, prefix, edge in ends:
+        for l in range(K + 1):
+            end = Pred(name, (_lvl(l), j))
+            pinned = Const(first if l == 0 else f"{prefix}{l}")
+            parts += [
+                _rule(("j",), [end], _L(l, j)),
+                _rule(("j", "j2"), [end], Not(_succ(l, *edge))),
+                Pred(name, (_lvl(l), pinned)),
+                _rule(("j",), [end], Eq(j, pinned)),
+            ]
     # successor typing, irreflexivity, functionality both ways
     for l in range(K + 1):
-        parts.append(
-            Forall(("j", "j2"), Implies(_succ(l, j, jp), And((_L(l, j), _L(l, jp)))))
-        )
-        parts.append(
-            Forall(
-                ("j", "j2", "j3"),
-                conj(
-                    [
-                        Not(_succ(l, j, j)),
-                        Implies(And((_succ(l, j, jp), _succ(l, j, jpp))), Eq(jp, jpp)),
-                        Implies(And((_succ(l, jp, j), _succ(l, jpp, j))), Eq(jp, jpp)),
-                    ]
-                ),
-            )
-        )
+        parts.append(_rule(("j", "j2"), [_succ(l, j, jp)], And((_L(l, j), _L(l, jp)))))
+        functional = [
+            _rule((), [_succ(l, j, jp), _succ(l, j, jpp)], Eq(jp, jpp)),
+            _rule((), [_succ(l, jp, j), _succ(l, jpp, j)], Eq(jp, jpp)),
+        ]
+        parts.append(Forall(("j", "j2", "j3"), conj([Not(_succ(l, j, j))] + functional)))
     # level 0 is the chain c1 ... cMU
     for k in range(1, p.mu):
         parts.append(_succ(0, Const(f"c{k}"), Const(f"c{k + 1}")))
-    # binary increment: successor flips exactly the low run of ones
+    # binary increment, as one truth table: bit b of j becomes bit b ^ s of
+    # its successor, where s = 1 marks a run of ones below the position
     for l in range(1, K + 1):
-        parts.append(
-            Forall(
-                ("j", "j2", "i"),
-                Implies(
-                    And((_succ(l, j, jp), _L(l - 1, i))),
-                    conj(
-                        [
-                            Implies(And((_Jstar(l, j, i, 1), _J(l, j, i, 1))), _J(l, jp, i, 0)),
-                            Implies(And((_Jstar(l, j, i, 1), _J(l, j, i, 0))), _J(l, jp, i, 1)),
-                            Implies(And((_Jstar(l, j, i, 0), _J(l, j, i, 1))), _J(l, jp, i, 1)),
-                            Implies(And((_Jstar(l, j, i, 0), _J(l, j, i, 0))), _J(l, jp, i, 0)),
-                        ]
-                    ),
-                ),
-            )
-        )
+        table = [
+            _rule((), [_Jstar(l, j, i, s), _J(l, j, i, b)], _J(l, jp, i, b ^ s))
+            for s in (1, 0)
+            for b in (1, 0)
+        ]
+        parts.append(_rule(("j", "j2", "i"), [_succ(l, j, jp), _L(l - 1, i)], conj(table)))
     for l in range(1, K + 1):
         # minimal index is all zeros
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(And((_min_idx(l, j), _L(l - 1, i))), _J(l, j, i, 0)),
-            )
-        )
+        parts.append(_rule(("j", "i"), [_min_idx(l, j), _L(l - 1, i)], _J(l, j, i, 0)))
         # maximal: most significant bit 1, and that bit implies maximality
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(And((_max_idx(l, j), _max_idx(l - 1, i))), _J(l, j, i, 1)),
-            )
-        )
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(
-                    conj([_L(l, j), _max_idx(l - 1, i), _J(l, j, i, 1)]),
-                    _max_idx(l, j),
-                ),
-            )
-        )
+        parts.append(_rule(("j", "i"), [_max_idx(l, j), _max_idx(l - 1, i)], _J(l, j, i, 1)))
+        top_bit = [_L(l, j), _max_idx(l - 1, i), _J(l, j, i, 1)]
+        parts.append(_rule(("j", "i"), top_bit, _max_idx(l, j)))
         # bits and run-of-ones markers are functional
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(
-                    And((_L(l, j), _L(l - 1, i))),
-                    And(
-                        (
-                            Implies(_J(l, j, i, 0), Not(_J(l, j, i, 1))),
-                            Implies(_Jstar(l, j, i, 0), Not(_Jstar(l, j, i, 1))),
-                        )
-                    ),
-                ),
-            )
-        )
+        one_bit = [Implies(bit(l, j, i, 0), Not(bit(l, j, i, 1))) for bit in (_J, _Jstar)]
+        parts.append(_rule(("j", "i"), [_L(l, j), _L(l - 1, i)], conj(one_bit)))
         # the least significant position trivially has an all-ones run below
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(And((_L(l, j), _min_idx(l - 1, i))), _Jstar(l, j, i, 1)),
-            )
-        )
+        parts.append(_rule(("j", "i"), [_L(l, j), _min_idx(l - 1, i)], _Jstar(l, j, i, 1)))
         # run-of-ones recursion along the position chain
-        parts.append(
-            Forall(
-                ("j", "i", "i2"),
-                Implies(
-                    And((_L(l, j), _succ(l - 1, i, ip))),
-                    conj(
-                        [
-                            Iff(_Jstar(l, j, ip, 1), And((_Jstar(l, j, i, 1), _J(l, j, i, 1)))),
-                            Implies(_J(l, j, i, 0), _Jstar(l, j, ip, 0)),
-                            Implies(_Jstar(l, j, i, 0), _Jstar(l, j, ip, 0)),
-                        ]
-                    ),
-                ),
-            )
-        )
+        run = [
+            Iff(_Jstar(l, j, ip, 1), And((_Jstar(l, j, i, 1), _J(l, j, i, 1)))),
+            Implies(_J(l, j, i, 0), _Jstar(l, j, ip, 0)),
+            Implies(_Jstar(l, j, i, 0), _Jstar(l, j, ip, 0)),
+        ]
+        parts.append(_rule(("j", "i", "i2"), [_L(l, j), _succ(l - 1, i, ip)], conj(run)))
     # every non-maximal index has a successor (through index equality)
     for l in range(1, K + 1):
-        tj = fresh.fresh("tj")
-        tjp = fresh.fresh("tj2")
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(
-                    conj([_L(l, j), _max_idx(l - 1, i), _J(l, j, i, 0)]),
-                    Exists(
-                        (tj, tjp),
-                        And(
-                            (
-                                _index_equality(l, j, Var(tj), p.mu, fresh),
-                                _succ(l, Var(tj), Var(tjp)),
-                            )
-                        ),
-                    ),
-                ),
-            )
-        )
+        tj, tjp = Var(fresh.fresh("tj")), Var(fresh.fresh("tj2"))
+        same = _index_equality(l, j, tj, p.mu, fresh)
+        successor = Exists((tj.name, tjp.name), And((same, _succ(l, tj, tjp))))
+        low_bit = [_L(l, j), _max_idx(l - 1, i), _J(l, j, i, 0)]
+        parts.append(_rule(("j", "i"), low_bit, successor))
     # spurious-element removal (not Horn): level 0 is exactly c1..cMU,
     # bits are total, and bitwise-equal indices are identical
-    parts.append(
-        Forall(
-            ("j",),
-            Implies(_L(0, j), disj([Eq(j, Const(f"c{k}")) for k in range(1, p.mu + 1)])),
-        )
-    )
+    level0 = disj([Eq(j, Const(f"c{k}")) for k in range(1, p.mu + 1)])
+    parts.append(_rule(("j",), [_L(0, j)], level0))
     for l in range(1, K + 1):
-        parts.append(
-            Forall(
-                ("j", "i"),
-                Implies(
-                    And((_L(l, j), _L(l - 1, i))),
-                    Or((_J(l, j, i, 0), _J(l, j, i, 1))),
-                ),
-            )
-        )
+        total = Or((_J(l, j, i, 0), _J(l, j, i, 1)))
+        parts.append(_rule(("j", "i"), [_L(l, j), _L(l - 1, i)], total))
     for l in range(1, K + 1):
-        tj = fresh.fresh("tj")
-        tjp = fresh.fresh("tj2")
-        ti = fresh.fresh("ti")
-        same_bits = Forall(
-            (ti,),
-            Implies(
-                _L(l - 1, Var(ti)),
-                Iff(_J(l, Var(tj), Var(ti), 0), _J(l, Var(tjp), Var(ti), 0)),
-            ),
-        )
-        parts.append(
-            Forall(
-                ("j", "j2"),
-                Implies(
-                    And((_L(l, j), _L(l, jp))),
-                    Exists(
-                        (tj, tjp),
-                        conj(
-                            [
-                                _index_equality(l, j, Var(tj), p.mu, fresh),
-                                _index_equality(l, jp, Var(tjp), p.mu, fresh),
-                                Implies(same_bits, Eq(j, jp)),
-                            ]
-                        ),
-                    ),
-                ),
-            )
-        )
+        tj, tjp, ti = (Var(fresh.fresh(base)) for base in ("tj", "tj2", "ti"))
+        same_bits = _rule((ti.name,), [_L(l - 1, ti)], Iff(_J(l, tj, ti, 0), _J(l, tjp, ti, 0)))
+        identical = [
+            _index_equality(l, j, tj, p.mu, fresh),
+            _index_equality(l, jp, tjp, p.mu, fresh),
+            Implies(same_bits, Eq(j, jp)),
+        ]
+        witnesses = Exists((tj.name, tjp.name), conj(identical))
+        parts.append(_rule(("j", "j2"), [_L(l, j), _L(l, jp)], witnesses))
     return S.rename_apart(conj(parts))
 
 
@@ -719,63 +610,46 @@ def generate_domino_encoding(
         edge = Pred(rel, (x, y, xp, yp))
         # neighbor typing and successor compatibility
         typed = conj([_L(K, x), _L(K, y), _L(K, xp), _L(K, yp), Eq(fix, fixp)])
-        parts.append(Forall(corners, Implies(edge, typed)))
-        stepped = conj([edge, _max_idx(K - 1, i), _J(K, s, i, 0)])
-        parts.append(Forall(corners + ("i",), Implies(stepped, _succ(K, s, sp))))
+        parts.append(_rule(corners, [edge], typed))
+        stepped = [edge, _max_idx(K - 1, i), _J(K, s, i, 0)]
+        parts.append(_rule(corners + ("i",), stepped, _succ(K, s, sp)))
         # every non-edge point has a neighbor with the same tiles
         tx, ty = Var(fresh.fresh("tx")), Var(fresh.fresh("ty"))
         tsp = Var(fresh.fresh(f"t{s.name}2"))
         same = [_index_equality(K, x, tx, p.mu, fresh), _index_equality(K, y, ty, p.mu, fresh)]
         same += [Iff(tile_at(d, x, y), tile_at(d, tx, ty)) for d in system.tiles]
-        inside = conj([_L(K, x), _L(K, y), _max_idx(K - 1, i), _J(K, s, i, 0)])
+        inside = [_L(K, x), _L(K, y), _max_idx(K - 1, i), _J(K, s, i, 0)]
         neighbor = Exists((tx.name, ty.name, tsp.name), conj(same + [step(row, tx, ty, tsp)]))
-        parts.append(Forall(("x", "y", "i"), Implies(inside, neighbor)))
+        parts.append(_rule(("x", "y", "i"), inside, neighbor))
         # wrap-around; membership guards keep the typing axiom
         # satisfiable on mixed domains
-        wraps = conj([_L(K, fix), _max_idx(K, s), _min_idx(K, sp)])
-        parts.append(Forall(("x", "y", sp.name), Implies(wraps, step(row, x, y, sp))))
+        wraps = [_L(K, fix), _max_idx(K, s), _min_idx(K, sp)]
+        parts.append(_rule(("x", "y", sp.name), wraps, step(row, x, y, sp)))
         # wrap consistency, both ways
         for a, b in ((_max_idx(K, s), _min_idx(K, sp)), (_min_idx(K, sp), _max_idx(K, s))):
-            parts.append(Forall(corners, Implies(And((edge, a)), b)))
+            parts.append(_rule(corners, [edge, a], b))
     # tiles live on the torus, one per point
     for d in system.tiles:
-        parts.append(
-            Forall(
-                ("x", "y"),
-                Implies(tile_at(d, x, y), And((_L(K, x), _L(K, y)))),
-            )
-        )
+        parts.append(_rule(("x", "y"), [tile_at(d, x, y)], And((_L(K, x), _L(K, y)))))
     for d in system.tiles:
         for dp in system.tiles:
-            if dp == d:
-                continue
-            parts.append(
-                Forall(("x", "y"), Implies(tile_at(d, x, y), Not(tile_at(dp, x, y))))
-            )
+            if dp != d:
+                parts.append(_rule(("x", "y"), [tile_at(d, x, y)], Not(tile_at(dp, x, y))))
     # adjacency rules
     for row in axes:
         _, _, sp, _, _, pairs, to = row
         fits = [And((tile_at(d, x, y), tile_at(dp, *to(x, y, sp)))) for d, dp in sorted(pairs)]
         binders = tuple(sorted(("x", "y", sp.name)))
-        parts.append(Forall(binders, Implies(step(row, x, y, sp), disj(fits))))
+        parts.append(_rule(binders, [step(row, x, y, sp)], disj(fits)))
     # initial condition along the bottom row
     if word:
         z = Var("z")
         chain_links = [Eq(Const("f1"), z)]
         for k in range(1, len(word)):
             chain_links.append(step(axes[0], Const(f"f{k}"), z, Const(f"f{k + 1}")))
-        parts.append(Forall(("z",), Implies(_min_idx(K, z), conj(chain_links))))
-        parts.append(
-            Forall(
-                ("z",),
-                Implies(
-                    _min_idx(K, z),
-                    conj(
-                        [tile_at(word[k], Const(f"f{k + 1}"), z) for k in range(len(word))]
-                    ),
-                ),
-            )
-        )
+        parts.append(_rule(("z",), [_min_idx(K, z)], conj(chain_links)))
+        tiles = [tile_at(w, Const(f"f{k + 1}"), z) for k, w in enumerate(word)]
+        parts.append(_rule(("z",), [_min_idx(K, z)], conj(tiles)))
     return S.rename_apart(conj(parts))
 
 
@@ -878,27 +752,20 @@ def sf_equality_elim(sf: S.StandardForm) -> S.Formula:
     def E(u, w):
         return Pred(ename, (u, w))
 
-    w1, w2, w3 = Var("w1"), Var("w2"), Var("w3")
+    w0, w1, w2, w3 = (Var(f"w{k}") for k in range(4))
     axioms = [
         Forall(("w1",), E(w1, w1)),
-        Forall(("w1", "w2"), Implies(E(w1, w2), E(w2, w1))),
-        Forall(("w1", "w2", "w3"), Implies(And((E(w1, w2), E(w2, w3))), E(w1, w3))),
+        _rule(("w1", "w2"), [E(w1, w2)], E(w2, w1)),
+        _rule(("w1", "w2", "w3"), [E(w1, w2), E(w2, w3)], E(w1, w3)),
     ]
     for pname in sorted(sig.predicates):
-        arity = sig.predicates[pname]
-        if arity == 0:
-            continue
-        args = [Var(f"w{k + 1}") for k in range(arity)]
-        for pos in range(arity):
-            swapped = list(args)
-            swapped[pos] = Var("w0")
+        args = [Var(f"w{k + 1}") for k in range(sig.predicates[pname])]
+        for pos in range(len(args)):
+            swapped = args[:pos] + [w0] + args[pos + 1 :]
+            premises = [E(args[pos], w0), Pred(pname, tuple(args))]
             axioms.append(
-                Forall(
-                    tuple(["w0"] + [f"w{k + 1}" for k in range(arity)]),
-                    Implies(
-                        And((E(args[pos], Var("w0")), Pred(pname, tuple(args)))),
-                        Pred(pname, tuple(swapped)),
-                    ),
-                )
+                _rule(["w0"] + [a.name for a in args], premises, Pred(pname, tuple(swapped)))
             )
-    return S.rename_apart(conj([replaced] + axioms))
+    # the sentence's binders are distinct already: only the axioms move
+    binders, free, consts = S.names_in(replaced)
+    return conj([replaced, S.rename_apart(conj(axioms), set(binders) | free | consts)])

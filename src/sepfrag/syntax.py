@@ -46,9 +46,10 @@ output.
 Sharing: `to_nnf` shares the operands of <->, so a formula may be a DAG.
 A walk that computes a function of a node visits each node object once:
 `subformulas` yields it at its first occurrence, and `free_vars`,
-`names_in`, `formula_len`, prenexing, `to_nnf` and `nnf_tree` memoize by
-node id.  The printer and the substitution walk visit every occurrence,
-as each quantifier occurrence gets its own names.
+`names_in`, `formula_len`, prenexing, `to_nnf`, `nnf_tree` and
+`equality_as_predicate` memoize by node id.  The printer and the
+substitution walk visit every occurrence, as each quantifier occurrence
+gets its own names.
 """
 
 from __future__ import annotations
@@ -569,13 +570,20 @@ def equality_name(taken) -> str:
 def equality_as_predicate(f: Formula, taken) -> tuple[Formula, str]:
     """f with every equation s = t turned into E(s, t) for the binary
     predicate E = `equality_name(taken)`.  Returns the new formula and E;
-    the caller adds whatever axioms E needs."""
+    the caller adds whatever axioms E needs.  Each node object is
+    rewritten once, and one without an equation below comes back as
+    itself, so the result keeps the sharing of f."""
     name = equality_name(taken)
+    memo: dict[int, Formula] = {}  # id of a node of f -> its rewrite
 
     def walk(g: Formula) -> Formula:
         if type(g) is Eq:
             return Pred(name, (g.left, g.right))
-        return rebuild(g, [walk(k) for k in children(g)])
+        if id(g) not in memo:
+            kids = children(g)
+            new = [walk(k) for k in kids]
+            memo[id(g)] = g if all(map(operator.is_, new, kids)) else rebuild(g, new)
+        return memo[id(g)]
 
     return walk(f), name
 

@@ -97,9 +97,17 @@ class SelectionInstance:
 def expand_selections(inst: SelectionInstance) -> S.Formula:
     """Expand the block: one conjunct per nonempty subset s of I, each a
     disjunction of the selected residues and one existential unit per
-    selection function (deduplicated by restriction to s)."""
+    selection function (deduplicated by restriction to s).  More than
+    `DEFAULT_CONJUNCT_CAP` conjuncts raise `SelectionBudgetExceeded`
+    before any is built."""
     inst.validate()
     idx = list(inst.index_set)
+    if (1 << len(idx)) - 1 > DEFAULT_CONJUNCT_CAP:
+        raise SelectionBudgetExceeded(
+            f"the expansion needs {(1 << len(idx)) - 1} conjuncts, "
+            f"cap is {DEFAULT_CONJUNCT_CAP}",
+            limit=DEFAULT_CONJUNCT_CAP,
+        )
     conjuncts = []
     for size in range(1, len(idx) + 1):
         for s in itertools.combinations(idx, size):

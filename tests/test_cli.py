@@ -306,6 +306,23 @@ def test_eliminate_eq_command(capsys):
     assert "E(" in json.loads(out)["formula"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_eliminate_eq_prints_the_formula_once(capsys, monkeypatch, fmt):
+    # printing is linear in the tree, not the DAG: a second print doubled
+    # the cost of the command on nested <->
+    calls = []
+    printer = cli.S.print_formula
+    monkeypatch.setattr(cli.S, "print_formula", lambda f: calls.append(f) or printer(f))
+    code, out = run_capture(capsys, ["eliminate-eq", "--format", fmt, "forall j. j = j"])
+    assert code == 0 and len(calls) == 1
+    text = json.loads(out)["formula"] if fmt == "json" else out.rstrip("\n")
+    assert text == (
+        "(forall j. E(j, j)) & (forall w1. E(w1, w1))"
+        " & (forall w11 w2. E(w11, w2) -> E(w2, w11))"
+        " & (forall w12 w21 w3. E(w12, w21) & E(w21, w3) -> E(w12, w3))"
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["check"], ["to-bsr"], ["eliminate-eq"], ["gen", "smp", "--bound", "2"]]
 )

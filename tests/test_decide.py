@@ -1,7 +1,5 @@
-import contextlib
 import itertools
 import random
-import signal
 import time
 from collections import Counter
 
@@ -26,7 +24,7 @@ from sepfrag.search import ModelSearch, equivalent_upto, find_model
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
-from util import random_atom, random_boolean, random_sf_sentence, small_signature
+from util import deadline, iff_chain, random_atom, random_boolean, random_sf_sentence, small_signature
 
 
 # --- skolemization -----------------------------------------------------------
@@ -490,31 +488,6 @@ def test_krom_core_behind_free_pairs_unsat():
 
 
 # --- the pipeline --------------------------------------------------------------
-
-@contextlib.contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the block after `seconds`, so a hang fails."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def iff_chain(n, leading=False):
-    """(P(a0) | Q(a0)) <-> ... <-> (P(a<n-1>) | Q(a<n-1>)); with `leading`,
-    under one `exists z` whose z replaces the a<i> in P of every even
-    operand.  `to_nnf` shares both polarities of each operand, so the
-    NNF is linear in n only as a DAG."""
-    parts = [f"(P({'z' if leading and i % 2 == 0 else f'a{i}'}) | Q(a{i}))" for i in range(n)]
-    return ("exists z. " if leading else "") + " <-> ".join(parts)
-
 
 @pytest.mark.parametrize("n, leading", [(40, False), (40, True), (100, False)])
 def test_decide_long_iff_chain(n, leading):

@@ -35,7 +35,7 @@ from sepfrag.search import equivalent_upto, find_model
 from sepfrag.semantics import Structure, evaluate, substructure
 from sepfrag.syntax import cnf_matrix, classify_cnf, parse_formula, to_nnf, to_standard_form
 
-from util import models_extend, random_sf_sentence
+from util import deadline, iff_chain, models_extend, random_sf_sentence
 
 ONE_TILE = DominoSystem(("A",), frozenset({("A", "A")}), frozenset({("A", "A")}))
 
@@ -116,6 +116,16 @@ def test_smp_existential_guard_shape():
     assert is_ssf(sf)
 
 
+def test_smp_guards_a_block_one_variable_at_a_time():
+    # the last variable of a block is guarded first, so it takes the first
+    # fresh v
+    f, _ = parse_formula("forall x. exists y1 y2. R(x, y1) & ~R(y2, x)")
+    assert S.print_formula(smp_to_sf(to_nnf(f), 2)) == (
+        "(forall x y. (Q1(x) <-> Q1(y)) -> x = y) & (forall x1. exists y1. forall v1."
+        " (Q1(y1) <-> Q1(v1)) -> (exists y2. forall v. (Q1(y2) <-> Q1(v)) -> R(x1, v1) & ~R(v, x1)))"
+    )
+
+
 def test_smp_models_project_and_extend():
     rng = random.Random(7)
     sentences = [
@@ -189,6 +199,30 @@ def test_hierarchy_cap():
         canonical_hierarchy_model(HierarchyParams(3, 3))  # needs 65537 top indices
 
 
+# SHA-1 of print_formula of the hierarchy; (1, 2) is bench/data/hierarchy12.txt
+HIERARCHY_TEXT = {
+    (1, 2): "74bf8c8faf93fe4d9e88cd0182d30f5709622585",
+    (1, 3): "b0eb4dc519a26e79b3010cd423c79c7d1f51a1ff",
+    (1, 4): "b3bac61b66c66df7df3a83bff663c422ec19f3de",
+    (2, 2): "50e2ef67e71088ef159ad74100f36f3bdb8abd9a",
+    (2, 3): "526cdf34a922d55efe914a2b44d3b65ccca97c5b",
+    (3, 2): "de11a2e325e970b5db3428d263a90b3e9b74ed1b",
+}
+
+
+@pytest.mark.parametrize("kappa, mu", sorted(HIERARCHY_TEXT))
+def test_hierarchy_text_is_pinned(kappa, mu):
+    f = generate_index_hierarchy(HierarchyParams(kappa, mu))
+    assert hashlib.sha1(S.print_formula(f).encode()).hexdigest() == HIERARCHY_TEXT[kappa, mu]
+
+
+@pytest.mark.parametrize("kappa, mu", sorted(HIERARCHY_TEXT))
+def test_hierarchy_degree_is_kappa(kappa, mu):
+    # the paper's lower bound: degree kappa forces a level of 2^^kappa(mu-1)+1 indices
+    sf = to_standard_form(generate_index_hierarchy(HierarchyParams(kappa, mu)))
+    assert degree(sf) == kappa
+
+
 def test_torus_size_values():
     assert HierarchyParams(1, 2).torus_size().evaluate() == 3
     assert HierarchyParams(1, 3).torus_size().evaluate() == 5
@@ -202,14 +236,16 @@ def test_brute_force_tiler_one_tile():
     assert tl is not None and valid_tiling(ONE_TILE, ("A",), tl)
 
 
+ALTERNATING = DominoSystem(
+    ("A", "B"),
+    frozenset({("A", "B"), ("B", "A")}),
+    frozenset({("A", "A"), ("B", "B")}),
+)
+
+
 def test_brute_force_tiler_odd_alternation_fails():
-    system = DominoSystem(
-        ("A", "B"),
-        frozenset({("A", "B"), ("B", "A")}),
-        frozenset({("A", "A"), ("B", "B")}),
-    )
-    assert brute_force_tiler(system, ("A",), 3) is None
-    assert brute_force_tiler(system, ("A",), 4) is not None
+    assert brute_force_tiler(ALTERNATING, ("A",), 3) is None
+    assert brute_force_tiler(ALTERNATING, ("A",), 4) is not None
 
 
 def test_brute_force_tiler_single_cell():
@@ -295,12 +331,15 @@ def test_generators_print_the_frozen_benchmark_text(name, formula):
     assert S.print_formula(formula()) + "\n" == (DATA / f"{name}.txt").read_text()
 
 
-# SHA-1 of canonical_key of the domino encodings at (kappa, mu) = (1, 2).
-# bench/data/domino1.txt is the one-tile encoding with the binders of the
-# two V wrap-consistency axioms in the order x x2 y y2.
+# SHA-1 of canonical_key of the domino encodings at (kappa, mu) = (1, 2),
+# and (2, 2) where named.  bench/data/domino1.txt is the one-tile encoding
+# with the binders of the two V wrap-consistency axioms in the order
+# x x2 y y2.
 DOMINO_KEYS = {
-    "one-tile": (ONE_TILE, ("A",), "31678f95232e786dc3bf71e6d0c337b6de14644e"),
-    "columns": (COLUMNS, ("A", "B"), "b1772a452ba9c44f6b56385f2c45f74c46ff13e2"),
+    "one-tile": (ONE_TILE, ("A",), (1, 2), "31678f95232e786dc3bf71e6d0c337b6de14644e"),
+    "columns": (COLUMNS, ("A", "B"), (1, 2), "b1772a452ba9c44f6b56385f2c45f74c46ff13e2"),
+    "alternating": (ALTERNATING, ("A", "B"), (1, 2), "47b630ebd9484c42962730f43163853ac2511a5a"),
+    "alternating-2-2": (ALTERNATING, ("A", "B"), (2, 2), "b8537646cb7eb8fbc0cd33124769d098efb3f3ef"),
 }
 
 
@@ -308,8 +347,8 @@ DOMINO_KEYS = {
 def test_domino_encoding_is_pinned(name):
     # the two-letter word pins the word chain to H, which no model check
     # above tells apart from V
-    system, word, digest = DOMINO_KEYS[name]
-    f = generate_domino_encoding(system, word, HierarchyParams(1, 2))
+    system, word, params, digest = DOMINO_KEYS[name]
+    f = generate_domino_encoding(system, word, HierarchyParams(*params))
     assert hashlib.sha1(S.canonical_key(f).encode()).hexdigest() == digest
 
 
@@ -411,6 +450,52 @@ def test_sf_equality_elim_equisatisfiable():
         a = find_model(f, max_size=3) is None
         b = find_model(out, max_size=3) is None
         assert a == b
+
+
+def test_sf_equality_elim_renames_only_the_axioms():
+    # the sentence binds w1 and w2, as the axioms do: the sentence keeps
+    # its names and the axioms take fresh ones
+    f, _ = parse_formula("forall w1 w2. exists w3. (w1 = w2 | P(w1, w3)) & ~w3 = c")
+    assert S.print_formula(sf_equality_elim(to_standard_form(f))) == (
+        "(forall w1 w2. exists w3. (E(w1, w2) | P(w1, w3)) & ~E(w3, c))"
+        " & (forall w11. E(w11, w11))"
+        " & (forall w12 w21. E(w12, w21) -> E(w21, w12))"
+        " & (forall w13 w22 w31. E(w13, w22) & E(w22, w31) -> E(w13, w31))"
+        " & (forall w0 w14 w23. E(w14, w0) & P(w14, w23) -> P(w0, w23))"
+        " & (forall w01 w15 w24. E(w24, w01) & P(w15, w24) -> P(w15, w01))"
+    )
+
+
+# SHA-1 of the printed sf_equality_elim and smp_to_sf (bound 2) output on
+# iff_chain(8, leading)
+CHAIN_TEXT = {
+    False: ("ec5aebbc8eef932572fc490e412bafecad6cd917", "8d1f4b62dabfe9fa0f5e8f833ff9f9aa929427cc"),
+    True: ("db24e86b655c8cd69d145bf77d6a3d6744c67e8a", "7cad493195da1dbc43abfb2b4883a3250864c4e5"),
+}
+
+
+@pytest.mark.parametrize("leading", [False, True])
+def test_equality_elim_and_smp_on_shared_nnf_are_pinned(leading):
+    f, _ = parse_formula(iff_chain(8, leading))
+    outs = (sf_equality_elim(to_standard_form(f)), smp_to_sf(to_nnf(f), 2))
+    digests = tuple(hashlib.sha1(S.print_formula(g).encode()).hexdigest() for g in outs)
+    assert digests == CHAIN_TEXT[leading]
+
+
+@pytest.mark.parametrize(
+    "rewrite, leading",
+    [("eliminate-eq", False), ("eliminate-eq", True), ("smp", False)],
+)
+def test_equality_elim_and_smp_keep_the_sharing_of_nnf(rewrite, leading):
+    # to_nnf shares both polarities of each <-> operand; walked as a tree,
+    # 16 operands took 4.3 s (eliminate-eq) and 2.5 s (smp)
+    f, _ = parse_formula(iff_chain(40, leading))
+    with deadline(5):
+        if rewrite == "smp":
+            out = smp_to_sf(to_nnf(f), 2)
+        else:
+            out = sf_equality_elim(to_standard_form(f))
+    assert len(list(S.subformulas(out))) < 1000
 
 
 def test_smp_output_length_ratio():

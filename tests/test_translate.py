@@ -5,7 +5,13 @@ import pytest
 
 from sepfrag import syntax as S
 from sepfrag import analysis
-from sepfrag.errors import BoundVariableInResidue, BudgetExceeded, EmptyIndexSet, NotSF
+from sepfrag.errors import (
+    BoundVariableInResidue,
+    BudgetExceeded,
+    EmptyIndexSet,
+    NotSF,
+    SelectionBudgetExceeded,
+)
 from sepfrag.generators import generate_hard_family
 from sepfrag.search import equivalent_upto
 from sepfrag.syntax import parse_formula, print_formula, to_standard_form
@@ -20,7 +26,7 @@ from sepfrag.translate import (
     to_bsr,
 )
 
-from util import random_atom, random_sf_sentence, small_signature
+from util import deadline, random_atom, random_sf_sentence, small_signature
 
 
 def atom(name, *vars_):
@@ -101,6 +107,21 @@ def test_validation_errors():
                 (1,), {1: ("a",)}, {1: atom("P", "y")}, {"a": atom("Q", "y")}, ("y",)
             )
         )
+
+
+def test_expansion_past_the_conjunct_cap_raises_at_once():
+    # 17 indices need 2^17 - 1 conjuncts, past DEFAULT_CONJUNCT_CAP; the
+    # expansion used to enumerate them all, 4x longer per two more indices
+    idx = tuple(range(17))
+    inst = SelectionInstance(
+        idx,
+        {i: (i,) for i in idx},
+        {i: atom("P", "z") for i in idx},
+        {i: atom(f"Q{i}", "y") for i in idx},
+        ("y",),
+    )
+    with deadline(1), pytest.raises(SelectionBudgetExceeded):
+        expand_selections(inst)
 
 
 # --- pushing blocks ----------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Random formula generators shared by the test modules.
+"""Random formula generators, the `<->` chain and a SIGALRM deadline,
+shared by the test modules.
 
 All generators take an explicit random.Random so suites stay
 reproducible.
 """
+
+import contextlib
+import signal
 
 from sepfrag import syntax as S
 
@@ -242,3 +246,28 @@ def first_disagreement(f, g, size):
                     left = (va >> local) & 1
                     return space.decode(cmap, code), "left" if left else "right"
     return None
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def iff_chain(n, leading=False):
+    """(P(a0) | Q(a0)) <-> ... <-> (P(a<n-1>) | Q(a<n-1>)); with `leading`,
+    under one `exists z` whose z replaces the a<i> in P of every even
+    operand.  `to_nnf` shares both polarities of each operand, so the
+    NNF is linear in n only as a DAG."""
+    parts = [f"(P({'z' if leading and i % 2 == 0 else f'a{i}'}) | Q(a{i}))" for i in range(n)]
+    return ("exists z. " if leading else "") + " <-> ".join(parts)

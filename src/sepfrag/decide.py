@@ -1,9 +1,11 @@
 """Satisfiability decision.
 
-Sentences without universal quantifiers go through the propositional
-route: Skolemize the NNF of the sentence in one walk, with no prenex
-form (`skolemize_existential`), abstract its atoms to signed ints,
-reading each ground equation s = t as the atom E(s, t) of a fresh
+One walk (`syntax.survey`) finds whether a variable bound universally,
+by polarity, occurs in an atom; counting is expanded and surveyed again
+only where it occurs.  Sentences without such a variable go through the
+propositional route: Skolemize the NNF of the sentence in one walk, with
+no prenex form (`skolemize_existential`), abstract its atoms to signed
+ints, reading each ground equation s = t as the atom E(s, t) of a fresh
 predicate E (`to_propositional`), emit the ground equality axioms of E
 as integer clauses (`equality_axioms`), encode the tree with the
 Plaisted-Greenbaum gates of `syntax.Gates` (`prop_cnf`), and decide it
@@ -12,9 +14,9 @@ against the sentence as a Herbrand model.  Everything else is searched
 for a model of the sentence as written (`search.ModelSearch`), sizes 1
 and 2 first: the standard form and all size bounds, the BSR
 translation's included, are built only when neither size has a model,
-and a sat verdict at size 1 or 2 carries only "path" and
-"search_limit".  A size with more than `search._SCAN_BITS` (30) ground
-atoms is one SAT call on the same solver, listed in "sat_sizes".
+and a sat verdict at size 1 or 2 carries only "path" and "search_limit".
+A size with more than `search._SCAN_BITS` (30) ground atoms is one SAT
+call on the same solver, listed in "sat_sizes".
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 from . import analysis
 from . import syntax as S
 from . import translate
-from .errors import BadParams, BudgetExceeded, HasUniversals, NotASentence, NotGround
+from .errors import BadParams, BudgetExceeded, HasUniversals, NotGround
 from .errors import NotHorn, NotKrom, depth_guarded
 from .search import ModelSearch, find_model  # noqa: F401  (bench/tracer.py wraps it)
 from .semantics import Structure, evaluate
@@ -39,17 +41,17 @@ SKOLEM_PREFIX = "sk"
 # Skolemization of purely existential sentences
 
 
-def skolemize_existential(f: S.Formula) -> S.Formula:
+def skolemize_existential(f: S.Formula, survey: Optional[S.Survey] = None) -> S.Formula:
     """The ground, equisatisfiable NNF of a counting-free sentence
     without universals.  One walk over `syntax.to_nnf(f)`, memoized by
     node and binding, drops the quantifiers and names the i-th
     existential variable, in binder pre-order, by a constant sk<i> fresh
-    against the constants and binder names of f.  A universal variable
-    that reaches an atom raises HasUniversals, a free one NotASentence."""
-    binders, free, consts = S.names_in(f)
-    if free:
-        raise NotASentence(f"free variables: {sorted(free)}")
-    fresh = S.FreshNames(consts | set(binders))
+    against the constants and binder names of f, read off `survey`, the
+    `syntax.survey` of f, when given.  A universal variable that reaches
+    an atom raises HasUniversals, a free one NotASentence."""
+    s = survey or S.survey(f)
+    s.signature(sentence=True)
+    fresh = S.FreshNames(s.consts | set(s.binders))
     numbers = count(1)
     memo: dict = {}  # (id of node, id of binding) -> (result, the binding, kept alive)
 
@@ -78,7 +80,7 @@ def skolemize_existential(f: S.Formula) -> S.Formula:
             memo[key] = out, env
         return memo[key][0]
 
-    return walk(S.to_nnf(f), {}) if binders else S.to_nnf(f)
+    return walk(S.to_nnf(f), {}) if s.binders else S.to_nnf(f)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +437,9 @@ def _bound(sf: S.StandardForm, details: dict):
     return min((b for b in exact if b is not None), default=None), rep.model_size
 
 
-def _search_path(f: S.Formula, expanded: S.Formula, max_size: int):
+def _search_path(f: S.Formula, expanded: S.Formula, max_size: int, survey: S.Survey):
     """Sizes 1 and 2, then the bound only if neither has a model."""
-    models = ModelSearch(f)
+    models = ModelSearch(f, survey)
     witness = models.run(min(2, max_size))
     bound = symbolic = None
     if witness is not None:
@@ -461,24 +463,27 @@ def _search_path(f: S.Formula, expanded: S.Formula, max_size: int):
 def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     """Decide satisfiability of a function-free sentence.
 
-    A sentence without universals once counting is expanded is
-    Skolemized and decided on the propositional route.  Everything else
-    is searched for a model of size 1 or 2 first; a model of size s
-    there carries {"path": "model-search", "search_limit": s}.  Only when
-    neither has a model are the standard form and the size bounds built;
-    the search goes on, on a form prepared once, up to "search_limit":
-    min(bound, cfg.max_model_size), or 2 where that is 1 and size 2 was
-    searched.  The verdict is inconclusive, carrying the bound, when the
-    search space was not exhausted.  Sizes decided by one SAT call, not
-    the packed scan, are listed in details["sat_sizes"].  A negative
-    cfg.max_model_size raises BadParams, and an open formula NotASentence.
+    The route is read off `syntax.survey` of f, or of its counting
+    expansion where counting occurs: a sentence in which no universally
+    bound variable reaches an atom is Skolemized and decided on the
+    propositional route.  Everything else is searched for a model of
+    size 1 or 2 first; a model of size s there carries {"path":
+    "model-search", "search_limit": s}.  Only when neither has a model
+    are the standard form and the size bounds built; the search goes on,
+    on a form prepared once, up to "search_limit": min(bound,
+    cfg.max_model_size), or 2 where that is 1 and size 2 was searched.
+    The verdict is inconclusive, carrying the bound, when the search
+    space was not exhausted.  Sizes decided by one SAT call, not the
+    packed scan, are listed in details["sat_sizes"].  A negative
+    cfg.max_model_size raises BadParams, an open formula NotASentence
+    and a predicate at two arities ArityMismatch.
     """
     cfg = cfg or DecideConfig()
     if cfg.max_model_size < 0:
         raise BadParams(f"model search needs max_model_size >= 0, got {cfg.max_model_size}")
-    expanded = expand_counting(f).formula
-    try:
-        ground = skolemize_existential(expanded)
-    except HasUniversals:
-        return _search_path(f, expanded, cfg.max_model_size)
-    return _existential_path(f, ground)
+    survey = S.survey(f)
+    expanded = expand_counting(f).formula if survey.counting else f
+    routed = S.survey(expanded) if survey.counting else survey
+    if routed.universal:
+        return _search_path(f, expanded, cfg.max_model_size, survey)
+    return _existential_path(f, skolemize_existential(expanded, routed))

@@ -92,9 +92,10 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
     separatedness is lost in that case.  A sentence without counting
     quantifiers is returned as it is.
     """
-    if not S.has_counting(f):
+    survey = S.survey(f)
+    if not survey.counting:
         return ExpansionResult(f, False, 0)
-    fresh = S.FreshNames(S.all_var_names(f) | S.constants_of(f))
+    fresh = S.FreshNames(survey.names())
     introduced: set[str] = set()
     sites = 0
 
@@ -121,14 +122,8 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
         )
 
     out = walk(f)
-    uni, _ = S.bound_vars_by_kind(out)
-    breaks = False
-    if introduced and uni:
-        for a in S.atoms_iter(out):
-            av = S.atom_vars(a)
-            if av & introduced and av & uni:
-                breaks = True
-                break
+    uni = {v for g in S.subformulas(out) if type(g) is Forall for v in g.vars}
+    breaks = any((av := S.atom_vars(a)) & introduced and av & uni for a in S.atoms_iter(out))
     return ExpansionResult(out, breaks, sites)
 
 
@@ -153,7 +148,8 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
     if not S.is_nnf(f):
         raise NotNNF("input must be in negation normal form")
     m = max(0, math.ceil(math.log2(bound))) if bound > 1 else 0
-    sig = S.infer_signature(f)
+    survey = S.survey(f)
+    sig = survey.signature()
     qnames = []
     i = 0
     while len(qnames) < m:
@@ -161,7 +157,7 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
         name = f"Q{i}"
         if name not in sig.predicates:
             qnames.append(name)
-    fresh = S.FreshNames(S.all_var_names(f) | S.constants_of(f) | {"x", "y"})
+    fresh = S.FreshNames(survey.names() | {"x", "y"})
 
     def eq_hat(s: S.Term, t: S.Term) -> S.Formula:
         return conj([Iff(Pred(q, (s,)), Pred(q, (t,))) for q in qnames])

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import syntax as S
-from .errors import BadParams, BudgetExceeded, NotASentence, depth_guarded
+from .errors import BadParams, BudgetExceeded, depth_guarded
 from .generators import expand_counting
 from .semantics import Structure, evaluate
 
@@ -522,13 +522,12 @@ class ModelSearch:
     every later size and call; its memo plan only when a size is scanned.
     A size with more than `_SCAN_BITS` ground atoms is decided by one SAT
     call (`sat`), every other size by the packed scan (`scan`);
-    `sat_sizes` lists the sizes decided by SAT."""
+    `sat_sizes` lists the sizes decided by SAT.  The signature is read
+    off `survey`, the `syntax.survey` of f, when given."""
 
-    def __init__(self, f: S.Formula):
-        if S.free_vars(f):
-            raise NotASentence(f"free variables: {sorted(S.free_vars(f))}")
+    def __init__(self, f: S.Formula, survey: Optional[S.Survey] = None):
         self.f = f
-        self.sig = S.infer_signature(f)
+        self.sig = (survey or S.survey(f)).signature(sentence=True)
         self._minimized = None  # scope-minimized form
         self._plan = None  # its memo plan, for the scan
         self._encoded = None  # (its counting-free NNF, `syntax.free_vars` memo over it)
@@ -637,14 +636,19 @@ def equivalent_upto(
     """
     if size < 1:
         raise BadParams(f"equivalence check needs size >= 1, got {size}")
-    fv = sorted(S.free_vars(f) | S.free_vars(g))
-    fresh = S.FreshNames(S.constants_of(f) | S.constants_of(g) | set(fv))
+    left, right = S.survey(f), S.survey(g)
+    fv = sorted(left.free | right.free)
+    fresh = S.FreshNames(left.consts | right.consts | set(fv))
     var_consts = {v: fresh.fresh(f"{v}_val") for v in fv}
     if var_consts:
         binding = {v: S.Const(c) for v, c in var_consts.items()}
         f = S.substitute(f, binding)
         g = S.substitute(g, binding)
-    differ = ModelSearch(S.Iff(f, S.Not(g)))
+    sig = left.signature()
+    for name, arity in right.signature().predicates.items():
+        sig.declare(name, arity)
+    consts = left.consts | right.consts | set(var_consts.values())
+    differ = ModelSearch(S.Iff(f, S.Not(g)), S.Survey(consts, sig.predicates))  # no free variable left
     spent = 0
     for m in range(1, size + 1):
         spent += _n_structures(differ.sig, m)

@@ -38,18 +38,22 @@ changes and passes every other node through
 pre-order over `children`, so a new node type is added in those two
 functions only.  Walkers that compute something different for each node
 type stay hand-written: the evaluators, the printer, `free_vars`,
-`names_in`, `formula_len`, prenexing, `to_nnf` and `nnf_tree`.  `to_nnf`
+`survey`, `formula_len`, prenexing, `to_nnf` and `nnf_tree`.  `to_nnf`
 is the only code that rewrites -> and <-> and pushes ~ inward;
 `nnf_tree`, `cnf_matrix` and the model search's SAT encoding read its
-output.
+output.  `survey` collects in one walk what a caller needs to know of a
+formula's names and shape: binders, free variables, constants,
+predicate arities, whether counting occurs and whether a universally
+bound variable reaches an atom; `names_in`, `constants_of` and
+`infer_signature` are views of it.
 
 Sharing: `to_nnf` shares the operands of <->, so a formula may be a DAG.
 A walk that computes a function of a node visits each node object once:
 `subformulas` yields it at its first occurrence, and `free_vars`,
-`names_in`, `formula_len`, prenexing, `to_nnf`, `nnf_tree` and
-`equality_as_predicate` memoize by node id.  The printer and the
-substitution walk visit every occurrence, as each quantifier occurrence
-gets its own names.
+`survey`, `formula_len`, prenexing, `to_nnf`, `nnf_tree`,
+`equality_as_predicate` and `substitute` memoize by node id.  The
+printer and `rename_apart` visit every occurrence, as each quantifier
+occurrence gets its own names.
 """
 
 from __future__ import annotations
@@ -309,64 +313,92 @@ def free_vars(f: Formula, memo: Optional[dict] = None) -> frozenset[str]:
 
 
 def constants_of(f: Formula) -> frozenset[str]:
-    return frozenset(names_in(f)[2])
-
-
-def bound_vars_by_kind(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
-    """All variable names bound by universal / existential quantifiers."""
-    uni, exi = set(), set()
-    for g in subformulas(f):
-        if isinstance(g, Forall):
-            uni.update(g.vars)
-        elif isinstance(g, (Exists, CountingExists)):
-            exi.update(g.vars)
-    return frozenset(uni), frozenset(exi)
-
-
-def all_var_names(f: Formula) -> frozenset[str]:
-    """Every variable name occurring in f, free or bound."""
-    binders, free, _ = names_in(f)
-    return frozenset(binders).union(free)
+    return frozenset(survey(f).consts)
 
 
 def names_in(f: Formula) -> tuple[list[str], set[str], set[str]]:
-    """Binder names (one entry per binder occurrence, in pre-order,
-    repeats included), free variables and constants of f, collected in
-    one walk that visits each node object once per quantifier scope it
-    occurs in: a node met again in a scope repeats its binders."""
-    binders: list[str] = []
-    free: set[str] = set()
-    consts: set[str] = set()
-    spans: dict[int, tuple] = {}  # id of a node -> (bound, span of its binders in `binders`)
+    """Binder names, free variables and constants of f (`survey`)."""
+    s = survey(f)
+    return s.binders, s.free, s.consts
 
-    def walk(g, bound):
+
+class Survey:
+    """What one walk of a formula finds (`survey`): the binder names, one
+    per occurrence in pre-order, free variables, constants, predicate
+    arities at first use, `clash`, the first (name, arity, earlier arity)
+    that disagrees, and the flags `counting` and `universal`."""
+
+    __slots__ = ("binders", "free", "consts", "predicates", "clash", "counting", "universal")
+
+    def __init__(self, consts=(), predicates=()):
+        self.binders, self.free, self.clash = [], set(), None
+        self.consts, self.predicates = set(consts), dict(predicates)
+        self.counting = self.universal = False
+
+    def names(self) -> set[str]:
+        return self.free | self.consts | set(self.binders)
+
+    def signature(self, sentence: bool = False) -> "Signature":
+        """The predicates and constants; with `sentence`, a free variable
+        raises NotASentence, and then a clash ArityMismatch."""
+        if sentence and self.free:
+            raise NotASentence(f"free variables: {sorted(self.free)}")
+        if self.clash:
+            raise ArityMismatch(*self.clash)
+        return Signature(dict(self.predicates), set(self.consts))
+
+
+def survey(f: Formula) -> Survey:
+    """The binder names (one per occurrence, in pre-order), free
+    variables, constants and predicate arities of f, in one walk that
+    visits each node object once per scope and polarity; a node met
+    again there repeats its binders.  Polarity flips under ~ and left of
+    ->, and <-> gives its operands both, so `universal` is set when a
+    forall of positive polarity, or an exists of negative, binds a
+    variable of an atom: on a counting-free sentence, one of to_nnf(f)."""
+    s = Survey()
+    binders, free, consts, preds = s.binders, s.free, s.consts, s.predicates
+    memos: tuple = ({}, {}, {})  # by polarity 0, 1, -1: id of a node -> (bound, binder span)
+
+    def walk(g, bound, uni, pol):
         t = type(g)
         if t is Pred or t is Eq:
-            for a in g.args if t is Pred else (g.left, g.right):
+            args = g.args if t is Pred else (g.left, g.right)
+            if t is Pred and preds.setdefault(g.name, len(args)) != len(args):
+                s.clash = s.clash or (g.name, len(args), preds[g.name])
+            for a in args:
                 if type(a) is Const:
                     consts.add(a.name)
                 elif a.name not in bound:
                     free.add(a.name)
+                elif a.name in uni:
+                    s.universal = True
             return
-        hit = spans.get(id(g))
+        memo = memos[pol]
+        hit = memo.get(id(g))
         if hit is not None and hit[0] is bound:
             binders.extend(binders[hit[1] : hit[2]])
             return
         start = len(binders)
         if t is Forall or t is Exists or t is CountingExists:
+            s.counting = s.counting or t is CountingExists
             binders.extend(g.vars)
-            walk(g.body, bound.union(g.vars))
+            # the new `bound` is a new object, which stands for `uni` in the memo too
+            universal = pol == 0 or (t is Forall) == (pol == 1)
+            uni = uni.union(g.vars) if universal else uni.difference(g.vars)
+            walk(g.body, bound.union(g.vars), uni, pol)
+        elif t is Not:
+            walk(g.sub, bound, uni, -pol)
+        elif t is Implies or t is Iff:
+            walk(g.left, bound, uni, 0 if t is Iff else -pol)
+            walk(g.right, bound, uni, 0 if t is Iff else pol)
         else:
             for k in children(g):
-                walk(k, bound)
-        spans[id(g)] = bound, start, len(binders)
+                walk(k, bound, uni, pol)
+        memo[id(g)] = bound, start, len(binders)
 
-    walk(f, frozenset())
-    return binders, free, consts
-
-
-def has_counting(f: Formula) -> bool:
-    return any(isinstance(g, CountingExists) for g in subformulas(f))
+    walk(f, frozenset(), frozenset(), 1)
+    return s
 
 
 def is_quantifier_free(f: Formula) -> bool:
@@ -411,17 +443,12 @@ class Signature:
 
 
 def infer_signature(f: Formula, hint: Optional[Signature] = None) -> Signature:
+    """The predicates and constants of f (`survey`) after those of `hint`."""
     sig = hint.copy() if hint is not None else Signature()
-    for a in atoms_iter(f):
-        if isinstance(a, Pred):
-            sig.declare(a.name, len(a.args))
-            for t in a.args:
-                if isinstance(t, Const):
-                    sig.constants.add(t.name)
-        else:
-            for t in (a.left, a.right):
-                if isinstance(t, Const):
-                    sig.constants.add(t.name)
+    own = survey(f).signature()
+    for name, arity in own.predicates.items():
+        sig.declare(name, arity)
+    sig.constants |= own.constants
     return sig
 
 
@@ -470,15 +497,23 @@ def _rebind(f: Formula, env: dict[str, Term], name_binders, prune: bool) -> Form
     `name_binders(vars, inner)` returns the names for a quantifier's
     variables, given the binding `inner` that holds below it; a renamed
     variable is bound to its new name in the body within the same pass.
-    With `prune`, a subtree is returned as it is once `env` is empty.
+    With `prune`, a subtree comes back as it is once `env` is empty, and
+    a node object is rewritten once per binding object, staying shared.
     """
+    memo: dict = {}  # (id of node, id of binding) -> (result, the binding, kept alive)
 
     def term(t: Term, env) -> Term:
         return env.get(t.name, t) if isinstance(t, Var) else t
 
     def walk(g: Formula, env) -> Formula:
-        if prune and not env:
-            return g
+        if not prune:
+            return visit(g, env)
+        key = id(g), id(env)
+        if env and key not in memo:
+            memo[key] = visit(g, env), env
+        return memo[key][0] if env else g
+
+    def visit(g: Formula, env) -> Formula:
         kind = type(g)
         if kind is Pred:
             return Pred(g.name, tuple(term(t, env) for t in g.args)) if env else g
@@ -542,8 +577,7 @@ def substitute(f: Formula, binding: Mapping[str, Term]) -> Formula:
     if not binding:
         return f
     fresh = _fresh_on_demand(
-        lambda: all_var_names(f)
-        | constants_of(f)
+        lambda: survey(f).names()
         | set(binding)
         | {t.name for t in binding.values() if isinstance(t, Var)}
     )

@@ -18,7 +18,7 @@ from sepfrag.decide import (
     skolemize_existential,
     to_propositional,
 )
-from sepfrag.errors import HasUniversals, NotASentence, NotGround, NotHorn, NotKrom, NotNNF, TooDeep
+from sepfrag.errors import ArityMismatch, HasUniversals, NotASentence, NotGround, NotHorn, NotKrom, NotNNF, TooDeep
 from sepfrag.generators import expand_counting, generate_hard_family
 from sepfrag.search import ModelSearch, equivalent_upto, find_model
 from sepfrag.semantics import evaluate
@@ -75,6 +75,115 @@ def test_skolemize_equisatisfiable_random():
         g = skolemize_existential(f)
         n = len(S.constants_of(g)) or 1
         assert (find_model(f, max_size=n) is None) == (find_model(g, max_size=n) is None)
+
+
+# --- the survey and the route ------------------------------------------------
+
+
+def _random_quantified(rng, depth=0, scope=()):
+    """A random formula over the variables x, y and z, so that binders
+    shadow each other, the constants a and b, P/1, Q/2 and equations,
+    with plain and counting quantifiers under ~, -> and <->, true and
+    false, and now and then the free variable w."""
+    if depth >= 4 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return rng.choice([S.TRUE, S.FALSE])
+        pool = [S.Var(v) for v in scope] + [S.Const("a"), S.Const("b")]
+        pool += [S.Var("w")] if rng.random() < 0.03 else []
+        roll = rng.random()
+        if roll < 0.45:
+            return S.Pred("P", (rng.choice(pool),))
+        if roll < 0.85:
+            return S.Pred("Q", (rng.choice(pool), rng.choice(pool)))
+        return S.Eq(rng.choice(pool), rng.choice(pool))
+    roll = rng.random()
+    if roll < 0.35:
+        names = tuple(rng.sample("xyz", rng.randint(1, 2)))
+        body = _random_quantified(rng, depth + 1, scope + names)
+        kind = rng.random()
+        if kind < 0.4:
+            return S.Forall(names, body)
+        if kind < 0.8:
+            return S.Exists(names, body)
+        return S.CountingExists(rng.randint(1, 3), names, body)
+    parts = [_random_quantified(rng, depth + 1, scope) for _ in range(2)]
+    if roll < 0.5:
+        return S.Not(parts[0])
+    if roll < 0.65:
+        return S.And(tuple(parts))
+    if roll < 0.75:
+        return S.Or(tuple(parts))
+    if roll < 0.9:
+        return S.Implies(*parts)
+    return S.Iff(*parts)
+
+
+def test_survey_agrees_with_the_walks_it_replaces():
+    # the route flag against an attempted Skolemization of the expanded
+    # sentence, and the names and arities against reference walks
+    rng = random.Random(29)
+    routes = Counter()
+    for i in range(5000):
+        f = _random_quantified(rng)
+        s = S.survey(f)
+        atoms = list(S.atoms_iter(f))
+        arities = {}
+        for a in atoms:
+            if type(a) is S.Pred:
+                arities.setdefault(a.name, len(a.args))
+        terms = [t for a in atoms for t in (a.args if type(a) is S.Pred else (a.left, a.right))]
+        assert s.free == S.free_vars(f)
+        assert s.consts == {t.name for t in terms if type(t) is S.Const}
+        assert list(s.predicates.items()) == list(arities.items()) and s.clash is None
+        assert s.counting == any(type(g) is S.CountingExists for g in S.subformulas(f))
+        if s.free:
+            routes["open"] += 1
+            continue
+        expanded = expand_counting(f).formula
+        try:
+            skolemize_existential(expanded)
+            universal = False
+        except HasUniversals:
+            universal = True
+        assert S.survey(expanded).universal == universal, print_formula(f)
+        if not s.counting:
+            assert S.survey(S.to_nnf(f)).universal == universal  # a DAG under <->
+        routes[universal, s.counting] += 1
+        if i % 50 == 0:
+            path = decide_sat(f, DecideConfig(max_model_size=0)).details["path"]
+            assert path == ("model-search" if universal else "propositional")
+    assert min(routes.values()) >= 100, routes
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ("forall x. P(a)", "propositional"),
+        ("exists x. P(x) & (forall y. Q(c))", "propositional"),
+        ("~(exists x. P(x) & ~P(x))", "model-search"),
+        ("~(exists>=2 y. Q(a))", "model-search"),  # a universal only once expanded
+        ("exists x. (P(x) <-> Q(a))", "propositional"),
+        ("(exists x. P(x)) <-> Q(a)", "model-search"),
+    ],
+)
+def test_decide_routes_on_the_survey(text, path):
+    f, _ = parse_formula(text)
+    assert decide_sat(f).details["path"] == path
+
+
+def test_a_predicate_at_two_arities_raises_arity_mismatch():
+    a, b, x = S.Const("a"), S.Const("b"), S.Var("x")
+    ground = S.And((S.Pred("P", (a,)), S.Pred("P", (a, b))))
+    universal = S.Forall(("x",), S.Or((S.Pred("P", (x,)), S.Pred("P", (x, x)))))
+    for f in (ground, universal):
+        with pytest.raises(ArityMismatch):
+            decide_sat(f)
+        with pytest.raises(ArityMismatch):
+            ModelSearch(f)
+        with pytest.raises(ArityMismatch):
+            equivalent_upto(f, S.TRUE, 1)
+    with pytest.raises(ArityMismatch):  # one arity on each side
+        equivalent_upto(ground.parts[0], ground.parts[1], 1)
 
 
 # --- equality elimination ----------------------------------------------------

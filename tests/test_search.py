@@ -68,7 +68,7 @@ def check_sat_route(f, seen):
             continue
         assert evaluate(sat, {}, f), (print_formula(f), size)
         seen["sat"] += 1
-        seen["counting"] += S.has_counting(f)
+        seen["counting"] += S.survey(f).counting
         seen["distinct constants"] += len(set(sat.constants.values())) > 1
 
 

@@ -374,7 +374,7 @@ def test_flatten_unit_matches_substitution_per_level():
         units = [_random_unit(rng, 4, ["z"], names) for _ in range(rng.randint(1, 3))]
         used = set()
         for u in units:
-            used |= S.all_var_names(u) | S.constants_of(u)
+            used |= S.survey(u).names()
         fresh = S.FreshNames(used)
         alloc = ["u1"] if rng.random() < 0.5 else []
         cursor = [0]

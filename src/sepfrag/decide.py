@@ -43,8 +43,8 @@ SKOLEM_PREFIX = "sk"
 
 def skolemize_existential(f: S.Formula, survey: Optional[S.Survey] = None) -> S.Formula:
     """The ground, equisatisfiable NNF of a counting-free sentence
-    without universals.  One walk over `syntax.to_nnf(f)`, memoized by
-    node and binding, drops the quantifiers and names the i-th
+    without universals.  One `syntax.rewrite` of `syntax.to_nnf(f)`
+    drops the quantifiers and names the i-th
     existential variable, in binder pre-order, by a constant sk<i> fresh
     against the constants and binder names of f, read off `survey`, the
     `syntax.survey` of f, when given.  A universal variable that reaches
@@ -53,9 +53,8 @@ def skolemize_existential(f: S.Formula, survey: Optional[S.Survey] = None) -> S.
     s.signature(sentence=True)
     fresh = S.FreshNames(s.consts | set(s.binders))
     numbers = count(1)
-    memo: dict = {}  # (id of node, id of binding) -> (result, the binding, kept alive)
 
-    def walk(g, env):
+    def rule(g, env, walk):
         t = type(g)
         if t is S.Pred or t is S.Eq:
             if not env:
@@ -65,22 +64,15 @@ def skolemize_existential(f: S.Formula, survey: Optional[S.Survey] = None) -> S.
             if any(a is None for a in terms):
                 raise HasUniversals(f"a universal variable occurs in {S.print_formula(g)}")
             return S.Pred(g.name, tuple(terms)) if t is S.Pred else S.Eq(*terms)
-        key = id(g), id(env)
-        if key not in memo:
-            if t is S.Exists or t is S.Forall:
-                inner = {**env, **dict.fromkeys(g.vars)}  # None marks a universal
-                if t is S.Exists:
-                    for v in g.vars:
-                        inner[v] = S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{next(numbers)}"))
-                out = walk(g.body, inner)
-            else:
-                kids = S.children(g)
-                new = [walk(k, env) for k in kids]
-                out = g if all(a is b for a, b in zip(new, kids)) else S.rebuild(g, new)
-            memo[key] = out, env
-        return memo[key][0]
+        if t is not S.Exists and t is not S.Forall:
+            return None
+        inner = {**env, **dict.fromkeys(g.vars)}  # None marks a universal
+        if t is S.Exists:
+            for v in g.vars:
+                inner[v] = S.Const(fresh.fresh(f"{SKOLEM_PREFIX}{next(numbers)}"))
+        return walk(g.body, inner)
 
-    return walk(S.to_nnf(f), {}) if s.binders else S.to_nnf(f)
+    return S.rewrite(S.to_nnf(f), rule, {}) if s.binders else S.to_nnf(f)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +239,7 @@ def dpll_sat(c: PropCnf) -> SatVerdict:
     conflicts above it; on a 2-CNF set every learnt clause has at most two
     literals."""
     n = c.num_vars
-    unsat = SatVerdict("unsat", details={"backend": "cdcl"})
+    unsat = SatVerdict("unsat")
     # val and watches are indexed by literal: -v wraps to the back half
     val = [0] * (2 * n + 1)  # 1 true, -1 false, 0 unassigned
     watches: list[list] = [[] for _ in range(2 * n + 1)]
@@ -308,7 +300,7 @@ def dpll_sat(c: PropCnf) -> SatVerdict:
                 nxt += 1
             if nxt > n:
                 assignment = {v: val[v] == 1 for v in range(1, n + 1)}
-                return SatVerdict("sat", assignment=assignment, details={"backend": "cdcl"})
+                return SatVerdict("sat", assignment=assignment)
             starts.append(len(trail))
             enqueue(-nxt, None)
             continue
@@ -400,7 +392,6 @@ def _existential_path(sentence: S.Formula, ground: S.Formula) -> SatVerdict:
     cnf = prop_cnf(tree, amap, axioms)
     verdict = dpll_sat(cnf)
     details = {
-        **verdict.details,
         "path": "propositional",
         "equality_eliminated": amap.equality is not None,
         "variables": cnf.num_vars,

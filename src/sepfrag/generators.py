@@ -27,8 +27,9 @@ the equality axioms is built by `_rule`.  The tiler and the canonical
 models do not read these schemas: they are independent oracles against
 which the tests check the encodings.
 
-`smp_to_sf` and `sf_equality_elim` rewrite each node object of a shared
-NNF once, so their output keeps the sharing of `to_nnf`'s DAG.
+`expand_counting`, `smp_to_sf` and `sf_equality_elim` rewrite each node
+object of a shared NNF once (`syntax.rewrite`), so their output keeps
+the sharing of `to_nnf`'s DAG.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
     The result flags when an expansion puts fresh existential variables
     into an atom together with a universally quantified variable, since
     separatedness is lost in that case.  A sentence without counting
-    quantifiers is returned as it is.
+    quantifiers is returned as it is.  A shared counting node is expanded
+    once (`syntax.rewrite`), so `sites` counts node objects.
     """
     survey = S.survey(f)
     if not survey.counting:
@@ -99,29 +101,22 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
     introduced: set[str] = set()
     sites = 0
 
-    def walk(g):
+    def rule(g, env, walk):
         nonlocal sites
-        if not isinstance(g, S.CountingExists):
-            return S.rebuild(g, [walk(k) for k in S.children(g)])
-        body = walk(g.body)
+        if type(g) is not S.CountingExists:
+            return None
+        body = walk(g.body, env)
         sites += 1
-        groups = []
-        for _ in range(g.n):
-            grp = tuple(fresh.fresh(v) for v in g.vars)
-            introduced.update(grp)
-            groups.append(grp)
-        copies = [
-            S.substitute(body, {v: Var(nv) for v, nv in zip(g.vars, grp)})
-            for grp in groups
+        groups = [tuple(fresh.fresh(v) for v in g.vars) for _ in range(g.n)]
+        introduced.update(*groups)
+        copies = [S.substitute(body, dict(zip(g.vars, map(Var, grp)))) for grp in groups]
+        diseqs = [
+            disj([Not(Eq(Var(u), Var(w))) for u, w in zip(a, b)])
+            for a, b in itertools.combinations(groups, 2)
         ]
-        diseqs = []
-        for a, b in itertools.combinations(groups, 2):
-            diseqs.append(disj([Not(Eq(Var(u), Var(w))) for u, w in zip(a, b)]))
-        return Exists(
-            tuple(v for grp in groups for v in grp), conj(copies + diseqs)
-        )
+        return Exists(tuple(v for grp in groups for v in grp), conj(copies + diseqs))
 
-    out = walk(f)
+    out = S.rewrite(f, rule)
     uni = {v for g in S.subformulas(out) if type(g) is Forall for v in g.vars}
     breaks = any((av := S.atom_vars(a)) & introduced and av & uni for a in S.atoms_iter(out))
     return ExpansionResult(out, breaks, sites)
@@ -162,28 +157,20 @@ def smp_to_sf(f: S.Formula, bound: int) -> S.Formula:
     def eq_hat(s: S.Term, t: S.Term) -> S.Formula:
         return conj([Iff(Pred(q, (s,)), Pred(q, (t,))) for q in qnames])
 
-    memo: dict[int, S.Formula] = {}  # id of a node of the input -> its rewrite
-
-    def walk(g):
-        if id(g) in memo:
-            return memo[id(g)]
-        if isinstance(g, S.CountingExists):
+    def rule(g, env, walk):
+        if type(g) is S.CountingExists:
             raise NotNNF("input must be in negation normal form")
-        if isinstance(g, S.Exists):
-            out = walk(g.body)
-            for y in reversed(g.vars):
-                v = fresh.fresh("v")
-                guarded = Implies(eq_hat(Var(y), Var(v)), S.substitute(out, {y: Var(v)}))
-                out = Exists((y,), Forall((v,), guarded))
-        else:
-            kids = S.children(g)
-            new = [walk(k) for k in kids]
-            out = g if all(a is b for a, b in zip(new, kids)) else S.rebuild(g, new)
-        memo[id(g)] = out
+        if type(g) is not Exists:
+            return None
+        out = walk(g.body, env)
+        for y in reversed(g.vars):
+            v = fresh.fresh("v")
+            guarded = Implies(eq_hat(Var(y), Var(v)), S.substitute(out, {y: Var(v)}))
+            out = Exists((y,), Forall((v,), guarded))
         return out
 
     ax_fin = Forall(("x", "y"), Implies(eq_hat(Var("x"), Var("y")), Eq(Var("x"), Var("y"))))
-    return And((ax_fin, walk(S.rename_apart(f, reserved={"x", "y"}))))
+    return And((ax_fin, S.rewrite(S.rename_apart(f, reserved={"x", "y"}), rule)))
 
 
 # ---------------------------------------------------------------------------

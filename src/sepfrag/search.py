@@ -345,14 +345,17 @@ _QUANTIFIERS = (S.Forall, S.Exists, S.CountingExists)
 
 
 def scope_minimized(f: S.Formula) -> S.Formula:
+    """f with every forall and exists block minimized by `_block`,
+    innermost first, in one `syntax.rewrite`, so the result keeps the
+    sharing of f."""
     memo: dict = {}  # `syntax.free_vars` of the nodes met
 
-    def walk(g: S.Formula) -> S.Formula:
-        if isinstance(g, (S.Forall, S.Exists)):
-            return _block(type(g), g.vars, walk(g.body), memo)
-        return S.rebuild(g, [walk(k) for k in S.children(g)])
+    def rule(g: S.Formula, env, walk) -> Optional[S.Formula]:
+        if type(g) is S.Forall or type(g) is S.Exists:
+            return _block(type(g), g.vars, walk(g.body, env), memo)
+        return None
 
-    return walk(f)
+    return S.rewrite(f, rule)
 
 
 def _block(quant, names, body: S.Formula, memo: dict) -> S.Formula:

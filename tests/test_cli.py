@@ -152,7 +152,6 @@ def test_decide_ground_equational_golden(capsys):
         },
         "bound": None,
         "details": {
-            "backend": "cdcl",
             "path": "propositional",
             "equality_eliminated": True,
             "variables": 12,

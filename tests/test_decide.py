@@ -965,7 +965,7 @@ def test_decide_wide_ground_input():
     # 400 disjoint clauses over 1200 atoms: deep for a recursive solver
     f, _ = parse_formula(" & ".join(f"(P(a{i}) | P(b{i}) | P(c{i}))" for i in range(400)))
     v = decide_sat(f)
-    assert v.status == "sat" and v.details["backend"] == "cdcl"
+    assert v.status == "sat" and v.details["path"] == "propositional"
     assert evaluate(v.structure, {}, f)
 
 

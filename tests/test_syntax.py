@@ -1,18 +1,20 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sepfrag import syntax as S
+from sepfrag import search, syntax as S
 from sepfrag.errors import (
     ArityMismatch,
     NotASentence,
     ParseError,
     UnexpandedCounting,
 )
-from sepfrag.search import enumerate_structures, equivalent_upto
+from sepfrag.generators import expand_counting
+from sepfrag.search import enumerate_structures, equivalent_upto, scope_minimized
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import (
     alpha_eq,
@@ -27,7 +29,7 @@ from sepfrag.syntax import (
     to_standard_form,
 )
 
-from util import random_sentence, random_sf_sentence
+from util import deadline, random_sentence, random_sf_sentence
 
 
 # --- parsing ---------------------------------------------------------------
@@ -829,6 +831,140 @@ def test_equality_as_predicate_picks_first_free_name():
     assert g == S.Or((S.Pred("E2", (S.Const("c"), S.Const("d"))),) + f.parts[1:])
     assert S.equality_as_predicate(f, ())[1] == "E"
     assert S.equality_as_predicate(f, {"E"})[1] == "E1"
+
+
+# --- the one rewrite -------------------------------------------------------
+
+def _exists_chain(n):
+    """to_nnf of (exists y. P(y) & Q(a0)) <-> ... <-> (exists y. P(y) &
+    Q(a<n-1>)): a DAG whose every operand occurs 2^(n-1) times or so."""
+    text = " <-> ".join(f"(exists y. P(y) & Q(a{i}))" for i in range(n))
+    return to_nnf(parse_formula(text)[0])
+
+
+def test_rewrite_runs_the_rule_once_per_node_and_binding():
+    g = _exists_chain(8)
+    nodes = list(S.subformulas(g))
+    assert len(nodes) < len(_preorder(g))  # a DAG
+    calls = Counter()
+
+    def count(h, env, walk):
+        calls[id(h), id(env)] += 1
+
+    assert S.rewrite(g, count) is g  # a rule that changes nothing
+    assert set(calls.values()) == {1} and len(calls) == len(nodes)
+
+    # under each quantifier the body is walked under two bindings
+    calls.clear()
+    inner = ({"y": 1}, {"y": 2})
+
+    def both(h, env, walk):
+        calls[id(h), id(env)] += 1
+        if type(h) is S.Exists or type(h) is S.Forall:
+            return S.And(tuple(walk(h.body, e) for e in inner))
+        if type(h) is S.Pred and env and h.args[0] == S.Var("y"):
+            return S.Pred(h.name, (S.Const(f"b{env['y']}"),))
+
+    out = S.rewrite(g, both)
+    assert set(calls.values()) == {1}
+    below = {id(h) for q in nodes if type(q) in (S.Exists, S.Forall) for h in S.subformulas(q.body)}
+    assert len(calls) == len(nodes) + len(below)  # nodes below a quantifier under both bindings
+    assert len(list(S.subformulas(out))) < len(_preorder(out))  # sharing kept
+    assert S.rewrite(out, both) is out  # quantifier-free: nothing to rewrite
+
+
+def test_scope_minimized_is_linear_on_shared_nnf():
+    g = _exists_chain(18)
+    with deadline(1):
+        minimized = scope_minimized(g)
+    assert len(list(S.subformulas(minimized))) < 20 * 18
+
+
+def test_expand_counting_is_linear_on_shared_nnf():
+    g = _exists_chain(18)
+    counted = S.CountingExists(2, ("z",), S.Pred("R", (S.Var("z"),)))
+    with deadline(1):
+        out = expand_counting(S.Forall(("x",), S.And((g, counted))))
+    assert out.sites == 1 and not out.breaks_separation
+    assert out.formula.body.parts[0] is g  # nothing to expand in the DAG
+
+
+def test_expand_counting_expands_a_shared_counting_node_once():
+    counted = S.CountingExists(2, ("z",), S.Pred("R", (S.Var("z"),)))
+    out = expand_counting(S.And((counted, S.Or((counted, S.Pred("P", (S.Const("c"),)))))))
+    assert out.sites == 1  # node objects, not occurrences
+    assert out.formula.parts[0] is out.formula.parts[1].parts[0]
+
+
+# Reference walks of `scope_minimized` and `expand_counting` that rebuild
+# every occurrence, as they did before they became rules of `rewrite`.
+
+
+def _tree_scope_minimized(f):
+    memo = {}
+
+    def walk(g):
+        if isinstance(g, (S.Forall, S.Exists)):
+            return search._block(type(g), g.vars, walk(g.body), memo)
+        return S.rebuild(g, [walk(k) for k in S.children(g)])
+
+    return walk(f)
+
+
+def _tree_expand_counting(f):
+    survey = S.survey(f)
+    if not survey.counting:
+        return f, False, 0
+    fresh = S.FreshNames(survey.names())
+    introduced = set()
+    sites = 0
+
+    def walk(g):
+        nonlocal sites
+        if not isinstance(g, S.CountingExists):
+            return S.rebuild(g, [walk(k) for k in S.children(g)])
+        body = walk(g.body)
+        sites += 1
+        groups = []
+        for _ in range(g.n):
+            grp = tuple(fresh.fresh(v) for v in g.vars)
+            introduced.update(grp)
+            groups.append(grp)
+        copies = [
+            S.substitute(body, {v: S.Var(nv) for v, nv in zip(g.vars, grp)})
+            for grp in groups
+        ]
+        diseqs = []
+        for a, b in itertools.combinations(groups, 2):
+            diseqs.append(S.disj([S.Not(S.Eq(S.Var(u), S.Var(w))) for u, w in zip(a, b)]))
+        return S.Exists(tuple(v for grp in groups for v in grp), S.conj(copies + diseqs))
+
+    out = walk(f)
+    uni = {v for g in S.subformulas(out) if type(g) is S.Forall for v in g.vars}
+    breaks = any((av := S.atom_vars(a)) & introduced and av & uni for a in S.atoms_iter(out))
+    return out, breaks, sites
+
+
+def _counting(rng, f):
+    """f with about half of its exists blocks turned into counting ones."""
+    if isinstance(f, S.Exists) and rng.random() < 0.5:
+        return S.CountingExists(rng.randint(1, 3), f.vars, _counting(rng, f.body))
+    return S.rebuild(f, [_counting(rng, k) for k in S.children(f)])
+
+
+def test_rules_agree_with_the_tree_walks():
+    # equal as trees, so printed alike; every tenth input is a shared NNF
+    rng = random.Random(89)
+    counted = 0
+    for i in range(2000):
+        f = random_sentence(rng, with_eq=True)[0] if i % 2 else random_sf_sentence(rng)[0]
+        g = to_nnf(_iff_nest(rng)) if i % 10 == 0 else to_nnf(f) if i % 4 == 1 else f
+        assert scope_minimized(g) == _tree_scope_minimized(g)
+        h = _counting(rng, f)
+        out = expand_counting(h)
+        assert (out.formula, out.breaks_separation, out.sites) == _tree_expand_counting(h)
+        counted += out.sites > 0
+    assert counted > 500
 
 
 # --- length ----------------------------------------------------------------

@@ -20,26 +20,33 @@ idempotence-based deduplication effective.  A block builds, prints and
 interns each of its units once: a selection body of an existential block,
 or the universal part of a conjunct, is interned the first time it
 appears in the block, and every repeat counts as a dedup hit.  A new unit
-takes its free variables from its interned parts.
+takes its free variables from its interned parts, and an existential unit
+its count of prefix slots: its bound variables plus its parts' counts.
 
-One plan (`_plan`) gives both the prefix length that `bsr_leading_count`
-returns and the sentence that `to_bsr` builds, whose prefix is allocated
-from that count before any unit is instantiated.
+One subset-and-selection loop (`_selections`) serves both `to_bsr` and
+the lemma as a standalone operation (`expand_selections`), which interns
+its residues and options as units.  One plan (`_plan`) gives both the
+prefix length that `bsr_leading_count` returns and the sentence that
+`to_bsr` builds, whose prefix is allocated from that count before any
+unit is instantiated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import analysis
 from . import syntax as S
 from .errors import (
+    BadParams,
+    BoundVariableInResidue,
     EmptyIndexSet,
     NotSF,
+    OverlappingSets,
     SelectionBudgetExceeded,
-    BoundVariableInResidue,
 )
 
 DEFAULT_SELECTION_CAP = 100_000
@@ -57,8 +64,9 @@ class SelectionInstance:
     residue[i] v (disjunction of option[k] for k in k_sets[i]), where the
     residues are free of the bound variables `ys`.
 
-    Index sets are finite, nonempty, and pairwise disjoint; no bound
-    variable may occur in any residue."""
+    Index sets are finite, nonempty, and pairwise disjoint; every index
+    has its residue or option; no bound variable may occur in any
+    residue."""
 
     index_set: tuple
     k_sets: dict
@@ -70,20 +78,23 @@ class SelectionInstance:
         if not self.index_set:
             raise EmptyIndexSet("index set I must be nonempty")
         seen = set()
+        yset = set(self.ys)
         for i in self.index_set:
             ks = self.k_sets.get(i, ())
             if not ks:
                 raise EmptyIndexSet(f"K[{i!r}] must be nonempty")
+            if i not in self.residue:
+                raise BadParams(f"residue[{i!r}] is missing")
             for k in ks:
                 if k in seen:
-                    raise EmptyIndexSet(f"index {k!r} appears in two K sets")
+                    raise OverlappingSets(f"index {k!r} occurs twice in the K sets")
+                if k not in self.option:
+                    raise BadParams(f"option[{k!r}] is missing")
                 seen.add(k)
-        yset = set(self.ys)
-        for i in self.index_set:
-            if S.free_vars(self.residue[i]) & yset:
+            bad = S.free_vars(self.residue[i]) & yset
+            if bad:
                 raise BoundVariableInResidue(
-                    f"residue[{i!r}] mentions bound variables "
-                    f"{sorted(S.free_vars(self.residue[i]) & yset)}"
+                    f"residue[{i!r}] mentions bound variables {sorted(bad)}"
                 )
 
     def to_formula(self) -> S.Formula:
@@ -97,35 +108,21 @@ class SelectionInstance:
 def expand_selections(inst: SelectionInstance) -> S.Formula:
     """Expand the block: one conjunct per nonempty subset s of I, each a
     disjunction of the selected residues and one existential unit per
-    selection function (deduplicated by restriction to s).  More than
-    `DEFAULT_CONJUNCT_CAP` conjuncts raise `SelectionBudgetExceeded`
-    before any is built."""
+    selection function (deduplicated by restriction to s).  Residues and
+    options are interned as units and expanded by the loop that pushes
+    the existential blocks of `to_bsr`, so a unit binds only the bound
+    variables that occur in it (an option free of them is a plain
+    disjunct), equal units of a conjunct are one disjunct, and the
+    disjuncts come in key order.  More than `DEFAULT_CONJUNCT_CAP`
+    conjuncts raise `SelectionBudgetExceeded` before any is built."""
     inst.validate()
-    idx = list(inst.index_set)
-    if (1 << len(idx)) - 1 > DEFAULT_CONJUNCT_CAP:
-        raise SelectionBudgetExceeded(
-            f"the expansion needs {(1 << len(idx)) - 1} conjuncts, "
-            f"cap is {DEFAULT_CONJUNCT_CAP}",
-            limit=DEFAULT_CONJUNCT_CAP,
-        )
-    conjuncts = []
-    for size in range(1, len(idx) + 1):
-        for s in itertools.combinations(idx, size):
-            count = 1
-            for i in s:
-                count *= len(inst.k_sets[i])
-                if count > DEFAULT_SELECTION_CAP:
-                    raise SelectionBudgetExceeded(
-                        f"{count}+ selection functions for subset {s!r}, "
-                        f"cap is {DEFAULT_SELECTION_CAP}",
-                        limit=DEFAULT_SELECTION_CAP,
-                    )
-            parts = [inst.residue[i] for i in s]
-            for choice in itertools.product(*(inst.k_sets[i] for i in s)):
-                body = S.conj([inst.option[k] for k in choice])
-                parts.append(S.exists(inst.ys, body))
-            conjuncts.append(S.disj(parts))
-    return S.rename_apart(S.conj(conjuncts))
+    units = _Units()
+    split = [
+        ([units.intern(inst.residue[i])], [units.intern(inst.option[k]) for k in inst.k_sets[i]])
+        for i in inst.index_set
+    ]
+    conjs = _selections(split, units, inst.ys, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP)
+    return _sentence((), conjs, units)
 
 
 # ---------------------------------------------------------------------------
@@ -136,22 +133,18 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
 class _Units:
     by_key: dict[str, S.Formula] = field(default_factory=dict)
     free: dict[str, frozenset] = field(default_factory=dict)
-    # every variable name, free or bound, of the recorded units
-    names: set[str] = field(default_factory=set)
+    # prefix slots of each existential unit, one per binder occurrence;
+    # in a separated sentence its parts are literals and existential units
+    slots: dict[str, int] = field(default_factory=dict)
     dedup_hits: int = 0
 
     def intern(self, f: S.Formula, free: Optional[frozenset] = None) -> str:
         """Key of f, recording f under it when new.  `free`, when given,
-        is f's free variables, already known from interned parts.  A new
-        unit is a literal or is built from recorded units, so its own free
-        and bound variables are all it adds to `names`."""
+        is f's free variables, already known from interned parts."""
         key = S.canonical_key(f)
         if key not in self.by_key:
             self.by_key[key] = f
             self.free[key] = S.free_vars(f) if free is None else free
-            self.names.update(self.free[key])
-            if isinstance(f, (S.Forall, S.Exists)):
-                self.names.update(f.vars)
         else:
             self.dedup_hits += 1
         return key
@@ -169,6 +162,8 @@ class _Units:
         bound = tuple(v for v in block if v in free)
         unit = quantify(bound, connect([self.by_key[k] for k in sorted(parts)]))
         memo[parts] = key = self.intern(unit, free.difference(bound))
+        if quantify is S.exists:
+            self.slots[key] = len(bound) + sum(self.slots.get(k, 0) for k in parts)
         return key
 
 
@@ -205,45 +200,44 @@ def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
 
 def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap):
     yset = set(y_block)
-    carriers = []
-    passthrough = []
+    passthrough, split = [], []
     for c in conjs:
-        if any(units.free[k] & yset for k in c):
-            carriers.append(c)
+        carried = [k for k in c if units.free[k] & yset]
+        if carried:
+            split.append((c.difference(carried), carried))
         else:
             passthrough.append(c)
-    if not carriers:
+    if not split:
         return conjs
-    if (1 << len(carriers)) - 1 > conjunct_cap:
+    return passthrough + _selections(split, units, y_block, selection_cap, conjunct_cap)
+
+
+def _selections(split, units: _Units, y_block, selection_cap, conjunct_cap):
+    """The selection-function expansion of exists y_block over conjuncts
+    given as (residue keys, carried keys) pairs: one conjunct per nonempty
+    subset s, holding the residues of s and one existential unit per
+    selection function restricted to s.  Raises `SelectionBudgetExceeded`
+    past `conjunct_cap` conjuncts before any is built, and past
+    `selection_cap` selection functions for one subset."""
+    if (1 << len(split)) - 1 > conjunct_cap:
+        # 2^n - 1 itself may have too many digits to print
         raise SelectionBudgetExceeded(
-            f"existential block expansion needs {(1 << len(carriers)) - 1} "
+            f"existential block expansion needs 2^{len(split)} - 1 "
             f"conjuncts, cap is {conjunct_cap}",
             limit=conjunct_cap,
         )
-    split = []
-    for c in carriers:
-        carried = sorted(k for k in c if units.free[k] & yset)
-        residue = sorted(k for k in c if not (units.free[k] & yset))
-        split.append((residue, carried))
-    out = list(passthrough)
+    out = []
     memo: dict[frozenset, str] = {}
     for size in range(1, len(split) + 1):
-        for s in itertools.combinations(range(len(split)), size):
-            count = 1
-            for i in s:
-                count *= len(split[i][1])
-                if count > selection_cap:
-                    raise SelectionBudgetExceeded(
-                        f"{count}+ selection functions in one conjunct, "
-                        f"cap is {selection_cap}",
-                        limit=selection_cap,
-                    )
-            keys = set()
-            for i in s:
-                keys.update(split[i][0])
-            bodies = set()
-            for choice in itertools.product(*(split[i][1] for i in s)):
-                bodies.add(frozenset(choice))
+        for s in itertools.combinations(split, size):
+            count = math.prod(len(carried) for _, carried in s)
+            if count > selection_cap:
+                raise SelectionBudgetExceeded(
+                    f"{count} selection functions in one conjunct, cap is {selection_cap}",
+                    limit=selection_cap,
+                )
+            bodies = {frozenset(choice) for choice in itertools.product(*(carried for _, carried in s))}
+            keys = set().union(*(residue for residue, _ in s))
             for body in sorted(bodies, key=sorted):
                 keys.add(units.quantified(S.exists, S.conj, y_block, body, memo))
             out.append(frozenset(keys))
@@ -270,9 +264,13 @@ def push_quantifiers(sf: S.StandardForm) -> S.Formula:
     conjs, units, leading = _pushed(
         sf, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP, S.DEFAULT_CLAUSE_BUDGET
     )
-    body = S.conj(
-        [S.disj([units.by_key[k] for k in sorted(c)]) for c in conjs]
-    )
+    return _sentence(leading, conjs, units)
+
+
+def _sentence(leading, conjs, units: _Units) -> S.Formula:
+    """exists leading. (conjunction of the unit disjunctions `conjs`),
+    renamed apart."""
+    body = S.conj([S.disj([units.by_key[k] for k in sorted(c)]) for c in conjs])
     return S.rename_apart(S.exists(leading, body))
 
 
@@ -364,12 +362,12 @@ def _plan(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_te
     quantified variable: the factored strategy shares one prefix among the
     terms, the direct one gives every unit occurrence its own."""
     conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
-    own = {k: len(S.names_in(u)[0]) for k, u in units.by_key.items() if isinstance(u, S.Exists)}
+    slots = units.slots
     terms = _distribute(conjs, dnf_term_cap)
     if terms is None:
-        n_exi = sum(own.get(k, 0) for c in conjs for k in c)
+        n_exi = sum(slots.get(k, 0) for c in conjs for k in c)
     else:
-        n_exi = max((sum(own.get(k, 0) for k in t) for t in terms), default=0)
+        n_exi = max((sum(slots.get(k, 0) for k in t) for t in terms), default=0)
     return conjs, units, leading, terms, n_exi
 
 
@@ -397,27 +395,24 @@ def to_bsr(
     and every unit occurrence gets its own prefix variables instead.  The
     prefix is allocated from the count of the plan `bsr_leading_count` reads.
     """
+    if not analysis.is_sf(sf):
+        raise NotSF("translation applies to separated sentences only")
+    bound = analysis.bounds(sf).translation_existentials
     # fast path: already exists*forall*
     if analysis.is_bsr(sf):
-        if not analysis.is_sf(sf):
-            raise NotSF("translation applies to separated sentences only")
         uni = sf.blocks[0][0] if sf.blocks else ()
-        rep = analysis.bounds(sf)
-        b = rep.translation_existentials
-        return BsrSentence(
-            sf.leading,
-            tuple(uni),
-            sf.matrix,
-            _stats(len(sf.leading), len(uni), 0, "direct", b),
-        )
+        stats = _stats(len(sf.leading), len(uni), 0, "direct", bound)
+        return BsrSentence(sf.leading, tuple(uni), sf.matrix, stats)
 
     conjs, units, leading, terms, n_exi = _plan(
         sf, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
     )
-    bound = analysis.bounds(sf).translation_existentials
 
-    # u and v names never collide, so no name depends on the order of allocation
-    fresh = S.FreshNames(set(leading) | S.constants_of(sf.matrix) | units.names)
+    # u and v names never collide, so no name depends on the order of allocation;
+    # every prefix variable of a standard form occurs in its matrix, so these
+    # are all the names of the units
+    taken = {*leading, *sf.universal_vars, *sf.existential_vars}
+    fresh = S.FreshNames(taken | S.constants_of(sf.matrix))
     exi = tuple(fresh.fresh(f"u{i}") for i in range(1, n_exi + 1))
     uni: list[str] = []
     uni_names = _numbered(fresh, "v", uni)  # universal occurrences never share variables

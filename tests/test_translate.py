@@ -6,10 +6,12 @@ import pytest
 from sepfrag import syntax as S
 from sepfrag import analysis
 from sepfrag.errors import (
+    BadParams,
     BoundVariableInResidue,
     BudgetExceeded,
     EmptyIndexSet,
     NotSF,
+    OverlappingSets,
     SelectionBudgetExceeded,
 )
 from sepfrag.generators import generate_hard_family
@@ -20,6 +22,7 @@ from sepfrag.translate import (
     SelectionInstance,
     _flatten_unit,
     _minimize_terms,
+    _plan,
     bsr_leading_count,
     expand_selections,
     push_quantifiers,
@@ -107,21 +110,53 @@ def test_validation_errors():
                 (1,), {1: ("a",)}, {1: atom("P", "y")}, {"a": atom("Q", "y")}, ("y",)
             )
         )
+    # a missing residue or option is a bad instance, not a KeyError
+    with pytest.raises(BadParams):
+        expand_selections(SelectionInstance((1,), {1: ("a",)}, {}, {"a": atom("Q", "y")}, ("y",)))
+    with pytest.raises(BadParams):
+        expand_selections(SelectionInstance((1,), {1: ("a",)}, {1: atom("P", "z")}, {}, ("y",)))
+    with pytest.raises(OverlappingSets):
+        expand_selections(
+            SelectionInstance(
+                (1, 2),
+                {1: ("a",), 2: ("a",)},
+                {1: atom("P", "z"), 2: atom("T", "z")},
+                {"a": atom("Q", "y")},
+                ("y1",),
+            )
+        )
+
+
+def test_expansion_binds_only_the_variables_its_units_use():
+    p_cc, _ = parse_formula("P(c, c)")
+    q_c, _ = parse_formula("Q(c)")
+    inst = SelectionInstance((1,), {1: ("a",)}, {1: p_cc}, {"a": q_c}, ("y1",))
+    assert print_formula(expand_selections(inst)) == "P(c, c) | Q(c)"
+    # two equal options of one K set are one selection, so one unit
+    inst = SelectionInstance(
+        (1,), {1: ("a", "b")}, {1: p_cc}, {"a": atom("Q", "y"), "b": atom("Q", "y")}, ("y",)
+    )
+    out = expand_selections(inst)
+    assert print_formula(out) == "P(c, c) | (exists y. Q(y))"
+    assert equivalent_upto(inst.to_formula(), out, 3).equal
 
 
 def test_expansion_past_the_conjunct_cap_raises_at_once():
     # 17 indices need 2^17 - 1 conjuncts, past DEFAULT_CONJUNCT_CAP; the
-    # expansion used to enumerate them all, 4x longer per two more indices
-    idx = tuple(range(17))
-    inst = SelectionInstance(
-        idx,
-        {i: (i,) for i in idx},
-        {i: atom("P", "z") for i in idx},
-        {i: atom(f"Q{i}", "y") for i in idx},
-        ("y",),
-    )
-    with deadline(1), pytest.raises(SelectionBudgetExceeded):
-        expand_selections(inst)
+    # expansion used to enumerate them all, 4x longer per two more indices.
+    # At 20,000 indices 2^n - 1 has more digits than int-to-str conversion
+    # allows, and printing it in the message used to raise ValueError
+    for n in (17, 20_000):
+        idx = tuple(range(n))
+        inst = SelectionInstance(
+            idx,
+            {i: (i,) for i in idx},
+            {i: atom("P", "z") for i in idx},
+            {i: atom(f"Q{i}", "y") for i in idx},
+            ("y",),
+        )
+        with deadline(1), pytest.raises(SelectionBudgetExceeded, match=rf"2\^{n} - 1 conjuncts"):
+            expand_selections(inst)
 
 
 # --- pushing blocks ----------------------------------------------------------
@@ -258,6 +293,35 @@ def test_bsr_leading_count_matches_to_bsr():
             grown += len(b.leading) > len(sf.leading)
         seen[kind] = seen.get(kind, 0) + 1
     assert len(seen) == 4 and min(seen.values()) >= 5 and grown >= 100, (seen, grown)
+
+
+def _plan_slots_against_binders(sf):
+    """Units whose recorded slots differ from their binder count, the
+    survey `_plan` took it from before slots were recorded."""
+    _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+    exi = {k: u for k, u in units.by_key.items() if isinstance(u, S.Exists)}
+    assert set(units.slots) == set(exi)
+    return [k for k, u in exi.items() if units.slots[k] != len(S.names_in(u)[0])], len(exi)
+
+
+def test_plan_slots_are_the_binders_of_each_existential_unit():
+    rng = random.Random(31)
+    planned = units = 0
+    while planned < 200:
+        f, _ = random_sf_sentence(rng, max_blocks=3, max_atoms=5, with_eq=True)
+        sf = to_standard_form(f)
+        if not analysis.is_sf(sf) or analysis.is_bsr(sf):
+            continue
+        try:
+            wrong, n = _plan_slots_against_binders(sf)
+        except BudgetExceeded:
+            continue
+        assert not wrong, print_formula(f)
+        planned += 1
+        units += n
+    wrong, k = _plan_slots_against_binders(to_standard_form(generate_hard_family(1)))
+    assert not wrong and k > 0
+    assert units + k >= 1000, units
 
 
 def test_bsr_stats_repr_with_huge_exact_bound():

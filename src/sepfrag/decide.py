@@ -473,7 +473,7 @@ def decide_sat(f: S.Formula, cfg: Optional[DecideConfig] = None) -> SatVerdict:
     if cfg.max_model_size < 0:
         raise BadParams(f"model search needs max_model_size >= 0, got {cfg.max_model_size}")
     survey = S.survey(f)
-    expanded = expand_counting(f).formula if survey.counting else f
+    expanded = expand_counting(f, survey).formula if survey.counting else f
     routed = S.survey(expanded) if survey.counting else survey
     if routed.universal:
         return _search_path(f, expanded, cfg.max_model_size, survey)

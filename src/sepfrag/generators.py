@@ -83,7 +83,7 @@ class ExpansionResult:
     sites: int
 
 
-def expand_counting(f: S.Formula) -> ExpansionResult:
+def expand_counting(f: S.Formula, survey: Optional[S.Survey] = None) -> ExpansionResult:
     """Rewrite every counting quantifier into plain existentials: n fresh
     copies of the bound block, the body instantiated to each, plus
     pairwise disequalities between the copies.
@@ -92,9 +92,11 @@ def expand_counting(f: S.Formula) -> ExpansionResult:
     into an atom together with a universally quantified variable, since
     separatedness is lost in that case.  A sentence without counting
     quantifiers is returned as it is.  A shared counting node is expanded
-    once (`syntax.rewrite`), so `sites` counts node objects.
+    once (`syntax.rewrite`), so `sites` counts node objects.  The counting
+    flag and the names to avoid are read off `survey`, the `syntax.survey`
+    of f, when given.
     """
-    survey = S.survey(f)
+    survey = survey or S.survey(f)
     if not survey.counting:
         return ExpansionResult(f, False, 0)
     fresh = S.FreshNames(survey.names())

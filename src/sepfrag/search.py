@@ -541,8 +541,10 @@ class ModelSearch:
             self._minimized = scope_minimized(self.f)
         return self._minimized
 
-    def run(self, max_size: int, min_size: int = 1) -> Optional[Structure]:
-        """`find_model` on the prepared sentence."""
+    def run(self, max_size: int, min_size: int = 1, holds=None) -> Optional[Structure]:
+        """`find_model` on the prepared sentence.  The witness is re-checked
+        by `holds(witness)`, by default the reference evaluator on the
+        sentence."""
         for size in range(min_size, max_size + 1):
             space = GroundSpace(self.sig, size)
             if space.n_bits > _SCAN_BITS:
@@ -551,7 +553,7 @@ class ModelSearch:
             else:
                 witness = self.scan(space)
             if witness is not None:
-                if not evaluate(witness, {}, self.f):
+                if not (holds(witness) if holds else evaluate(witness, {}, self.f)):
                     raise RuntimeError(
                         "internal error: model search disagrees with "
                         "the reference evaluator on the returned witness"
@@ -629,7 +631,8 @@ def equivalent_upto(
     Free variables are handled by binding them to fresh constants, so the
     check covers all assignments as well.  The comparison is a model
     search for `f <-> ~g`, which holds exactly where f and g disagree;
-    its model is re-checked by the reference evaluator.  Exceeding the
+    its model is re-checked by one reference walk each of f and g, whose
+    values also say which side holds.  Exceeding the
     structure budget, counted over all constant maps and checked before
     each size, raises.  Within the default budget every size has at most
     23 ground atoms, so it is scanned and the counterexample is the first
@@ -652,6 +655,13 @@ def equivalent_upto(
         sig.declare(name, arity)
     consts = left.consts | right.consts | set(var_consts.values())
     differ = ModelSearch(S.Iff(f, S.Not(g)), S.Survey(consts, sig.predicates))  # no free variable left
+    f_holds = [False]
+
+    def disagree(w: Structure) -> bool:
+        # the witness re-check, whose walk of f also says which side holds
+        f_holds[0] = evaluate(w, {}, f)
+        return f_holds[0] != evaluate(w, {}, g)
+
     spent = 0
     for m in range(1, size + 1):
         spent += _n_structures(differ.sig, m)
@@ -662,7 +672,7 @@ def equivalent_upto(
                 needed=spent,
                 limit=budget,
             )
-        witness = differ.run(m, min_size=m)
+        witness = differ.run(m, min_size=m, holds=disagree)
         if witness is not None:
             consts = {
                 c: e for c, e in witness.constants.items() if c not in var_consts.values()
@@ -672,7 +682,7 @@ def equivalent_upto(
                 Counterexample(
                     Structure(witness.universe, consts, witness.predicates),
                     {v: witness.constants[c] for v, c in var_consts.items()},
-                    "left" if evaluate(witness, {}, f) else "right",
+                    "left" if f_holds[0] else "right",
                 ),
             )
     return EquivVerdict(True)

@@ -858,23 +858,27 @@ _PREC_AND = 4
 _PREC_NEG = 5
 
 
-def _render(f: Formula, canonical: bool) -> str:
+def _render(f: Formula, canonical: bool, names=None) -> str:
     """The one printer.  Binder names are chosen while printing, in
     pre-order, so every quantifier position gets its own names even when
     one node object occurs at several positions.  A name never clashes
     with a constant, a free variable, a keyword or an earlier binder:
     `canonical` names binders v1, v2, ... by position; otherwise a binder
     keeps its own name where that is a legal identifier not yet used.
-    The names of f are collected at the first binder, so a
-    quantifier-free formula is printed in one walk."""
+    The free variables and constants of f are `names` when given, and
+    are otherwise collected at the first binder, so a quantifier-free
+    formula is printed in one walk."""
     used = None
     counter = 0
 
     def pick(name: str) -> str:
         nonlocal counter, used
         if used is None:
-            _, free, consts = names_in(f)
-            used = free | consts | _KEYWORDS
+            if names is None:
+                _, free, consts = names_in(f)
+                used = free | consts | _KEYWORDS
+            else:
+                used = _KEYWORDS | names
         if not canonical:
             cand = name if _IDENT_RE.match(name) else name.replace("#", "")
             if _IDENT_RE.match(cand) and cand not in used:
@@ -937,14 +941,11 @@ def print_formula(f: Formula) -> str:
     return _render(f, canonical=False)
 
 
-def canonical_key(f: Formula) -> str:
+def canonical_key(f: Formula, names=None) -> str:
     """Alpha-invariant string form: the printer of print_formula with
-    binders named v1, v2, ... by position while printing."""
-    return _render(f, canonical=True)
-
-
-def alpha_eq(f: Formula, g: Formula) -> bool:
-    return canonical_key(f) == canonical_key(g)
+    binders named v1, v2, ... by position while printing.  `names`, when
+    the caller knows them, are the free variables and constants of f."""
+    return _render(f, canonical=True, names=names)
 
 
 # ---------------------------------------------------------------------------

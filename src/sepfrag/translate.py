@@ -15,13 +15,16 @@ Each universal block then moves inward by ordinary miniscoping.  The
 working form is a conjunction of disjunctions of *units*: literals,
 closed universal subformulas over universal-side variables, and closed
 existential subformulas over existential-side variables.  Units are
-interned by their alpha-invariant printed form, which is what makes the
-idempotence-based deduplication effective.  A block builds, prints and
-interns each of its units once: a selection body of an existential block,
-or the universal part of a conjunct, is interned the first time it
-appears in the block, and every repeat counts as a dedup hit.  A new unit
-takes its free variables from its interned parts, and an existential unit
-its count of prefix slots: its bound variables plus its parts' counts.
+hash-consed by an alpha-invariant structural key into small int ids
+(`_Units`), which is what makes the idempotence-based deduplication
+effective.  A block keys each of its units once: a selection body of an
+existential block, or the universal part of a conjunct, is keyed the
+first time it appears in the block, and every repeat counts as a dedup
+hit.  A new unit takes its free variables from its parts, and an
+existential unit its count of prefix slots: its bound variables plus its
+parts' counts.  Planning builds no formula and prints nothing; a unit's
+formula and printed key, which orders the output, are made only when a
+sentence is assembled.
 
 One subset-and-selection loop (`_selections`) serves both `to_bsr` and
 the lemma as a standalone operation (`expand_selections`), which interns
@@ -113,12 +116,13 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
     the existential blocks of `to_bsr`, so a unit binds only the bound
     variables that occur in it (an option free of them is a plain
     disjunct), equal units of a conjunct are one disjunct, and the
-    disjuncts come in key order.  More than `DEFAULT_CONJUNCT_CAP`
+    disjuncts come in printed-key order.  A residue or option that is no
+    literal equals only the same formula.  More than `DEFAULT_CONJUNCT_CAP`
     conjuncts raise `SelectionBudgetExceeded` before any is built."""
     inst.validate()
     units = _Units()
     split = [
-        ([units.intern(inst.residue[i])], [units.intern(inst.option[k]) for k in inst.k_sets[i]])
+        ([units.leaf(inst.residue[i])], [units.leaf(inst.option[k]) for k in inst.k_sets[i]])
         for i in inst.index_set
     ]
     conjs = _selections(split, units, inst.ys, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP)
@@ -126,45 +130,176 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
 
 
 # ---------------------------------------------------------------------------
-# the working representation: interned units
+# the working representation: hash-consed units
 
 
 @dataclass
 class _Units:
-    by_key: dict[str, S.Formula] = field(default_factory=dict)
-    free: dict[str, frozenset] = field(default_factory=dict)
+    """Units hash-consed by structure: each key gets a small int id.
+
+    A literal's key is (sign, predicate, argument terms), with "=" for
+    equality.  A quantified unit's key is (quantifier, bound count, sorted
+    tuple of part ids), where the parts have the bound variables
+    replaced by markers (height, position in the bound tuple); a unit's
+    height is one more than its highest part's, a literal's 0.  A unit
+    binds a height no unit inside it binds, so markers never clash and
+    equal keys are alpha-variants.  An id made by marking has a free
+    marker and is never a unit of the sentence.  A residue or option of
+    `expand_selections` that is no literal is keyed by the formula itself.
+
+    Nothing is built or printed while planning: `formula` builds a unit
+    from the `source` of the first unit with its key, with parts in
+    `printed` order, and `printed` is its `canonical_key`, only when a
+    sentence is assembled."""
+
+    ids: dict = field(default_factory=dict)  # key -> id
+    keys: list = field(default_factory=list)  # id -> key
+    free: list[frozenset] = field(default_factory=list)  # id -> free variable names
+    height: list[int] = field(default_factory=list)
     # prefix slots of each existential unit, one per binder occurrence;
     # in a separated sentence its parts are literals and existential units
-    slots: dict[str, int] = field(default_factory=dict)
+    slots: dict[int, int] = field(default_factory=dict)
+    # id -> what a unit is built from: a literal's atom, a quantified
+    # unit's (bound, parts), a leaf's formula; the first unit with the key
+    source: dict = field(default_factory=dict)
     dedup_hits: int = 0
+    _marked: dict = field(default_factory=dict)
+    _formulas: dict = field(default_factory=dict)
+    _printed: dict = field(default_factory=dict)
+    _consts: dict = field(default_factory=dict)
 
-    def intern(self, f: S.Formula, free: Optional[frozenset] = None) -> str:
-        """Key of f, recording f under it when new.  `free`, when given,
-        is f's free variables, already known from interned parts."""
-        key = S.canonical_key(f)
-        if key not in self.by_key:
-            self.by_key[key] = f
-            self.free[key] = S.free_vars(f) if free is None else free
+    def _id(self, key, free: frozenset, height: int) -> int:
+        """Id of `key`, recorded when new."""
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.free.append(free)
+            self.height.append(height)
+        return i
+
+    def intern(self, key, source, free: frozenset, height: int = 0) -> int:
+        """Id of a unit with structural key `key`, built from `source` when
+        new; a known key counts as a dedup hit."""
+        n = len(self.keys)
+        i = self._id(key, free, height)
+        if i < n:
+            self.dedup_hits += 1
         else:
-            self.dedup_hits += 1
-        return key
+            self.source[i] = source
+        return i
 
-    def quantified(self, quantify, connect, block, parts: frozenset, memo: dict) -> str:
-        """Key of quantify(bound, connect(parts)) over interned `parts`,
-        where bound holds the variables of `block` free in them.  Each set
-        of parts is built, printed and interned once per block (`memo`); a
-        repeat counts as the dedup hit its re-interning would have been."""
-        key = memo.get(parts)
-        if key is not None:
+    def literal(self, positive: bool, atom: S.Atom) -> int:
+        """Id of the literal of `atom` with sign `positive`."""
+        if type(atom) is S.Eq:
+            name, args = "=", (atom.left, atom.right)
+        else:
+            name, args = atom.name, atom.args
+        free = frozenset(t.name for t in args if type(t) is S.Var)
+        return self.intern((positive, name, args), atom, free)
+
+    def leaf(self, f: S.Formula) -> int:
+        """Id of a residue or option of `expand_selections`."""
+        if type(f) is S.Pred or type(f) is S.Eq:
+            return self.literal(True, f)
+        if type(f) is S.Not and type(f.sub) in (S.Pred, S.Eq):
+            return self.literal(False, f.sub)
+        return self.intern(("formula", f, ()), f, S.free_vars(f))
+
+    def quantified(self, quantify, block, parts: frozenset, memo: dict) -> int:
+        """Id of quantify(bound, parts), a conjunction under `S.exists` and a
+        disjunction under `S.forall`, over unit ids `parts`, where bound
+        holds the variables of `block` free in them.  Each set of
+        parts is keyed once per block (`memo`); a repeat counts as the
+        dedup hit its re-interning would have been."""
+        i = memo.get(parts)
+        if i is not None:
             self.dedup_hits += 1
-            return key
-        free = frozenset().union(*(self.free[k] for k in parts))
+            return i
+        free = frozenset().union(*(self.free[p] for p in parts))
         bound = tuple(v for v in block if v in free)
-        unit = quantify(bound, connect([self.by_key[k] for k in sorted(parts)]))
-        memo[parts] = key = self.intern(unit, free.difference(bound))
+        if not bound and len(parts) == 1:
+            # an option of `expand_selections` free of the block is itself
+            self.dedup_hits += 1
+            (i,) = parts
+            memo[parts] = i
+            return i
+        height = 1 + max(self.height[p] for p in parts)
+        key = (quantify, len(bound), tuple(sorted([self.mark(p, bound, height) for p in parts])))
+        memo[parts] = i = self.intern(key, (bound, tuple(parts)), free.difference(bound), height)
         if quantify is S.exists:
-            self.slots[key] = len(bound) + sum(self.slots.get(k, 0) for k in parts)
-        return key
+            self.slots[i] = len(bound) + sum(self.slots.get(p, 0) for p in parts)
+        return i
+
+    def mark(self, i: int, bound: tuple, height: int) -> int:
+        """Id of unit i with each variable of `bound` replaced by its marker
+        (height, position); made once per (i, bound, height)."""
+        free = self.free[i]
+        if free.isdisjoint(bound):
+            return i
+        j = self._marked.get((i, bound, height))
+        if j is None:
+            key = self.keys[i]
+            if type(key[0]) is bool:
+                positive, name, args = key
+                args = tuple([
+                    (height, bound.index(t.name)) if type(t) is S.Var and t.name in bound else t
+                    for t in args
+                ])
+                key = (positive, name, args)
+            elif key[0] == "formula":
+                _, f, marked = key
+                new = tuple((v, (height, bound.index(v))) for v in free.intersection(bound))
+                key = ("formula", f, tuple(sorted(marked + new)))
+            else:
+                quantify, count, parts = key
+                key = (quantify, count, tuple(sorted([self.mark(p, bound, height) for p in parts])))
+            j = self._id(key, free.difference(bound), self.height[i])
+            self._marked[i, bound, height] = j
+        return j
+
+    def formula(self, i: int) -> S.Formula:
+        """The formula of unit i, built on first use."""
+        f = self._formulas.get(i)
+        if f is None:
+            head, source = self.keys[i][0], self.source[i]
+            if type(head) is bool:
+                f = source if head else S.Not(source)
+            elif head == "formula":
+                f = source
+            else:
+                bound, parts = source
+                connect = S.conj if head is S.exists else S.disj
+                f = head(bound, connect([self.formula(p) for p in self.ordered(parts)]))
+            self._formulas[i] = f
+        return f
+
+    def printed(self, i: int) -> str:
+        """The printed key of unit i, which orders the units of a sentence."""
+        p = self._printed.get(i)
+        if p is None:
+            # the printer needs the names of f only to name its binders
+            names = self.free[i] | self.consts(i) if type(self.source[i]) is tuple else None
+            p = self._printed[i] = S.canonical_key(self.formula(i), names)
+        return p
+
+    def consts(self, i: int) -> frozenset:
+        """The constants of unit i, which `printed` hands the printer."""
+        c = self._consts.get(i)
+        if c is None:
+            key = self.keys[i]
+            if type(key[0]) is bool:
+                c = frozenset(t.name for t in key[2] if type(t) is S.Const)
+            elif key[0] == "formula":
+                c = S.constants_of(key[1])
+            else:
+                c = frozenset().union(*map(self.consts, self.source[i][1]))
+            self._consts[i] = c
+        return c
+
+    def ordered(self, ids) -> list[int]:
+        """`ids` in printed-key order; a lone id is not printed."""
+        return sorted(ids, key=self.printed) if len(ids) > 1 else list(ids)
 
 
 def _dedup_conjuncts(conjs, units: _Units):
@@ -177,7 +312,7 @@ def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
     """Run the full block-pushing pipeline on a separated sentence.
 
     Returns (conjuncts, units, leading) where each conjunct is a frozenset
-    of unit keys understood as a disjunction, the whole list as a
+    of unit ids understood as a disjunction, the whole list as a
     conjunction under exists(leading).
     """
     if not analysis.is_sf(sf):
@@ -185,7 +320,7 @@ def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
     units = _Units()
     matrix_cnf = S.cnf_matrix(sf.matrix, max_clauses=clause_budget)
     conjs = [
-        frozenset(units.intern(lit.to_formula()) for lit in clause)
+        frozenset(units.literal(lit.positive, lit.atom) for lit in clause)
         for clause in matrix_cnf.clauses
     ]
     conjs = _dedup_conjuncts(conjs, units)
@@ -214,7 +349,7 @@ def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap
 
 def _selections(split, units: _Units, y_block, selection_cap, conjunct_cap):
     """The selection-function expansion of exists y_block over conjuncts
-    given as (residue keys, carried keys) pairs: one conjunct per nonempty
+    given as (residue ids, carried ids) pairs: one conjunct per nonempty
     subset s, holding the residues of s and one existential unit per
     selection function restricted to s.  Raises `SelectionBudgetExceeded`
     past `conjunct_cap` conjuncts before any is built, and past
@@ -227,7 +362,7 @@ def _selections(split, units: _Units, y_block, selection_cap, conjunct_cap):
             limit=conjunct_cap,
         )
     out = []
-    memo: dict[frozenset, str] = {}
+    memo: dict[frozenset, int] = {}
     for size in range(1, len(split) + 1):
         for s in itertools.combinations(split, size):
             count = math.prod(len(carried) for _, carried in s)
@@ -237,23 +372,23 @@ def _selections(split, units: _Units, y_block, selection_cap, conjunct_cap):
                     limit=selection_cap,
                 )
             bodies = {frozenset(choice) for choice in itertools.product(*(carried for _, carried in s))}
-            keys = set().union(*(residue for residue, _ in s))
+            ids = set().union(*(residue for residue, _ in s))
             for body in sorted(bodies, key=sorted):
-                keys.add(units.quantified(S.exists, S.conj, y_block, body, memo))
-            out.append(frozenset(keys))
+                ids.add(units.quantified(S.exists, y_block, body, memo))
+            out.append(frozenset(ids))
     return out
 
 
 def _push_universal(conjs, units: _Units, x_block):
     xset = set(x_block)
     out = []
-    memo: dict[frozenset, str] = {}
+    memo: dict[frozenset, int] = {}
     for c in conjs:
         inside = frozenset(k for k in c if units.free[k] & xset)
         if not inside:
             out.append(c)
             continue
-        out.append((c - inside) | {units.quantified(S.forall, S.disj, x_block, inside, memo)})
+        out.append((c - inside) | {units.quantified(S.forall, x_block, inside, memo)})
     return out
 
 
@@ -270,7 +405,7 @@ def push_quantifiers(sf: S.StandardForm) -> S.Formula:
 def _sentence(leading, conjs, units: _Units) -> S.Formula:
     """exists leading. (conjunction of the unit disjunctions `conjs`),
     renamed apart."""
-    body = S.conj([S.disj([units.by_key[k] for k in sorted(c)]) for c in conjs])
+    body = S.conj([S.disj([units.formula(k) for k in units.ordered(c)]) for c in conjs])
     return S.rename_apart(S.exists(leading, body))
 
 
@@ -417,8 +552,8 @@ def to_bsr(
     uni: list[str] = []
     uni_names = _numbered(fresh, "v", uni)  # universal occurrences never share variables
 
-    def flat(keys, connect, exi_names):
-        us = [units.by_key[k] for k in sorted(keys)]
+    def flat(ids, connect, exi_names):
+        us = [units.formula(k) for k in units.ordered(ids)]
         return connect([
             _flatten_unit(u, exi_names if isinstance(u, S.Exists) else uni_names) for u in us
         ])
@@ -426,6 +561,8 @@ def to_bsr(
     if terms is not None:
         # one existential prefix shared by all disjuncts; each disjunct
         # instantiates an initial slice of it
+        if len(terms) > 1:
+            terms = sorted(terms, key=lambda t: (len(t), sorted(map(units.printed, t))))
         matrix = S.disj([flat(t, S.conj, iter(exi)) for t in terms])
         strategy = "factored"
     else:
@@ -456,8 +593,8 @@ def _stats(n_lead, n_uni, dedup, strategy, bound: analysis.TetrationExpr) -> Bsr
 
 
 def _distribute(conjs, cap):
-    """Conjunction of unit-key disjunctions -> minimal disjunction of
-    unit-key sets, or None when the cap is hit."""
+    """Conjunction of unit-id disjunctions -> minimal disjunction of
+    unit-id sets, or None when the cap is hit."""
     terms = [frozenset()]
     for c in sorted(conjs, key=lambda c: (len(c), sorted(c))):
         new = []

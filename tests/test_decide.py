@@ -171,6 +171,24 @@ def test_decide_routes_on_the_survey(text, path):
     assert decide_sat(f).details["path"] == path
 
 
+@pytest.mark.parametrize(
+    "text", ["forall x. P(x) | (exists>=2 y. Q(y))", "~(exists>=2 y. Q(a))", "exists>=2 y. Q(y)"]
+)
+def test_decide_surveys_a_counting_sentence_once(monkeypatch, text):
+    # expand_counting reads the survey that decide_sat routes on
+    f, _ = parse_formula(text)
+    surveyed = []
+    real = S.survey
+
+    def survey(g):
+        surveyed.append(g)
+        return real(g)
+
+    monkeypatch.setattr(S, "survey", survey)
+    decide_sat(f)
+    assert sum(g is f for g in surveyed) == 1
+
+
 def test_a_predicate_at_two_arities_raises_arity_mismatch():
     a, b, x = S.Const("a"), S.Const("b"), S.Var("x")
     ground = S.And((S.Pred("P", (a,)), S.Pred("P", (a, b))))

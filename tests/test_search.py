@@ -11,7 +11,7 @@ from sepfrag.search import _SCAN_BITS, GroundSpace, ModelSearch, enumerate_struc
 from sepfrag.semantics import evaluate
 from sepfrag.syntax import parse_formula, print_formula
 
-from util import random_atom, random_boolean
+from util import random_atom, random_boolean, random_sf_sentence
 
 DATA = Path(__file__).resolve().parent.parent / "bench" / "data"
 
@@ -228,3 +228,32 @@ def _code(m, sig):
         for name, table in m.predicates.items()
         for t in table
     )
+
+
+def test_a_counterexample_is_rechecked_by_one_walk_of_each_side(monkeypatch):
+    # the witness re-check walks f and g once each, and f's value there
+    # says which side holds; f is not evaluated a second time for it
+    from sepfrag import search
+
+    walked = []
+    real = search.evaluate
+
+    def counted(structure, beta, h):
+        walked.append(h)
+        return real(structure, beta, h)
+
+    monkeypatch.setattr(search, "evaluate", counted)
+    rng = random.Random(47)
+    seen = {"left": 0, "right": 0}
+    for i in range(90):
+        f, _ = random_sf_sentence(rng)
+        g = (S.Not(f), S.TRUE, S.FALSE)[i % 3]
+        walked.clear()
+        ce = search.equivalent_upto(f, g, 2).counterexample
+        if ce is None:
+            assert walked == []
+            continue
+        assert len(walked) == 2 and walked[0] is f and walked[1] is g
+        assert ce.which == ("left" if real(ce.structure, {}, f) else "right")
+        seen[ce.which] += 1
+    assert min(seen.values()) >= 10, seen

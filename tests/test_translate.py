@@ -20,6 +20,7 @@ from sepfrag.syntax import parse_formula, print_formula, to_standard_form
 from sepfrag.translate import (
     BsrStats,
     SelectionInstance,
+    _Units,
     _flatten_unit,
     _minimize_terms,
     _plan,
@@ -299,9 +300,9 @@ def _plan_slots_against_binders(sf):
     """Units whose recorded slots differ from their binder count, the
     survey `_plan` took it from before slots were recorded."""
     _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
-    exi = {k: u for k, u in units.by_key.items() if isinstance(u, S.Exists)}
+    exi = {i: u for i in units.source if isinstance(u := units.formula(i), S.Exists)}
     assert set(units.slots) == set(exi)
-    return [k for k, u in exi.items() if units.slots[k] != len(S.names_in(u)[0])], len(exi)
+    return [i for i, u in exi.items() if units.slots[i] != len(S.names_in(u)[0])], len(exi)
 
 
 def test_plan_slots_are_the_binders_of_each_existential_unit():
@@ -322,6 +323,82 @@ def test_plan_slots_are_the_binders_of_each_existential_unit():
     wrong, k = _plan_slots_against_binders(to_standard_form(generate_hard_family(1)))
     assert not wrong and k > 0
     assert units + k >= 1000, units
+
+
+def _planned_forms(rng, count):
+    """Standard forms of `count` separated, non-BSR draws."""
+    out = []
+    while len(out) < count:
+        f, _ = random_sf_sentence(rng, max_blocks=3, max_atoms=5, with_eq=True)
+        sf = to_standard_form(f)
+        if analysis.is_sf(sf) and not analysis.is_bsr(sf):
+            out.append(sf)
+    return out
+
+
+def test_planning_never_prints(monkeypatch):
+    # units are keyed by structure: the plan builds no formula and prints
+    # nothing, which is all that decide_sat asks of the translation
+    sfs = _planned_forms(random.Random(37), 200) + [to_standard_form(generate_hard_family(1))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the plan printed a formula")
+
+    for name in ("canonical_key", "print_formula", "_render"):
+        monkeypatch.setattr(S, name, refuse)
+    planned = 0
+    for sf in sfs:
+        try:
+            bsr_leading_count(sf, 2000, 2000, 2000, 512)
+            _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+        except BudgetExceeded:
+            continue
+        assert not units._formulas and not units._printed
+        planned += 1
+    assert planned >= 150, planned
+
+
+def _intern_unit(units, f):
+    """Intern a unit formula as the translation does: a literal, or a
+    quantified conjunction (existential) or disjunction (universal) of
+    units over its bound variables, all of them used."""
+    if isinstance(f, (S.Exists, S.Forall)):
+        quantify, joined = (S.exists, S.And) if isinstance(f, S.Exists) else (S.forall, S.Or)
+        parts = f.body.parts if isinstance(f.body, joined) else (f.body,)
+        ids = frozenset(_intern_unit(units, p) for p in parts)
+        return units.quantified(quantify, f.vars, ids, {})
+    if isinstance(f, S.Not):
+        return units.literal(False, f.sub)
+    return units.literal(True, f)
+
+
+def test_unit_ids_are_alpha_invariant():
+    # every unit of the plans of random draws, and a copy of it with every
+    # binder renamed, interned afresh: one id per alpha-equivalence class,
+    # and units with different printed keys get different ids
+    rng = random.Random(41)
+    checked = quantified = 0
+    for sf in _planned_forms(rng, 120):
+        try:
+            _, planned, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+        except BudgetExceeded:
+            continue
+        fresh = _Units()
+        by_key = {}
+        for i in planned.source:  # every unit made, not the marked copies
+            u = planned.formula(i)
+            binders = S.names_in(u)[0]
+            variant = S.rename_apart(u, reserved=binders)
+            assert set(S.names_in(variant)[0]).isdisjoint(binders)
+            j = _intern_unit(fresh, u)
+            assert _intern_unit(fresh, variant) == j, print_formula(u)
+            key = S.canonical_key(u)
+            assert planned.printed(i) == key  # the names it hands the printer are u's
+            assert by_key.setdefault(j, key) == key, print_formula(u)
+            checked += 1
+            quantified += bool(binders)
+        assert len(set(by_key.values())) == len(by_key)
+    assert checked >= 1500 and quantified >= 800, (checked, quantified)
 
 
 def test_bsr_stats_repr_with_huge_exact_bound():

@@ -40,9 +40,8 @@ changes and passes every other node back.  `equality_as_predicate`,
 `scope_minimized` and `substitute` are rules.  Walks stay hand-written
 where a rule does not serve: `to_nnf` memoizes only the operands of <->
 (on `rewrite` it was 2-4 times slower over the benchmark corpora);
-`rename_apart` (`_rebind`) and `translate._flatten_unit` name every
-occurrence of a shared binder apart, and the latter flattens nested &
-and |; `nnf_tree` builds int tuples; and the evaluators, the printer,
+`rename_apart` (`_rebind`) names every occurrence of a shared binder
+apart; `nnf_tree` builds int tuples; and the evaluators, the printer,
 `free_vars`, `survey`, `formula_len` and prenexing fold into values.
 `to_nnf` is the only code that rewrites -> and <-> and pushes ~ inward;
 `nnf_tree`, `cnf_matrix` and the model search's SAT encoding read its
@@ -858,27 +857,23 @@ _PREC_AND = 4
 _PREC_NEG = 5
 
 
-def _render(f: Formula, canonical: bool, names=None) -> str:
+def _render(f: Formula, canonical: bool) -> str:
     """The one printer.  Binder names are chosen while printing, in
     pre-order, so every quantifier position gets its own names even when
     one node object occurs at several positions.  A name never clashes
     with a constant, a free variable, a keyword or an earlier binder:
     `canonical` names binders v1, v2, ... by position; otherwise a binder
     keeps its own name where that is a legal identifier not yet used.
-    The free variables and constants of f are `names` when given, and
-    are otherwise collected at the first binder, so a quantifier-free
-    formula is printed in one walk."""
+    The free variables and constants of f are collected at the first
+    binder, so a quantifier-free formula is printed in one walk."""
     used = None
     counter = 0
 
     def pick(name: str) -> str:
         nonlocal counter, used
         if used is None:
-            if names is None:
-                _, free, consts = names_in(f)
-                used = free | consts | _KEYWORDS
-            else:
-                used = _KEYWORDS | names
+            _, free, consts = names_in(f)
+            used = free | consts | _KEYWORDS
         if not canonical:
             cand = name if _IDENT_RE.match(name) else name.replace("#", "")
             if _IDENT_RE.match(cand) and cand not in used:
@@ -941,11 +936,10 @@ def print_formula(f: Formula) -> str:
     return _render(f, canonical=False)
 
 
-def canonical_key(f: Formula, names=None) -> str:
+def canonical_key(f: Formula) -> str:
     """Alpha-invariant string form: the printer of print_formula with
-    binders named v1, v2, ... by position while printing.  `names`, when
-    the caller knows them, are the free variables and constants of f."""
-    return _render(f, canonical=True, names=names)
+    binders named v1, v2, ... by position while printing."""
+    return _render(f, canonical=True)
 
 
 # ---------------------------------------------------------------------------

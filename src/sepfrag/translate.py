@@ -22,9 +22,9 @@ existential block, or the universal part of a conjunct, is keyed the
 first time it appears in the block, and every repeat counts as a dedup
 hit.  A new unit takes its free variables from its parts, and an
 existential unit its count of prefix slots: its bound variables plus its
-parts' counts.  Planning builds no formula and prints nothing; a unit's
-formula and printed key, which orders the output, are made only when a
-sentence is assembled.
+parts' counts.  Nothing in this module prints: planning builds no
+formula, and a sentence is assembled from the units' structure, their
+parts in id order, which unit numbering makes deterministic.
 
 One subset-and-selection loop (`_selections`) serves both `to_bsr` and
 the lemma as a standalone operation (`expand_selections`), which interns
@@ -116,7 +116,7 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
     the existential blocks of `to_bsr`, so a unit binds only the bound
     variables that occur in it (an option free of them is a plain
     disjunct), equal units of a conjunct are one disjunct, and the
-    disjuncts come in printed-key order.  A residue or option that is no
+    disjuncts come in unit-id order.  A residue or option that is no
     literal equals only the same formula.  More than `DEFAULT_CONJUNCT_CAP`
     conjuncts raise `SelectionBudgetExceeded` before any is built."""
     inst.validate()
@@ -147,10 +147,11 @@ class _Units:
     marker and is never a unit of the sentence.  A residue or option of
     `expand_selections` that is no literal is keyed by the formula itself.
 
-    Nothing is built or printed while planning: `formula` builds a unit
-    from the `source` of the first unit with its key, with parts in
-    `printed` order, and `printed` is its `canonical_key`, only when a
-    sentence is assembled."""
+    Nothing is built while planning, and nothing is ever printed.  A
+    unit is made from the `source` of the first unit with its key, with
+    parts in id order: `flat` instantiates it against the BSR prefix for
+    `to_bsr`, and `formula` builds it for `push_quantifiers` and
+    `expand_selections`."""
 
     ids: dict = field(default_factory=dict)  # key -> id
     keys: list = field(default_factory=list)  # id -> key
@@ -165,8 +166,6 @@ class _Units:
     dedup_hits: int = 0
     _marked: dict = field(default_factory=dict)
     _formulas: dict = field(default_factory=dict)
-    _printed: dict = field(default_factory=dict)
-    _consts: dict = field(default_factory=dict)
 
     def _id(self, key, free: frozenset, height: int) -> int:
         """Id of `key`, recorded when new."""
@@ -259,7 +258,7 @@ class _Units:
         return j
 
     def formula(self, i: int) -> S.Formula:
-        """The formula of unit i, built on first use."""
+        """The formula of unit i, parts in id order, built on first use."""
         f = self._formulas.get(i)
         if f is None:
             head, source = self.keys[i][0], self.source[i]
@@ -270,36 +269,29 @@ class _Units:
             else:
                 bound, parts = source
                 connect = S.conj if head is S.exists else S.disj
-                f = head(bound, connect([self.formula(p) for p in self.ordered(parts)]))
+                f = head(bound, connect([self.formula(p) for p in sorted(parts)]))
             self._formulas[i] = f
         return f
 
-    def printed(self, i: int) -> str:
-        """The printed key of unit i, which orders the units of a sentence."""
-        p = self._printed.get(i)
-        if p is None:
-            # the printer needs the names of f only to name its binders
-            names = self.free[i] | self.consts(i) if type(self.source[i]) is tuple else None
-            p = self._printed[i] = S.canonical_key(self.formula(i), names)
-        return p
-
-    def consts(self, i: int) -> frozenset:
-        """The constants of unit i, which `printed` hands the printer."""
-        c = self._consts.get(i)
-        if c is None:
-            key = self.keys[i]
-            if type(key[0]) is bool:
-                c = frozenset(t.name for t in key[2] if type(t) is S.Const)
-            elif key[0] == "formula":
-                c = S.constants_of(key[1])
-            else:
-                c = frozenset().union(*map(self.consts, self.source[i][1]))
-            self._consts[i] = c
-        return c
-
-    def ordered(self, ids) -> list[int]:
-        """`ids` in printed-key order; a lone id is not printed."""
-        return sorted(ids, key=self.printed) if len(ids) > 1 else list(ids)
+    def flat(self, i: int, names, env: dict) -> S.Formula:
+        """The quantifier-free instance of unit i of a plan: a literal's
+        atom with each variable of `env` replaced by its value, a quantified
+        unit's parts joined in id order with each bound variable taking the
+        next name of the iterator `names`, in pre-order, so nested blocks
+        of one kind flatten into one.  The prefix names are fresh against
+        every name of the sentence, so no binder inside captures one."""
+        key, source = self.keys[i], self.source[i]
+        head = key[0]
+        if type(head) is bool:
+            if env:
+                _, name, args = key
+                args = tuple([env.get(t.name, t) if type(t) is S.Var else t for t in args])
+                source = S.Eq(*args) if name == "=" else S.Pred(name, args)
+            return source if head else S.Not(source)
+        bound, parts = source
+        env = {**env, **{v: S.Var(next(names)) for v in bound}}
+        connect = S.conj if head is S.exists else S.disj
+        return connect([self.flat(p, names, env) for p in sorted(parts)])
 
 
 def _dedup_conjuncts(conjs, units: _Units):
@@ -405,7 +397,7 @@ def push_quantifiers(sf: S.StandardForm) -> S.Formula:
 def _sentence(leading, conjs, units: _Units) -> S.Formula:
     """exists leading. (conjunction of the unit disjunctions `conjs`),
     renamed apart."""
-    body = S.conj([S.disj([units.formula(k) for k in units.ordered(c)]) for c in conjs])
+    body = S.conj([S.disj([units.formula(k) for k in sorted(c)]) for c in conjs])
     return S.rename_apart(S.exists(leading, body))
 
 
@@ -439,45 +431,11 @@ class BsrSentence:
         return S.is_quantifier_free(self.matrix)
 
 
-def _flatten_unit(f, names):
-    """Instantiate a quantified unit with prefix variables, flattening
-    nested blocks of the same kind in one walk.  Returns the
-    quantifier-free matrix; each quantified variable takes the next name
-    of the iterator `names`, in pre-order.
-
-    The renaming is carried down the walk; the prefix names are fresh
-    against every name of the unit, so no binder inside can capture one."""
-
-    def term(t, env):
-        return env.get(t.name, t) if type(t) is S.Var else t
-
-    def walk(g, env):
-        t = type(g)
-        if t is S.Forall or t is S.Exists:
-            env = dict(env)
-            for v in g.vars:
-                env[v] = S.Var(next(names))
-            return walk(g.body, env)
-        if t is S.And:
-            return S.conj([walk(p, env) for p in g.parts])
-        if t is S.Or:
-            return S.disj([walk(p, env) for p in g.parts])
-        if t is S.Pred:
-            return S.Pred(g.name, tuple([term(a, env) for a in g.args])) if env else g
-        if t is S.Eq:
-            return S.Eq(term(g.left, env), term(g.right, env)) if env else g
-        if t is S.Not and type(g.sub) in (S.Pred, S.Eq):
-            return S.Not(walk(g.sub, env)) if env else g
-        if t is S.Top or t is S.Bottom:
-            return g
-        raise NotSF(f"unexpected unit shape: {S.print_formula(g)}")
-
-    return walk(f, {})
-
-
 def _minimize_terms(terms):
-    """Drop terms that are supersets of another term.  Terms are distinct,
-    so only a strictly shorter kept term can be a proper subset of t."""
+    """Drop terms that are supersets of another term, and return the rest
+    in (length, sorted ids) order, the order of `to_bsr`'s disjuncts.
+    Terms are distinct, so only a strictly shorter kept term can be a
+    proper subset of t."""
     ordered = sorted(set(terms), key=lambda t: (len(t), sorted(t)))
     kept = []
     shorter, length = [], 0  # the kept terms strictly shorter than t
@@ -553,16 +511,14 @@ def to_bsr(
     uni_names = _numbered(fresh, "v", uni)  # universal occurrences never share variables
 
     def flat(ids, connect, exi_names):
-        us = [units.formula(k) for k in units.ordered(ids)]
         return connect([
-            _flatten_unit(u, exi_names if isinstance(u, S.Exists) else uni_names) for u in us
+            units.flat(k, exi_names if units.keys[k][0] is S.exists else uni_names, {})
+            for k in sorted(ids)
         ])
 
     if terms is not None:
         # one existential prefix shared by all disjuncts; each disjunct
         # instantiates an initial slice of it
-        if len(terms) > 1:
-            terms = sorted(terms, key=lambda t: (len(t), sorted(map(units.printed, t))))
         matrix = S.disj([flat(t, S.conj, iter(exi)) for t in terms])
         strategy = "factored"
     else:

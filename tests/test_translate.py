@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +25,6 @@ from sepfrag.translate import (
     BsrStats,
     SelectionInstance,
     _Units,
-    _flatten_unit,
     _minimize_terms,
     _plan,
     bsr_leading_count,
@@ -336,13 +339,15 @@ def _planned_forms(rng, count):
     return out
 
 
-def test_planning_never_prints(monkeypatch):
-    # units are keyed by structure: the plan builds no formula and prints
-    # nothing, which is all that decide_sat asks of the translation
-    sfs = _planned_forms(random.Random(37), 200) + [to_standard_form(generate_hard_family(1))]
+def test_translate_never_prints(monkeypatch):
+    # units are keyed by structure and emitted from it: the plan builds no
+    # formula, to_bsr builds none but its output, and nothing prints
+    rng = random.Random(37)
+    sfs = _planned_forms(rng, 200) + [to_standard_form(generate_hard_family(1))]
+    instances = [make_instance(rng) for _ in range(100)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the plan printed a formula")
+        raise AssertionError("the translation printed or built a unit formula")
 
     for name in ("canonical_key", "print_formula", "_render"):
         monkeypatch.setattr(S, name, refuse)
@@ -351,11 +356,23 @@ def test_planning_never_prints(monkeypatch):
         try:
             bsr_leading_count(sf, 2000, 2000, 2000, 512)
             _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+            push_quantifiers(sf)
         except BudgetExceeded:
             continue
-        assert not units._formulas and not units._printed
+        assert not units._formulas
         planned += 1
     assert planned >= 150, planned
+    for inst in instances:
+        expand_selections(inst)
+    monkeypatch.setattr(_Units, "formula", refuse)
+    built = 0
+    for sf in sfs:
+        try:
+            to_bsr(sf, 2000, 2000, 2000, 512)
+        except BudgetExceeded:
+            continue
+        built += 1
+    assert built == planned
 
 
 def _intern_unit(units, f):
@@ -375,7 +392,7 @@ def _intern_unit(units, f):
 def test_unit_ids_are_alpha_invariant():
     # every unit of the plans of random draws, and a copy of it with every
     # binder renamed, interned afresh: one id per alpha-equivalence class,
-    # and units with different printed keys get different ids
+    # and units with different canonical keys get different ids
     rng = random.Random(41)
     checked = quantified = 0
     for sf in _planned_forms(rng, 120):
@@ -393,7 +410,6 @@ def test_unit_ids_are_alpha_invariant():
             j = _intern_unit(fresh, u)
             assert _intern_unit(fresh, variant) == j, print_formula(u)
             key = S.canonical_key(u)
-            assert planned.printed(i) == key  # the names it hands the printer are u's
             assert by_key.setdefault(j, key) == key, print_formula(u)
             checked += 1
             quantified += bool(binders)
@@ -415,17 +431,19 @@ def test_bsr_stats_repr_with_huge_exact_bound():
 # The BsrStats of a few fixed translations, recorded before each block
 # interned its units once.  dedup_count includes every unit a block repeats,
 # so a memo that stops counting its hits changes it.  The SHA-1 of the
-# printed sentence was recorded before the prefix was allocated from the
-# plan's count: the stats and every equivalence test pass on a sentence
-# whose prefix names are permuted, the digest does not.
+# printed sentence, whose parts come in unit-id order, was recorded when
+# to_bsr stopped ordering them by printed key; each sentence was checked
+# equivalent up to size 3 to its input and to the printed-key-ordered one.
+# The stats and every equivalence test pass on a sentence whose prefix
+# names are permuted, the digest does not.
 TWO_BLOCK = (
     "forall x1. exists y1. forall x2. exists y2. (P(x1) | R(y1, y2)) & (Q(x2) | ~R(y2, y1))"
 )
 PINNED_STATS = [
-    (TWO_BLOCK, (19, 4, 6, "factored"), "ea9b210ed1f2a94c94ddc4bb044525dfc0bfe7cd"),
-    (22, (3, 3, 72, "factored"), "21319807199a93e960d143dadd2b81762749840d"),
-    (33, (7, 4, 51, "factored"), "39abf7183f006c437c1fb3c21e15fe3bab676be7"),
-    (710, (142, 14, 13, "direct"), "d28b5990a5785a34ca46f3df8bf8aed7dba4794f"),
+    (TWO_BLOCK, (19, 4, 6, "factored"), "180cd83fb64bf0d17590c9906579a13d9b01bd09"),
+    (22, (3, 3, 72, "factored"), "7ca8d33d165f070bd7fd57e296d513dc30b4533b"),
+    (33, (7, 4, 51, "factored"), "0408a21d24db5117441a6183a0a726b3fb799050"),
+    (710, (142, 14, 13, "direct"), "32ab07f01c982d849556e052c0f82d7565b218c2"),
 ]
 
 
@@ -469,11 +487,11 @@ def test_minimize_terms_keeps_exactly_the_minimal_terms():
         assert _minimize_terms(terms) == _minimal_terms(terms)
 
 
-# --- flattening units ------------------------------------------------------------
+# --- instantiating units ---------------------------------------------------------
 
 def _flatten_by_substitution(f, alloc_names, cursor, fresh):
-    """The flattening the one-walk _flatten_unit replaces: substitute the
-    prefix names into the body at every quantifier, then walk the result."""
+    """The reference flattening: substitute the prefix names into the body
+    at every quantifier, then walk the result."""
     if isinstance(f, (S.Forall, S.Exists)):
         sub = {}
         for v in f.vars:
@@ -489,49 +507,66 @@ def _flatten_by_substitution(f, alloc_names, cursor, fresh):
     return f
 
 
-def _random_unit(rng, depth, scope, names):
-    """Nested quantified conjunctions and disjunctions of literals and
-    equalities over the variables in scope and a constant."""
-    if depth and rng.random() < 0.7:
-        r = rng.random()
-        if r < 0.4:
-            bound = tuple(next(names) for _ in range(rng.randint(1, 2)))
-            kind = S.Exists if rng.random() < 0.5 else S.Forall
-            return kind(bound, _random_unit(rng, depth - 1, scope + list(bound), names))
-        parts = tuple(_random_unit(rng, depth - 1, scope, names) for _ in range(rng.randint(2, 3)))
-        return S.And(parts) if r < 0.7 else S.Or(parts)
-    terms = [S.Var(v) for v in scope] + [S.Const("c")]
-    if rng.random() < 0.4:
-        lit = S.Eq(rng.choice(terms), rng.choice(terms))
-    else:
-        lit = S.Pred("P", (rng.choice(terms), rng.choice(terms)))
-    return S.Not(lit) if rng.random() < 0.3 else lit
-
-
-def test_flatten_unit_matches_substitution_per_level():
+def test_flat_matches_substitution_per_level():
+    # every unit of the plans of random draws and of hard n=1, instantiated
+    # one after another from one name supply, as in one factored disjunct
     rng = random.Random(89)
-    for _ in range(200):
-        names = iter(f"w{i}" for i in range(1000))
-        units = [_random_unit(rng, 4, ["z"], names) for _ in range(rng.randint(1, 3))]
-        used = set()
-        for u in units:
-            used |= S.survey(u).names()
-        fresh = S.FreshNames(used)
+    sfs = _planned_forms(rng, 150) + [to_standard_form(generate_hard_family(1))]
+    checked = quantified = 0
+    for sf in sfs:
+        try:
+            _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+        except BudgetExceeded:
+            continue
+        # every prefix variable of a standard form occurs in its matrix
+        fresh = S.FreshNames(S.survey(sf.matrix).names())
         alloc = ["u1"] if rng.random() < 0.5 else []
         cursor = [0]
-        # consecutive units share one prefix, as in one factored disjunct
+        ids = list(units.source)  # every unit made, not the marked copies
         expected = [
-            _flatten_by_substitution(u, alloc, cursor, lambda a: fresh.fresh(f"u{len(a) + 1}"))
-            for u in units
+            _flatten_by_substitution(
+                units.formula(k), alloc, cursor, lambda a: fresh.fresh(f"u{len(a) + 1}")
+            )
+            for k in ids
         ]
         prefix = iter(alloc)
-        assert [_flatten_unit(u, prefix) for u in units] == expected
-        # the walk took exactly the reference's first cursor[0] names, in order
+        assert [units.flat(k, prefix, {}) for k in ids] == expected, print_formula(sf.matrix)
+        # flat took exactly the reference's first cursor[0] names, in order
         assert list(prefix) == alloc[cursor[0]:]
+        checked += len(ids)
+        quantified += sum(type(units.keys[k][0]) is not bool for k in ids)
+    assert checked >= 1500 and quantified >= 800, (checked, quantified)
 
 
-def test_flatten_unit_rejects_unexpected_shape():
-    p, q = atom("P", "y"), atom("Q", "y")
-    for bad in (S.Exists(("y",), S.Implies(p, q)), S.Iff(p, q)):
-        with pytest.raises(NotSF):
-            _flatten_unit(bad, iter(["u"]))
+def test_output_does_not_depend_on_the_hash_seed():
+    # parts come in unit-id order, so the printed sentences must not
+    # depend on the order of a set of strings
+    code = (
+        "import random\n"
+        "from sepfrag import analysis, syntax as S, translate\n"
+        "from util import random_sf_sentence\n"
+        "rng = random.Random(43)\n"
+        "for _ in range(30):\n"
+        "    f, _ = random_sf_sentence(rng, max_blocks=3, max_atoms=5, with_eq=True)\n"
+        "    sf = S.to_standard_form(f)\n"
+        "    if not analysis.is_sf(sf):\n"
+        "        continue\n"
+        "    print(S.print_formula(translate.push_quantifiers(sf)))\n"
+        "    try:\n"
+        "        print(S.print_formula(translate.to_bsr(sf, 2000, 2000, 2000, 512).to_formula()))\n"
+        "    except Exception as e:\n"
+        "        print(type(e).__name__)\n"
+    )
+    here = Path(__file__).resolve().parent
+    runs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        path = [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+        runs.append(subprocess.Popen(
+            [sys.executable, "-c", code], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ))
+    (out1, err1), (out2, err2) = (p.communicate(timeout=60) for p in runs)
+    assert runs[0].returncode == 0 and runs[1].returncode == 0, err1 or err2
+    assert out1.count("\n") >= 40 and out1 == out2

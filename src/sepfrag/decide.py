@@ -410,7 +410,8 @@ def _bound(sf: S.StandardForm, details: dict):
     """Smallest exactly evaluated size bound (degree, BSR, MFO and, outside
     BSR form, the BSR translation's leading existentials plus the
     constants) and the symbolic degree bound, both None outside the
-    fragment; records "degree_bound" and "translation_bound" in `details`."""
+    fragment; records "degree_bound" and "translation_bound" in `details`.
+    A translation past `translate`'s limits gives no bound."""
     if not analysis.is_sf(sf):
         return None, None
     rep = analysis.bounds(sf)
@@ -418,9 +419,7 @@ def _bound(sf: S.StandardForm, details: dict):
     exact = [rep.model_size.evaluate(), rep.bsr_model_size, rep.mfo_model_size]
     if not analysis.is_bsr(sf):
         try:
-            leading = translate.bsr_leading_count(
-                sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000, dnf_term_cap=512
-            )
+            leading = translate.bsr_leading_count(sf)
             details["translation_bound"] = max(leading + len(S.constants_of(sf.matrix)), 1)
             exact.append(details["translation_bound"])
         except BudgetExceeded:

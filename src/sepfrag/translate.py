@@ -32,6 +32,12 @@ its residues and options as units.  One plan (`_plan`) gives both the
 prefix length that `bsr_leading_count` returns and the sentence that
 `to_bsr` builds, whose prefix is allocated from that count before any
 unit is instantiated.
+
+Every caller translates under one set of limits, the module constants
+below: past `CLAUSE_CAP` matrix clauses, `CONJUNCT_CAP` conjuncts of one
+block's expansion or `SELECTION_CAP` selection functions for one subset
+the translation raises a budget error, and past `DNF_TERM_CAP` DNF terms
+`to_bsr` takes the direct strategy.
 """
 
 from __future__ import annotations
@@ -52,9 +58,10 @@ from .errors import (
     SelectionBudgetExceeded,
 )
 
-DEFAULT_SELECTION_CAP = 100_000
-DEFAULT_CONJUNCT_CAP = 100_000
-DEFAULT_DNF_CAP = 4096
+SELECTION_CAP = 2000
+CONJUNCT_CAP = 2000
+CLAUSE_CAP = 2000
+DNF_TERM_CAP = 512
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +124,16 @@ def expand_selections(inst: SelectionInstance) -> S.Formula:
     variables that occur in it (an option free of them is a plain
     disjunct), equal units of a conjunct are one disjunct, and the
     disjuncts come in unit-id order.  A residue or option that is no
-    literal equals only the same formula.  More than `DEFAULT_CONJUNCT_CAP`
-    conjuncts raise `SelectionBudgetExceeded` before any is built."""
+    literal equals only the same formula.  More than `CONJUNCT_CAP`
+    conjuncts or `SELECTION_CAP` selection functions for one subset raise
+    `SelectionBudgetExceeded`, the first before any conjunct is built."""
     inst.validate()
     units = _Units()
     split = [
         ([units.leaf(inst.residue[i])], [units.leaf(inst.option[k]) for k in inst.k_sets[i]])
         for i in inst.index_set
     ]
-    conjs = _selections(split, units, inst.ys, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP)
+    conjs = _selections(split, units, inst.ys)
     return _sentence((), conjs, units)
 
 
@@ -300,7 +308,7 @@ def _dedup_conjuncts(conjs, units: _Units):
     return out
 
 
-def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
+def _pushed(sf: S.StandardForm):
     """Run the full block-pushing pipeline on a separated sentence.
 
     Returns (conjuncts, units, leading) where each conjunct is a frozenset
@@ -310,7 +318,7 @@ def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
     if not analysis.is_sf(sf):
         raise NotSF("translation applies to separated sentences only")
     units = _Units()
-    matrix_cnf = S.cnf_matrix(sf.matrix, max_clauses=clause_budget)
+    matrix_cnf = S.cnf_matrix(sf.matrix, max_clauses=CLAUSE_CAP)
     conjs = [
         frozenset(units.literal(lit.positive, lit.atom) for lit in clause)
         for clause in matrix_cnf.clauses
@@ -319,13 +327,13 @@ def _pushed(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget):
 
     for x_block, y_block in reversed(sf.blocks):
         if y_block:
-            conjs = _push_existential(conjs, units, y_block, selection_cap, conjunct_cap)
+            conjs = _push_existential(conjs, units, y_block)
         conjs = _push_universal(conjs, units, x_block)
         conjs = _dedup_conjuncts(conjs, units)
     return conjs, units, sf.leading
 
 
-def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap):
+def _push_existential(conjs, units: _Units, y_block):
     yset = set(y_block)
     passthrough, split = [], []
     for c in conjs:
@@ -336,32 +344,32 @@ def _push_existential(conjs, units: _Units, y_block, selection_cap, conjunct_cap
             passthrough.append(c)
     if not split:
         return conjs
-    return passthrough + _selections(split, units, y_block, selection_cap, conjunct_cap)
+    return passthrough + _selections(split, units, y_block)
 
 
-def _selections(split, units: _Units, y_block, selection_cap, conjunct_cap):
+def _selections(split, units: _Units, y_block):
     """The selection-function expansion of exists y_block over conjuncts
     given as (residue ids, carried ids) pairs: one conjunct per nonempty
     subset s, holding the residues of s and one existential unit per
     selection function restricted to s.  Raises `SelectionBudgetExceeded`
-    past `conjunct_cap` conjuncts before any is built, and past
-    `selection_cap` selection functions for one subset."""
-    if (1 << len(split)) - 1 > conjunct_cap:
+    past `CONJUNCT_CAP` conjuncts before any is built, and past
+    `SELECTION_CAP` selection functions for one subset."""
+    if (1 << len(split)) - 1 > CONJUNCT_CAP:
         # 2^n - 1 itself may have too many digits to print
         raise SelectionBudgetExceeded(
             f"existential block expansion needs 2^{len(split)} - 1 "
-            f"conjuncts, cap is {conjunct_cap}",
-            limit=conjunct_cap,
+            f"conjuncts, cap is {CONJUNCT_CAP}",
+            limit=CONJUNCT_CAP,
         )
     out = []
     memo: dict[frozenset, int] = {}
     for size in range(1, len(split) + 1):
         for s in itertools.combinations(split, size):
             count = math.prod(len(carried) for _, carried in s)
-            if count > selection_cap:
+            if count > SELECTION_CAP:
                 raise SelectionBudgetExceeded(
-                    f"{count} selection functions in one conjunct, cap is {selection_cap}",
-                    limit=selection_cap,
+                    f"{count} selection functions in one conjunct, cap is {SELECTION_CAP}",
+                    limit=SELECTION_CAP,
                 )
             bodies = {frozenset(choice) for choice in itertools.product(*(carried for _, carried in s))}
             ids = set().union(*(residue for residue, _ in s))
@@ -388,9 +396,7 @@ def push_quantifiers(sf: S.StandardForm) -> S.Formula:
     """Move all quantifier blocks inward; in the result no universal
     quantifier lies inside an existential scope (beyond the leading
     block) and vice versa."""
-    conjs, units, leading = _pushed(
-        sf, DEFAULT_SELECTION_CAP, DEFAULT_CONJUNCT_CAP, S.DEFAULT_CLAUSE_BUDGET
-    )
+    conjs, units, leading = _pushed(sf)
     return _sentence(leading, conjs, units)
 
 
@@ -447,16 +453,16 @@ def _minimize_terms(terms):
     return kept
 
 
-def _plan(sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap):
+def _plan(sf: S.StandardForm):
     """The BSR plan of a separated sentence not in BSR form, raising what
     `to_bsr` raises: (conjuncts, units, leading, terms, n_exi), with the
-    minimal DNF terms (None past `dnf_term_cap`) and the number of
+    minimal DNF terms (None past `DNF_TERM_CAP`) and the number of
     existential prefix slots.  An existential unit takes one slot per
     quantified variable: the factored strategy shares one prefix among the
     terms, the direct one gives every unit occurrence its own."""
-    conjs, units, leading = _pushed(sf, selection_cap, conjunct_cap, clause_budget)
+    conjs, units, leading = _pushed(sf)
     slots = units.slots
-    terms = _distribute(conjs, dnf_term_cap)
+    terms = _distribute(conjs)
     if terms is None:
         n_exi = sum(slots.get(k, 0) for c in conjs for k in c)
     else:
@@ -471,22 +477,18 @@ def _numbered(fresh: S.FreshNames, base: str, taken: list):
         yield taken[-1]
 
 
-def to_bsr(
-    sf: S.StandardForm,
-    selection_cap: int = DEFAULT_SELECTION_CAP,
-    conjunct_cap: int = DEFAULT_CONJUNCT_CAP,
-    clause_budget: int = S.DEFAULT_CLAUSE_BUDGET,
-    dnf_term_cap: int = DEFAULT_DNF_CAP,
-) -> BsrSentence:
+def to_bsr(sf: S.StandardForm) -> BsrSentence:
     """Full translation to an equivalent exists*forall* sentence.
 
     After pushing the blocks inward, the conjunction of unit-disjunctions
     is distributed into a disjunction of unit sets (with absorption),
     existential units are instantiated against a single prefix shared by
     all disjuncts, and universal units are hoisted with fresh variables.
-    When distribution exceeds `dnf_term_cap` the conjunction shape is kept
-    and every unit occurrence gets its own prefix variables instead.  The
-    prefix is allocated from the count of the plan `bsr_leading_count` reads.
+    When distribution exceeds `DNF_TERM_CAP` terms the conjunction shape
+    is kept and every unit occurrence gets its own prefix variables
+    instead.  Past `CLAUSE_CAP`, `CONJUNCT_CAP` or `SELECTION_CAP` it
+    raises a budget error.  The prefix is allocated from the count of the
+    plan `bsr_leading_count` reads.
     """
     if not analysis.is_sf(sf):
         raise NotSF("translation applies to separated sentences only")
@@ -497,9 +499,7 @@ def to_bsr(
         stats = _stats(len(sf.leading), len(uni), 0, "direct", bound)
         return BsrSentence(sf.leading, tuple(uni), sf.matrix, stats)
 
-    conjs, units, leading, terms, n_exi = _plan(
-        sf, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
-    )
+    conjs, units, leading, terms, n_exi = _plan(sf)
 
     # u and v names never collide, so no name depends on the order of allocation;
     # every prefix variable of a standard form occurs in its matrix, so these
@@ -532,13 +532,11 @@ def to_bsr(
     return BsrSentence(tuple(leading) + exi, tuple(uni), matrix, stats)
 
 
-def bsr_leading_count(
-    sf: S.StandardForm, selection_cap, conjunct_cap, clause_budget, dnf_term_cap
-) -> int:
-    """`len(to_bsr(sf, caps).leading)` for a separated sentence not in BSR
+def bsr_leading_count(sf: S.StandardForm) -> int:
+    """`len(to_bsr(sf).leading)` for a separated sentence not in BSR
     form, read off the plan that `to_bsr` builds its sentence from, without
     building the matrix; raises what `to_bsr` raises."""
-    _, _, leading, _, n_exi = _plan(sf, selection_cap, conjunct_cap, clause_budget, dnf_term_cap)
+    _, _, leading, _, n_exi = _plan(sf)
     return len(leading) + n_exi
 
 
@@ -548,9 +546,9 @@ def _stats(n_lead, n_uni, dedup, strategy, bound: analysis.TetrationExpr) -> Bsr
     return BsrStats(n_lead, n_uni, dedup, strategy, bound, exact, within)
 
 
-def _distribute(conjs, cap):
+def _distribute(conjs):
     """Conjunction of unit-id disjunctions -> minimal disjunction of
-    unit-id sets, or None when the cap is hit."""
+    unit-id sets, or None past `DNF_TERM_CAP` terms."""
     terms = [frozenset()]
     for c in sorted(conjs, key=lambda c: (len(c), sorted(c))):
         new = []
@@ -560,11 +558,11 @@ def _distribute(conjs, cap):
                 continue
             for u in sorted(c):
                 new.append(t | {u})
-        if len(new) > cap:
+        if len(new) > DNF_TERM_CAP:
             return None
         terms = list(set(new))
         if len(terms) > 256:
             terms = _minimize_terms(terms)
-        if len(terms) > cap:
+        if len(terms) > DNF_TERM_CAP:
             return None
     return _minimize_terms(terms)

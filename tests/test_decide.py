@@ -874,10 +874,7 @@ def _bound_first(f, max_size):
         candidates = [b for b in exact if b is not None]
         if not analysis.is_bsr(sf):
             try:
-                bsr = to_bsr(
-                    sf, selection_cap=2000, conjunct_cap=2000, clause_budget=2000,
-                    dnf_term_cap=512,
-                )
+                bsr = to_bsr(sf)
                 candidates.append(max(len(bsr.leading) + len(S.constants_of(sf.matrix)), 1))
                 details["translation_bound"] = candidates[-1]
             except BudgetExceeded:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sepfrag import syntax as S
-from sepfrag import analysis
+from sepfrag import analysis, translate
 from sepfrag.errors import (
     BadParams,
     BoundVariableInResidue,
@@ -146,11 +146,11 @@ def test_expansion_binds_only_the_variables_its_units_use():
 
 
 def test_expansion_past_the_conjunct_cap_raises_at_once():
-    # 17 indices need 2^17 - 1 conjuncts, past DEFAULT_CONJUNCT_CAP; the
-    # expansion used to enumerate them all, 4x longer per two more indices.
+    # 11 indices need 2^11 - 1 conjuncts, past CONJUNCT_CAP; the expansion
+    # used to enumerate them all, 4x longer per two more indices.
     # At 20,000 indices 2^n - 1 has more digits than int-to-str conversion
     # allows, and printing it in the message used to raise ValueError
-    for n in (17, 20_000):
+    for n in (11, 17, 20_000):
         idx = tuple(range(n))
         inst = SelectionInstance(
             idx,
@@ -252,6 +252,23 @@ def test_to_bsr_hard_family_one():
     assert v.equal
 
 
+def test_translation_past_its_limits_raises_at_once():
+    # every caller translates under one set of limits; under larger ones
+    # this equiv-check sentence ran past 5 s and hard n=2 built all 131,070
+    # units of its innermost block before a budget error
+    text = (
+        "(exists z. (forall x11 x12. (exists y11. (forall x21. (exists y21 y22. "
+        "((y22 = y11 | ((~Q(y11) & P(y22)) & ~P(y11))) & P(z) & P(x11) & P(x12) "
+        "& P(x21) & P(y21)))))))"
+    )
+    sf = to_standard_form(parse_formula(text)[0])
+    for translation in (to_bsr, bsr_leading_count, push_quantifiers):
+        with deadline(1), pytest.raises(SelectionBudgetExceeded):
+            translation(sf)
+    with deadline(1), pytest.raises(SelectionBudgetExceeded):
+        to_bsr(to_standard_form(generate_hard_family(2)))
+
+
 def test_to_bsr_random_corpus():
     rng = random.Random(17)
     for _ in range(40):
@@ -267,9 +284,9 @@ def test_to_bsr_random_corpus():
             assert b.stats.leading_existentials <= b.stats.bound_exact
 
 
-def test_bsr_leading_count_matches_to_bsr():
+def test_bsr_leading_count_matches_to_bsr(monkeypatch):
     # the count-only path gives to_bsr's prefix length, or raises the same
-    # budget error, under every strategy; small caps reach the direct
+    # budget error, under every strategy; small limits reach the direct
     # strategy and every budget
     rng = random.Random(29)
     seen, grown = {}, 0
@@ -278,21 +295,19 @@ def test_bsr_leading_count_matches_to_bsr():
         sf = to_standard_form(f)
         if not analysis.is_sf(sf) or analysis.is_bsr(sf):
             continue
-        caps = dict(
-            selection_cap=rng.choice((8, 2000)),
-            conjunct_cap=rng.choice((16, 2000)),
-            clause_budget=rng.choice((8, 2000, 2000, 2000)),
-            dnf_term_cap=rng.choice((2, 8, 512)),
-        )
+        monkeypatch.setattr(translate, "SELECTION_CAP", rng.choice((8, 2000)))
+        monkeypatch.setattr(translate, "CONJUNCT_CAP", rng.choice((16, 2000)))
+        monkeypatch.setattr(translate, "CLAUSE_CAP", rng.choice((8, 2000, 2000, 2000)))
+        monkeypatch.setattr(translate, "DNF_TERM_CAP", rng.choice((2, 8, 512)))
         try:
-            b = to_bsr(sf, **caps)
+            b = to_bsr(sf)
         except BudgetExceeded as e:
             with pytest.raises(type(e)) as raised:
-                bsr_leading_count(sf, **caps)
+                bsr_leading_count(sf)
             assert type(raised.value) is type(e)
             kind = type(e).__name__
         else:
-            assert bsr_leading_count(sf, **caps) == len(b.leading), print_formula(f)
+            assert bsr_leading_count(sf) == len(b.leading), print_formula(f)
             kind = b.stats.strategy
             grown += len(b.leading) > len(sf.leading)
         seen[kind] = seen.get(kind, 0) + 1
@@ -302,7 +317,7 @@ def test_bsr_leading_count_matches_to_bsr():
 def _plan_slots_against_binders(sf):
     """Units whose recorded slots differ from their binder count, the
     survey `_plan` took it from before slots were recorded."""
-    _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+    _, units, _, _, _ = _plan(sf)
     exi = {i: u for i in units.source if isinstance(u := units.formula(i), S.Exists)}
     assert set(units.slots) == set(exi)
     return [i for i, u in exi.items() if units.slots[i] != len(S.names_in(u)[0])], len(exi)
@@ -354,8 +369,8 @@ def test_translate_never_prints(monkeypatch):
     planned = 0
     for sf in sfs:
         try:
-            bsr_leading_count(sf, 2000, 2000, 2000, 512)
-            _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+            bsr_leading_count(sf)
+            _, units, _, _, _ = _plan(sf)
             push_quantifiers(sf)
         except BudgetExceeded:
             continue
@@ -368,7 +383,7 @@ def test_translate_never_prints(monkeypatch):
     built = 0
     for sf in sfs:
         try:
-            to_bsr(sf, 2000, 2000, 2000, 512)
+            to_bsr(sf)
         except BudgetExceeded:
             continue
         built += 1
@@ -397,7 +412,7 @@ def test_unit_ids_are_alpha_invariant():
     checked = quantified = 0
     for sf in _planned_forms(rng, 120):
         try:
-            _, planned, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+            _, planned, _, _, _ = _plan(sf)
         except BudgetExceeded:
             continue
         fresh = _Units()
@@ -515,7 +530,7 @@ def test_flat_matches_substitution_per_level():
     checked = quantified = 0
     for sf in sfs:
         try:
-            _, units, _, _, _ = _plan(sf, 2000, 2000, 2000, 512)
+            _, units, _, _, _ = _plan(sf)
         except BudgetExceeded:
             continue
         # every prefix variable of a standard form occurs in its matrix
@@ -553,7 +568,7 @@ def test_output_does_not_depend_on_the_hash_seed():
         "        continue\n"
         "    print(S.print_formula(translate.push_quantifiers(sf)))\n"
         "    try:\n"
-        "        print(S.print_formula(translate.to_bsr(sf, 2000, 2000, 2000, 512).to_formula()))\n"
+        "        print(S.print_formula(translate.to_bsr(sf).to_formula()))\n"
         "    except Exception as e:\n"
         "        print(type(e).__name__)\n"
     )
